@@ -456,20 +456,3 @@ def u_chain_map(g, region, d_hi, steps, ring=ZZ):
         if r is not None:
             mat[r, c] = 1
     return SliceMap(mat, src, tgt, f"U^{steps}")
-
-
-def element_to_column(x, basis):
-    """Coordinates of a plane element in a slice basis; terms outside the
-    basis raise, use project() first if clipping is intended."""
-    col = {}
-    for key, c in x.terms.items():
-        idx = basis.index.get(key)
-        if idx is None:
-            raise DomainError(f"term {key} outside the slice basis")
-        col[idx] = c
-    return col
-
-
-def column_to_element(col, basis):
-    g = basis.genus
-    return GradedElement(g, {basis.elements[i]: c for i, c in col.items() if c})

@@ -74,10 +74,6 @@ def _deadline(args):
 # rendering
 # ---------------------------------------------------------------------------
 
-def _group_str(grp):
-    return str(grp)
-
-
 def _render_table_entries(entries_json):
     from .linalg import GroupPresentation
     lines = []

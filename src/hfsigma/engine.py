@@ -179,13 +179,13 @@ def hf_infinity(g, ring=ZZ, deadline=None):
         lo = _fmap(g, "one_plus_J", d).matrix
         hi = _fmap(g, "one_plus_J", d + 1).matrix
         if ring == ZZ:
-            krank = lo.cols - rank(lo, QQ)
+            krank = lo.cols - rank(lo, QQ, deadline=deadline)
             fs = smith_normal_form(hi, deadline=deadline)
             cok = GroupPresentation(hi.rows - len(fs), fs)
             grp = GroupPresentation(krank + cok.free_rank, cok.invariant_factors)
         else:
-            grp = GroupPresentation((lo.cols - rank(lo, ring))
-                                    + (hi.rows - rank(hi, ring)))
+            grp = GroupPresentation((lo.cols - rank(lo, ring, deadline=deadline))
+                                    + (hi.rows - rank(hi, ring, deadline=deadline)))
         table.entries[half(d)] = grp
         table.metadata.setdefault("matrix_hashes", {})[_deg_str(d)] = matrix_hash(lo)
     table.metadata["periodic"] = True
@@ -249,8 +249,7 @@ def _reduced_summands(g, d, ring):
         k_lo = _kernel_cols(g, "F", d)
         k_hi = _kernel_cols(g, "F", hi)
         un = u_chain_map(g, B_PLUS, hi, steps).matrix
-        img = [un.mul_vector(v) for v in k_hi]
-        img = [v for v in img if v]
+        img = [v for v in un.mul_columns(k_hi) if v]
         if k_lo:
             red_k = lattice_quotient(k_lo, img, _fmap(g, "F", d).matrix.cols)
         else:
@@ -269,7 +268,7 @@ def _reduced_summands(g, d, ring):
     un = u_chain_map(g, B_PLUS, hi, steps).matrix.convert(ring)
     klo = kernel_basis(lo)
     khi = kernel_basis(hi_m)
-    img = [un.mul_vector(v) for v in khi]
+    img = un.mul_columns(khi)
     n_rows = un.rows
     red_k_rank = (len(klo)
                   - _span_rank([c for c in img if c], n_rows, ring))
@@ -648,7 +647,7 @@ def _rank_cols_q(cols, nrows):
 def _quotient_map_dims(T, v1_cols, w1_cols, w2_cols):
     """For T: V1 -> V2 with subspaces W1, W2 (T W1 <= W2): dimensions of
     V1/W1, of the kernel and of the image of the induced quotient map."""
-    tv1 = _q_cols([T.mul_vector(c) for c in v1_cols])
+    tv1 = _q_cols(T.mul_columns(v1_cols))
     rw1 = _rank_cols_q(_q_cols(w1_cols), T.cols)
     rw2 = _rank_cols_q(_q_cols(w2_cols), T.rows)
     dim_v1 = _rank_cols_q(_q_cols(v1_cols), T.cols)
@@ -683,7 +682,7 @@ def u_action_red(g, window=None):
         klo = _q_cols(_kernel_cols(g, "F", d))
         khi = _kernel_cols(g, "F", hi)
         un = u_chain_map(g, B_PLUS, hi, steps).matrix
-        w = _q_cols([un.mul_vector(v) for v in khi])
+        w = _q_cols(un.mul_columns(khi))
         return klo, w
 
     @lru_cache(maxsize=None)
@@ -692,8 +691,7 @@ def u_action_red(g, window=None):
         steps = (hi1 - d1) // 2
         f1 = _fmap(g, "F", d1).matrix
         un1 = u_chain_map(g, corner(0), hi1, steps).matrix
-        w = [f1.column(c) for c in range(f1.cols)]
-        w += [un1.column(c) for c in range(un1.cols)]
+        w = f1.col_dicts() + un1.col_dicts()
         v = [{i: Fraction(1)} for i in range(f1.rows)]
         return v, _q_cols(w)
 
@@ -863,13 +861,7 @@ def beta_quotient_dims(g):
     for s in range(0, n + 1):
         m = mats[s]
         m3 = mats[s + 3]
-        comp_zero = True
-        for c in range(m3.cols):
-            col = m3.column(c)
-            if m.mul_vector(col):
-                comp_zero = False
-                break
-        if not comp_zero:
+        if any(m.mul_columns(m3.col_dicts())):
             raise AssertionError(f"beta_{s} . beta_{s+3} != 0")
         ker = m.cols - rank(m, QQ) if m.rows else m.cols
         out[s] = ker - rank(m3, QQ)

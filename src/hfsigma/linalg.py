@@ -2,12 +2,24 @@
 
 Everything is arbitrary precision: integer matrices use Python ints, rational
 ones Fractions, prime fields ints reduced mod p.  The Smith normal form runs
-a sparse pre-elimination on +-1 pivots (fill-minimizing pivot choice) before
-falling back to general gcd pivoting on the residual block; the invariant
-factors of the diagonalized matrix are then normalized into a divisibility
-chain by pairwise gcd/lcm.
+a sparse pre-elimination on +-1 pivots before falling back to general gcd
+pivoting on the residual block; the invariant factors of the diagonalized
+matrix are then normalized into a divisibility chain by pairwise gcd/lcm.
+
+Pivoting is indexed, so no pivot search rescans the matrix:
+
+* field elimination keeps a lazy min-heap of (column length, column) and a
+  row -> columns index; the pivot row is cleared only from the columns the
+  index lists;
+* the SNF unit phase keeps a lazy min-heap of (row length, row) and pushes
+  again only the rows a pivot touched;
+* solve_columns keeps a column -> rows index and integer_kernel_lattice a
+  row -> columns index.
+
+A heap entry whose length no longer matches its line is stale and skipped.
 """
 
+import heapq
 from fractions import Fraction
 from math import gcd
 
@@ -151,28 +163,25 @@ class SparseExactMatrix:
     def column(self, c):
         return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def col_dicts(self):
         cols = [dict() for _ in range(self.cols)]
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
 
-    def mul_vector(self, vec):
-        """Matrix times a sparse column {index: value}."""
-        out = {}
+    def mul_columns(self, vectors):
+        """Matrix times each sparse column {index: value}, as a list."""
         cols = self.col_dicts()
-        for c, x in vec.items():
-            if x == 0:
-                continue
-            for r, v in cols[c].items():
-                out[r] = out.get(r, 0) + v * x
-        return {r: v for r, v in out.items() if v != 0}
+        out = []
+        for vec in vectors:
+            acc = {}
+            for c, x in vec.items():
+                if x == 0:
+                    continue
+                for r, v in cols[c].items():
+                    acc[r] = acc.get(r, 0) + v * x
+            out.append({r: v for r, v in acc.items() if v != 0})
+        return out
 
     @classmethod
     def from_columns(cls, rows, columns, ring=ZZ):
@@ -219,7 +228,7 @@ class SparseExactMatrix:
 # elimination over fields
 # ---------------------------------------------------------------------------
 
-def _rank_f2(m):
+def _rank_f2(m, deadline=None):
     # rows as bitmasks over columns; XOR elimination
     rows = {}
     for (r, c), v in m.entries.items():
@@ -228,6 +237,8 @@ def _rank_f2(m):
     pivots = {}  # leading column -> row bitmask
     rank = 0
     for vec in rows.values():
+        if deadline is not None:
+            deadline.tick()
         while vec:
             lead = vec.bit_length() - 1
             if lead in pivots:
@@ -239,11 +250,14 @@ def _rank_f2(m):
     return rank
 
 
-def _field_eliminate(m, want_kernel=False):
+def _field_eliminate(m, want_kernel=False, deadline=None):
     """Sparse Gaussian elimination over Q or F_p.
 
-    Returns (rank, kernel_columns).  Pivots favour short rows crossed with
-    short columns to limit fill.
+    Returns (rank, kernel_columns).  The pivot column is the shortest live
+    column (lowest index among equal lengths) to limit fill; the pivot row is
+    the first row of that column.  A lazy heap of (length, column) finds it,
+    and a row -> columns index lists the columns the pivot row is cleared
+    from.
     """
     ring = m.ring
     p = ring.p
@@ -258,52 +272,50 @@ def _field_eliminate(m, want_kernel=False):
     cols = [dict() for _ in range(m.cols)]  # col -> {row: val}
     for (r, c), v in m.entries.items():
         cols[c][r] = ring.coerce(v)
+    index = {}  # row -> set of live columns holding it
+    for c, col in enumerate(cols):
+        for r in col:
+            index.setdefault(r, set()).add(c)
+    heap = [(len(col), c) for c, col in enumerate(cols) if col]
+    heapq.heapify(heap)
     # record of column operations for the kernel: start from identity
     ops = [dict({c: ring.coerce(1)}) for c in range(m.cols)] if want_kernel else None
 
-    live_rows = set(r for (r, _c) in m.entries)
-    done_cols = set()
+    done = [False] * m.cols
     rank = 0
-    while True:
-        best = None
-        for c in range(m.cols):
-            if c in done_cols or not cols[c]:
-                continue
-            cl = len(cols[c])
-            for r, v in cols[c].items():
-                if r not in live_rows:
-                    continue
-                cost = (cl - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, r, c)
-            if best and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pr, pc = best
-        pval = cols[pc][pr]
+    while heap:
+        length, pc = heapq.heappop(heap)
+        if done[pc] or len(cols[pc]) != length:
+            continue  # stale entry
+        if deadline is not None:
+            deadline.tick()
+        pcol = cols[pc]
+        pr = next(iter(pcol))
         rank += 1
-        done_cols.add(pc)
-        live_rows.discard(pr)
-        ipv = inv(pval)
+        done[pc] = True
+        for r in pcol:
+            index[r].discard(pc)
+        ipv = inv(pcol[pr])
+        rest = [(r, w) for r, w in pcol.items() if r != pr]
         # clear row pr from every other live column
-        for c in range(m.cols):
-            if c == pc or c in done_cols:
-                continue
-            v = cols[c].get(pr)
-            if v is None:
-                continue
-            factor = v * ipv
+        for c in index.pop(pr):
+            col = cols[c]
+            factor = col.pop(pr) * ipv
             if p is not None:
                 factor %= p
-            for r, w in cols[pc].items():
-                nv = cols[c].get(r, 0) - factor * w
+            for r, w in rest:
+                nv = col.get(r, 0) - factor * w
                 if p is not None:
                     nv %= p
                 if nv:
-                    cols[c][r] = nv
-                else:
-                    cols[c].pop(r, None)
+                    if r not in col:
+                        index[r].add(c)
+                    col[r] = nv
+                elif r in col:
+                    del col[r]
+                    index[r].discard(c)
+            if col:
+                heapq.heappush(heap, (len(col), c))
             if want_kernel:
                 for r, w in ops[pc].items():
                     nv = ops[c].get(r, 0) - factor * w
@@ -316,7 +328,7 @@ def _field_eliminate(m, want_kernel=False):
     kernel = []
     if want_kernel:
         for c in range(m.cols):
-            if c in done_cols:
+            if done[c]:
                 continue
             if cols[c]:
                 raise AssertionError("non-pivot column not fully eliminated")
@@ -324,15 +336,16 @@ def _field_eliminate(m, want_kernel=False):
     return rank, kernel
 
 
-def rank(m, ring=None):
+def rank(m, ring=None, deadline=None):
     """Exact rank of m over the given ring (default: the matrix's own ring;
-    Z matrices are ranked over Q)."""
+    Z matrices are ranked over Q).  The deadline, if any, is checked once
+    per pivot."""
     mm = m if ring is None or ring == m.ring else m.convert(ring)
     r = mm.ring
     if r.kind == "Fp" and r.p == 2:
-        return _rank_f2(mm)
+        return _rank_f2(mm, deadline)
     if r.kind == "Fp" or r.kind == "Q" or r.kind == "Z":
-        return _field_eliminate(mm, want_kernel=False)[0]
+        return _field_eliminate(mm, want_kernel=False, deadline=deadline)[0]
     raise DomainError(f"rank over {r.tag} unsupported")
 
 
@@ -360,7 +373,9 @@ def solve_columns(basis_columns, rhs_columns, nrows):
 
     basis_columns is a list of sparse columns with full column rank; returns
     one coordinate dict per rhs, raising if a rhs is outside the span.
-    Gauss-Jordan on rows of the augmented system [B | X].
+    Gauss-Jordan on rows of the augmented system [B | X]; a column -> rows
+    index finds the rows holding each basis column, and the pivot is the
+    shortest of them.
     """
     k = len(basis_columns)
     rows = {}
@@ -370,33 +385,37 @@ def solve_columns(basis_columns, rhs_columns, nrows):
     for j, col in enumerate(rhs_columns):
         for r, v in col.items():
             rows.setdefault(r, {})[k + j] = Fraction(v)
+    holders = [set() for _ in range(k)]  # basis column -> rows holding it
+    for r, rd in rows.items():
+        for c in rd:
+            if c < k:
+                holders[c].add(r)
     pivot_row_of = {}
     used = set()
     for c in range(k):
-        prow = None
-        for r, rd in rows.items():
-            if r not in used and rd.get(c):
-                prow = r
-                break
-        if prow is None:
+        free = holders[c] - used
+        if not free:
             raise DomainError("basis columns are dependent")
+        prow = min(free, key=lambda r: (len(rows[r]), r))
         pivot_row_of[c] = prow
         used.add(prow)
         pd = rows[prow]
         pval = pd[c]
-        for r, rd in rows.items():
+        for r in list(holders[c]):
             if r == prow:
                 continue
-            v = rd.get(c)
-            if not v:
-                continue
-            f = v / pval
+            rd = rows[r]
+            f = rd[c] / pval
             for cc, w in pd.items():
                 nv = rd.get(cc, 0) - f * w
                 if nv:
+                    if cc < k and cc not in rd:
+                        holders[cc].add(r)
                     rd[cc] = nv
-                else:
-                    rd.pop(cc, None)
+                elif cc in rd:
+                    del rd[cc]
+                    if cc < k:
+                        holders[cc].discard(r)
     # consistency: rows without pivots must carry no rhs entries
     pivot_rows = set(pivot_row_of.values())
     for r, rd in rows.items():
@@ -421,8 +440,10 @@ def solve_columns(basis_columns, rhs_columns, nrows):
 def smith_normal_form(m, deadline=None):
     """Invariant factors of an integer matrix (nonzero diagonal of the SNF).
 
-    Sparse phase: eliminate on +-1 pivots chosen by least fill (Markowitz
-    cost), which keeps everything integral and unimodular.  Residual phase:
+    Sparse phase: eliminate on +-1 pivots, which keeps everything integral
+    and unimodular.  A lazy heap of rows keyed by length yields the shortest
+    row holding a unit; its unit in the shortest column is the pivot.  Only
+    rows a pivot touched are pushed again.  Residual phase:
     general gcd pivoting until diagonal, then chain normalization.
     """
     if m.ring != ZZ:
@@ -463,28 +484,22 @@ def smith_normal_form(m, deadline=None):
         for r, v in list(cols.get(src, {}).items()):
             put(r, dst, rows.get(r, {}).get(dst, 0) + factor * v)
 
-    # --- phase 1: unit pivots, least fill first
-    while True:
+    # --- phase 1: unit pivots from the shortest rows first
+    heap = [(len(rd), r) for r, rd in rows.items()]
+    heapq.heapify(heap)
+    while heap:
+        length, pr = heapq.heappop(heap)
+        rd = rows.get(pr)
+        if rd is None or len(rd) != length:
+            continue  # stale entry
+        units = [c for c, v in rd.items() if v == 1 or v == -1]
+        if not units:
+            continue  # pushed again once a pivot changes the row
         check_deadline()
-        best = None
-        for r, rd in rows.items():
-            lr = len(rd)
-            for c, v in rd.items():
-                if v == 1 or v == -1:
-                    cost = (lr - 1) * (len(cols[c]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, r, c)
-                        if cost == 0:
-                            break
-            if best and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pr, pc = best
-        pv = rows[pr][pc]
-        for r in list(cols[pc].keys()):
-            if r == pr:
-                continue
+        pc = min(units, key=lambda c: len(cols[c]))
+        pv = rd[pc]
+        touched = [r for r in cols[pc] if r != pr]
+        for r in touched:
             add_row(r, pr, -cols[pc][r] * pv)  # pv is +-1, its own inverse
         for c in list(rows[pr].keys()):
             if c == pc:
@@ -492,6 +507,9 @@ def smith_normal_form(m, deadline=None):
             add_col(c, pc, -rows[pr][c] * pv)
         remove(pr, pc)
         factors.append(1)
+        for r in touched:
+            if r in rows:
+                heapq.heappush(heap, (len(rows[r]), r))
 
     # --- phase 2: gcd pivoting on the residual
     while rows:
@@ -558,14 +576,14 @@ def integer_kernel_lattice(m):
     bot = [{c: 1} for c in range(ncols)]    # identity below
     for (r, c), v in m.entries.items():
         top[c][r] = v
-    live = list(range(ncols))
-    # process rows by increasing fill to limit growth
-    row_occupancy = {}
-    for c in live:
+    index = {}  # row -> live columns whose top block holds it
+    for c in range(ncols):
         for r in top[c]:
-            row_occupancy[r] = row_occupancy.get(r, 0) + 1
-    for prow in sorted(row_occupancy, key=lambda r: (row_occupancy[r], r)):
-        carriers = [c for c in live if prow in top[c]]
+            index.setdefault(r, set()).add(c)
+    # process rows by increasing fill to limit growth
+    pivot = [False] * ncols
+    for prow in sorted(index, key=lambda r: (len(index[r]), r)):
+        carriers = sorted(index[prow])
         if not carriers:
             continue
         while len(carriers) > 1:
@@ -577,12 +595,16 @@ def integer_kernel_lattice(m):
                 b = top[c][prow]
                 q = b // a
                 if q:
+                    tc = top[c]
                     for r, v in top[c0].items():
-                        nv = top[c].get(r, 0) - q * v
+                        nv = tc.get(r, 0) - q * v
                         if nv:
-                            top[c][r] = nv
-                        else:
-                            top[c].pop(r, None)
+                            if r not in tc:
+                                index[r].add(c)
+                            tc[r] = nv
+                        elif r in tc:
+                            del tc[r]
+                            index[r].discard(c)
                     for r, v in bot[c0].items():
                         nv = bot[c].get(r, 0) - q * v
                         if nv:
@@ -592,8 +614,11 @@ def integer_kernel_lattice(m):
                 if prow in top[c]:
                     nxt.append(c)
             carriers = [c0] + nxt
-        live.remove(carriers[0])
-    return [bot[c] for c in live]
+        c0 = carriers[0]
+        pivot[c0] = True
+        for r in top[c0]:
+            index[r].discard(c0)
+    return [bot[c] for c in range(ncols) if not pivot[c]]
 
 
 def lattice_quotient(basis_columns, subgroup_columns, ambient_rows):

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from hfsigma import engine
-from hfsigma.errors import DomainError, UnsupportedOperation
+from hfsigma.errors import BudgetExceeded, Deadline, DomainError, UnsupportedOperation
 from hfsigma.linalg import GroupPresentation
 from hfsigma.rings import GF, QQ, ZZ
 
@@ -40,6 +40,12 @@ def test_infinity_ranks():
             assert grp.free_rank == comb(2 * g + 1, g)
         for d, grp in engine.hf_infinity(g, GF(2)).entries.items():
             assert grp.free_rank == 2 ** (2 * g - 1) + 2 ** (g - 1)
+
+
+def test_infinity_budget_covers_field_ranks():
+    for ring in (ZZ, QQ, GF(3)):
+        with pytest.raises(BudgetExceeded):
+            engine.hf_infinity(3, ring, deadline=Deadline(-1))
 
 
 def test_infinity_torsion_g3():

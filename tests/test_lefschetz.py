@@ -44,6 +44,18 @@ def test_primitive_dims():
                 assert op_L(b).is_zero()
 
 
+def test_primitive_basis_pinned():
+    # Locks the pivot order of the field eliminator: the basis, its order
+    # and the term order within each vector are those of the first release.
+    expected = [
+        [(21, 1)], [(22, 1)], [(25, 1)], [(26, 1)], [(28, 1), (19, -1)],
+        [(37, 1)], [(38, 1)], [(41, 1)], [(42, 1)], [(44, 1), (35, -1)],
+        [(49, 1), (13, -1)], [(50, 1), (14, -1)], [(52, 1), (7, -1)],
+        [(56, 1), (11, -1)],
+    ]
+    assert [list(b.coeffs.items()) for b in primitive_basis(3, 3)] == expected
+
+
 def test_primitive_plus_image_dimension():
     for g in range(1, 5):
         for j in range(0, g + 1):
