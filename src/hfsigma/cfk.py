@@ -18,8 +18,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DomainError, GenusMismatch
-from .exterior import (blade_grade, blades_of_grade, contract_blades,
-                       pair_mask, star_blade)
+from .exterior import (blade_grade, blades_of_grade, complete_pairs,
+                       pair_mask, star_blade, wedge_blades)
 from .linalg import SparseExactMatrix
 from .rings import ZZ
 
@@ -210,12 +210,6 @@ class GradedElement:
         g = self.genus
         return sorted({2 * i + blade_grade(m) - g for (i, m) in self.terms})
 
-    def degree_part(self, d):
-        g = self.genus
-        out = {k: c for k, c in self.terms.items()
-               if 2 * k[0] + blade_grade(k[1]) - g == d}
-        return GradedElement(g, out)
-
     def positions(self):
         """Set of occupied lattice points (i, j)."""
         g = self.genus
@@ -235,26 +229,20 @@ def _flip_blade(g, mask):
     """J of a grade-p blade at U-coordinate 0: tuple of (di, mask', coeff).
 
     di is the shift of the U-coordinate; the actual term for input at i
-    lands at i + di.
+    lands at i + di.  z_J |_ star(xi) = (-1)^|J| (star(xi) ^ z_J) for every
+    set J of complete pairs of star(xi), so the eta_n term is a signed sum
+    over the n-subsets of those pairs, listed in combinations order.
     """
     p = blade_grade(mask)
     s_coeff, s_mask = star_blade(mask, g)
     base = epsilon(g) * (1 if p % 2 == 0 else -1) * s_coeff
-    pairs = [j for j in range(g) if s_mask & pair_mask(j) == pair_mask(j)]
+    full = complete_pairs(s_mask)
+    pairs = [pair_mask(j) for j in range(g) if full >> (2 * j) & 1]
     out = []
-    for n in range(0, g + 1):
-        if n > len(pairs):
-            break
-        weight = base * (1 << n)  # 2^n
+    for n in range(len(pairs) + 1):
+        weight = base * (-2) ** n
         for sub in combinations(pairs, n):
-            zmask = 0
-            for j in sub:
-                zmask |= pair_mask(j)
-            hit = contract_blades(zmask, s_mask)
-            if hit is None:
-                continue
-            cc, m2 = hit
-            out.append((p - g + n, m2, weight * cc))
+            out.append((p - g + n, s_mask ^ sum(sub), weight))
     return tuple(out)
 
 
@@ -291,9 +279,10 @@ def gamma_action(gamma_star_index, x, truncate=True):
     With truncate=True terms pushed to i < 0 die (the U^0-row truncation of
     the i >= 0 quotient).
     """
-    from .exterior import contract_vector_blade, wedge_blades
     g = x.genus
     vbit = gamma_star_index - 1
+    pbit = 1 << (vbit ^ 1)  # e |_ m can only remove the symplectic partner
+    psign = 1 if vbit & 1 else -1  # omega(partner, e)
     out = {}
 
     def bump(key, v):
@@ -304,10 +293,9 @@ def gamma_action(gamma_star_index, x, truncate=True):
             out.pop(key, None)
 
     for (i, mask), c in x.terms.items():
-        hit = contract_vector_blade(vbit, mask)
-        if hit is not None:
-            s, m2 = hit
-            bump((i, m2), s * c)
+        if mask & pbit:
+            s = -psign if (mask & (pbit - 1)).bit_count() & 1 else psign
+            bump((i, mask ^ pbit), s * c)
         hit = wedge_blades(1 << vbit, mask)
         if hit is not None and (i - 1 >= 0 or not truncate):
             s, m2 = hit
@@ -365,27 +353,24 @@ class UnionBasis:
 OPS = ("v", "h", "F", "F_hat", "one_plus_J")
 
 
-def _apply_op(g, op, s, i, mask):
-    """Image terms of a source basis element under the chosen map, before the
-    target-region projection: list of (i', mask', coeff).
+def _op_terms(g, op, s, mask):
+    """Image terms of a source blade at U-coordinate 0 under the chosen map,
+    before the target-region projection: (di, mask', coeff), the term for
+    input at i landing at i + di.
 
     h is pr . U^{-s} . (flip with its j >= 0 projection); for s <= 0 a term
     with j < 0 before the shift sits below j = s afterwards, so the final
     corner projection subsumes the intermediate one and the flip can be
     applied raw here.
     """
-    if s > 0:
-        raise DomainError("slice maps are built for s <= 0; use conjugation")
-    out = []
-    if op in ("v", "F", "F_hat"):
-        out.append((i, mask, 1))
-    if op in ("h", "F", "F_hat", "one_plus_J"):
-        shift = s if op != "one_plus_J" else 0
-        for di, m2, w in _flip_blade(g, mask):
-            out.append((i + di + shift, m2, w))
+    if op == "v":
+        return ((0, mask, 1),)
+    flips = _flip_blade(g, mask)
     if op == "one_plus_J":
-        out.append((i, mask, 1))
-    return out
+        return flips + ((0, mask, 1),)
+    if s:
+        flips = tuple((di + s, m2, w) for di, m2, w in flips)
+    return flips if op == "h" else ((0, mask, 1),) + flips
 
 
 def slice_map(g, op, d, ring=ZZ, s=0):
@@ -403,6 +388,8 @@ def slice_map(g, op, d, ring=ZZ, s=0):
     """
     if op not in OPS:
         raise DomainError(f"unknown slice op {op!r}")
+    if s > 0:
+        raise DomainError("slice maps are built for s <= 0; use conjugation")
     if op == "one_plus_J":
         src = slice_basis(g, B_PLUS, d)
         tgt = src
@@ -423,36 +410,45 @@ def slice_map(g, op, d, ring=ZZ, s=0):
             if op in ("h", "F"):
                 degs.append(d + 2 * s)
             tgt = UnionBasis([slice_basis(g, corner(s), dd) for dd in degs])
-    mat = SparseExactMatrix(tgt.size, src.size, ring)
+    # One pass over plain ints.  An entry whose sum reaches zero is dropped
+    # and, should it become nonzero again, reinserted at the end: the field
+    # eliminators pivot on a column's first row, so the order is part of
+    # the result.
+    p = ring.p
+    get = tgt.index.get
+    ent = {}
     for c, (i, mask) in enumerate(src.elements):
-        for i2, m2, w in _apply_op(g, op, s, i, mask):
-            key = (i2, m2)
-            r = tgt.index.get(key)
+        for di, m2, w in _op_terms(g, op, s, mask):
+            r = get((i + di, m2))
             if r is None:
                 continue
-            mat[r, c] = mat[r, c] + w
+            key = (r, c)
+            v = ent.get(key, 0) + w
+            if p is not None:
+                v %= p
+            if v:
+                ent[key] = v
+            else:
+                ent.pop(key, None)
+    mat = SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
     return SliceMap(mat, src, tgt, op, s)
+
+
+def _u_power(g, region, d_hi, steps, ring, op):
+    src = slice_basis(g, region, d_hi)
+    tgt = slice_basis(g, region, d_hi - 2 * steps)
+    get = tgt.index.get
+    ent = {(r, c): 1 for c, (i, mask) in enumerate(src.elements)
+           if (r := get((i - steps, mask))) is not None}
+    mat = SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
+    return SliceMap(mat, src, tgt, op)
 
 
 def u_slice_map(g, region, d, ring=ZZ):
     """Matrix of U: degree-d slice -> degree-(d-2) slice of the same region."""
-    src = slice_basis(g, region, d)
-    tgt = slice_basis(g, region, d - 2)
-    mat = SparseExactMatrix(tgt.size, src.size, ring)
-    for c, (i, mask) in enumerate(src.elements):
-        r = tgt.index.get((i - 1, mask))
-        if r is not None:
-            mat[r, c] = 1
-    return SliceMap(mat, src, tgt, "U")
+    return _u_power(g, region, d, 1, ring, "U")
 
 
 def u_chain_map(g, region, d_hi, steps, ring=ZZ):
     """Matrix of U^steps from the degree-d_hi slice down to d_hi - 2*steps."""
-    src = slice_basis(g, region, d_hi)
-    tgt = slice_basis(g, region, d_hi - 2 * steps)
-    mat = SparseExactMatrix(tgt.size, src.size, ring)
-    for c, (i, mask) in enumerate(src.elements):
-        r = tgt.index.get((i - steps, mask))
-        if r is not None:
-            mat[r, c] = 1
-    return SliceMap(mat, src, tgt, f"U^{steps}")
+    return _u_power(g, region, d_hi, steps, ring, f"U^{steps}")

@@ -171,10 +171,11 @@ def _cache_load(args):
     if not cdir:
         return None
     path = os.path.join(cdir, _cache_key(args) + ".json")
-    if os.path.exists(path):
+    try:
         with open(path) as fh:
             return json.load(fh)
-    return None
+    except (OSError, ValueError):  # missing, unreadable or corrupt: a miss
+        return None
 
 
 def _cache_store(args, payload):
@@ -206,7 +207,8 @@ def cmd_hat(args):
     _check_scale(args, heavy_integer_run=args.genus > DESK_GENUS_CAP)
     ring = parse_ring(args.ring)
     window = _window_to_d_range(args.degrees, args.genus, None)
-    payload = _cached(args, lambda: engine.hf_hat(args.genus, ring, window).to_json())
+    dl = _deadline(args)
+    payload = _cached(args, lambda: engine.hf_hat(args.genus, ring, window, dl).to_json())
     text, _ = _emit(args, payload, f"hat table, genus {args.genus}, ring {ring.tag}")
     print(text)
     return 0
@@ -216,11 +218,12 @@ def cmd_plus(args):
     ring = parse_ring(args.ring)
     _check_scale(args, heavy_integer_run=(ring == ZZ and args.genus > DESK_GENUS_CAP))
     window = _window_to_d_range(args.degrees, args.genus, None)
+    dl = _deadline(args)
 
     def compute():
-        full = engine.hf_plus_torsion(args.genus, ring, window).to_json()
+        full = engine.hf_plus_torsion(args.genus, ring, window, dl).to_json()
         if args.reduced:
-            full["reduced"] = engine.hf_plus_reduced(args.genus, ring, window).to_json()
+            full["reduced"] = engine.hf_plus_reduced(args.genus, ring, window, dl).to_json()
         return full
 
     payload = _cached(args, compute)

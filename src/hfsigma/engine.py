@@ -94,26 +94,27 @@ def _fmap(g, op, d, s=0):
     return slice_map(g, op, d, ZZ, s)
 
 
-@lru_cache(maxsize=None)
-def _kernel_lattice(g, op, d, s=0):
-    return tuple(tuple(sorted(c.items()))
-                 for c in integer_kernel_lattice(_fmap(g, op, d, s).matrix))
+_KERNELS = {}  # (g, op, d, s) -> kernel lattice, columns as sorted items
 
 
-def _kernel_cols(g, op, d, s=0):
-    return [dict(items) for items in _kernel_lattice(g, op, d, s)]
+def _kernel_cols(g, op, d, s=0, deadline=None):
+    key = (g, op, d, s)
+    if key not in _KERNELS:
+        lattice = integer_kernel_lattice(_fmap(g, op, d, s).matrix, deadline=deadline)
+        _KERNELS[key] = tuple(tuple(sorted(c.items())) for c in lattice)
+    return [dict(items) for items in _KERNELS[key]]
 
 
-def _cone_group(g, op, d, ring, s=0):
+def _cone_group(g, op, d, ring, s=0, deadline=None):
     """Ker(op_d) (+) Coker(op_{d+1}) over the ring, as a presentation."""
     lo = _fmap(g, op, d, s).matrix
     hi = _fmap(g, op, d + 1, s).matrix
     if ring == ZZ:
-        krank = lo.cols - rank(lo, QQ)
-        cok = cokernel(hi)
+        krank = lo.cols - rank(lo, QQ, deadline=deadline)
+        cok = cokernel(hi, deadline=deadline)
         return GroupPresentation(krank + cok.free_rank, cok.invariant_factors)
-    krank = lo.cols - rank(lo, ring)
-    cokrank = hi.rows - rank(hi, ring)
+    krank = lo.cols - rank(lo, ring, deadline=deadline)
+    cokrank = hi.rows - rank(hi, ring, deadline=deadline)
     return GroupPresentation(krank + cokrank)
 
 
@@ -121,7 +122,7 @@ def _cone_group(g, op, d, ring, s=0):
 # hat flavor
 # ---------------------------------------------------------------------------
 
-def hf_hat(g, ring=ZZ, window=None):
+def hf_hat(g, ring=ZZ, window=None, deadline=None):
     """The finitely generated flavor in the torsion spin-c structure.
 
     Nonzero only in degrees |d| <= g - 1/2; free of rank C(2g, g-|d|-1/2)
@@ -132,7 +133,7 @@ def hf_hat(g, ring=ZZ, window=None):
         window = (-g - 1, g + 1)
     table = FloerTable(g, 0, ring, "hat")
     for d in range(window[0], window[1] + 1):
-        table.entries[half(d)] = _cone_group(g, "F_hat", d, ring)
+        table.entries[half(d)] = _cone_group(g, "F_hat", d, ring, deadline=deadline)
     table.metadata["matrix_hash_d0"] = matrix_hash(_fmap(g, "F_hat", 0).matrix)
     return table
 
@@ -201,14 +202,14 @@ def default_plus_window(g):
     return (-g - 2, g + 2)
 
 
-def hf_plus_torsion(g, ring=ZZ, window=None):
+def hf_plus_torsion(g, ring=ZZ, window=None, deadline=None):
     """The plus flavor at the torsion spin-c structure, per half-integer
     degree over the window; degrees past g - 1/2 repeat the infinity table."""
     if window is None:
         window = default_plus_window(g)
     table = FloerTable(g, 0, ring, "plus")
     for d in range(window[0], window[1] + 1):
-        table.entries[half(d)] = _cone_group(g, "F", d, ring)
+        table.entries[half(d)] = _cone_group(g, "F", d, ring, deadline=deadline)
     table.towers = theorem_towers(g)
     table.metadata["stable_from"] = _deg_str(half(g - 1))
     return table
@@ -240,59 +241,52 @@ def _stable_hi(g, d):
     return hi
 
 
-def _reduced_summands(g, d, ring):
+def _reduced_summands(g, d, ring, deadline=None):
     """Reduced pieces of the degree d+1/2 group: the kernel-side lattice
     quotient and the cokernel-side quotient by the image of a high U-power."""
     hi = _stable_hi(g, d)
     steps = (hi - d) // 2
+    un = u_chain_map(g, B_PLUS, hi, steps).matrix
+    f1 = _fmap(g, "F", d + 1).matrix
+    un1 = u_chain_map(g, corner(0), hi + 1, steps).matrix
+    stack = SparseExactMatrix.hstack(f1, un1)
     if ring == ZZ or ring == QQ:
-        k_lo = _kernel_cols(g, "F", d)
-        k_hi = _kernel_cols(g, "F", hi)
-        un = u_chain_map(g, B_PLUS, hi, steps).matrix
+        k_lo = _kernel_cols(g, "F", d, deadline=deadline)
+        k_hi = _kernel_cols(g, "F", hi, deadline=deadline)
         img = [v for v in un.mul_columns(k_hi) if v]
         if k_lo:
-            red_k = lattice_quotient(k_lo, img, _fmap(g, "F", d).matrix.cols)
+            red_k = lattice_quotient(k_lo, img, _fmap(g, "F", d).matrix.cols,
+                                     deadline=deadline)
         else:
             red_k = GroupPresentation(0, [])
-        f1 = _fmap(g, "F", d + 1).matrix
-        un1 = u_chain_map(g, corner(0), hi + 1, steps).matrix
-        red_c = cokernel(SparseExactMatrix.hstack(f1, un1))
+        red_c = cokernel(stack, deadline=deadline)
         if ring == QQ:
             red_k = GroupPresentation(red_k.free_rank)
             red_c = GroupPresentation(red_c.free_rank)
         return red_k, red_c
-    # prime fields: ranks of the same quotients
-    p = ring.p
-    lo = _fmap(g, "F", d).matrix.convert(ring)
-    hi_m = _fmap(g, "F", hi).matrix.convert(ring)
-    un = u_chain_map(g, B_PLUS, hi, steps).matrix.convert(ring)
-    klo = kernel_basis(lo)
-    khi = kernel_basis(hi_m)
-    img = un.mul_columns(khi)
-    n_rows = un.rows
-    red_k_rank = (len(klo)
-                  - _span_rank([c for c in img if c], n_rows, ring))
-    f1 = _fmap(g, "F", d + 1).matrix.convert(ring)
-    un1 = u_chain_map(g, corner(0), hi + 1, steps).matrix.convert(ring)
-    stack = SparseExactMatrix.hstack(f1, un1)
-    red_c_rank = f1.rows - rank(stack)
+    # prime fields: ranks of the same quotients, read off the Z matrices
+    klo = kernel_basis(_fmap(g, "F", d).matrix, ring, deadline=deadline)
+    khi = kernel_basis(_fmap(g, "F", hi).matrix, ring, deadline=deadline)
+    img = [c for c in un.mul_columns(khi) if c]
+    red_k_rank = len(klo) - _span_rank(img, un.rows, ring, deadline)
+    red_c_rank = f1.rows - rank(stack, ring, deadline=deadline)
     return GroupPresentation(red_k_rank), GroupPresentation(red_c_rank)
 
 
-def _span_rank(cols, nrows, ring):
+def _span_rank(cols, nrows, ring, deadline=None):
     if not cols:
         return 0
-    return rank(SparseExactMatrix.from_columns(nrows, cols, ring))
+    return rank(SparseExactMatrix.from_columns(nrows, cols, ring), deadline=deadline)
 
 
-def hf_plus_reduced(g, ring=ZZ, window=None):
+def hf_plus_reduced(g, ring=ZZ, window=None, deadline=None):
     """Reduced part of the plus flavor: the quotient by the image of every
     sufficiently high U-power, degree by degree."""
     if window is None:
         window = default_plus_window(g)
     table = FloerTable(g, 0, ring, "plus_red")
     for d in range(window[0], window[1] + 1):
-        red_k, red_c = _reduced_summands(g, d, ring)
+        red_k, red_c = _reduced_summands(g, d, ring, deadline)
         table.entries[half(d)] = red_k.direct_sum(red_c)
     return table
 
@@ -380,7 +374,10 @@ def chain_matrix(g, kk, degrees):
     class mod 2|k|; h drops the antidiagonal by 2|k|, so rows span the
     corner slices of the source degrees and one step below.
 
-    Returns (matrix, column key list, row offset map).
+    Returns (matrix, column key list, row offset map).  The v term of a
+    column lands in the degree-d row block and its h terms in the degree
+    d - 2|k| block at distinct masks, so no two terms share an entry and
+    every entry is written once.
     """
     s = -kk
     degrees = sorted(degrees)
@@ -391,25 +388,23 @@ def chain_matrix(g, kk, degrees):
     for d in rowdegs:
         rowoff[d] = nrows
         nrows += rowbases[d].size
-    cols = []
+    ent = {}
     colkeys = []
     for d in degrees:
-        sb = slice_basis(g, B_PLUS, d)
-        for (i, mask) in sb.elements:
-            col = {}
-            tb = rowbases[d]
-            idx = tb.index.get((i, mask))
+        get, off = rowbases[d].index.get, rowoff[d]
+        get2, off2 = rowbases[d - 2 * kk].index.get, rowoff[d - 2 * kk]
+        for (i, mask) in slice_basis(g, B_PLUS, d).elements:
+            c = len(colkeys)
+            idx = get((i, mask))
             if idx is not None:
-                col[rowoff[d] + idx] = col.get(rowoff[d] + idx, 0) + 1
-            tb2 = rowbases[d - 2 * kk]
+                ent[(off + idx, c)] = 1
             for di, m2, w in _flip_blade(g, mask):
-                idx2 = tb2.index.get((i + di - kk, m2))
+                idx2 = get2((i + di - kk, m2))
                 if idx2 is not None:
-                    r = rowoff[d - 2 * kk] + idx2
-                    col[r] = col.get(r, 0) + w
-            cols.append(col)
+                    ent[(off2 + idx2, c)] = w
             colkeys.append((d, i, mask))
-    return SparseExactMatrix.from_columns(nrows, cols, ZZ), colkeys, rowoff
+    m = SparseExactMatrix.from_int_entries(nrows, len(colkeys), ent)
+    return m, colkeys, rowoff
 
 
 def phi_series(xi, kk, max_iter=200):

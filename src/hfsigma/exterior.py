@@ -11,16 +11,27 @@ Contraction x|_a follows the signed rule
 
 for a single vector v, extended to blades by nesting from the right:
 (v_1 ^ ... ^ v_p) |_ a = v_1 |_ (v_2 |_ (... (v_p |_ a))).
+
+Both operations split over the symplectic pairs, so they have closed forms
+in bit arithmetic.  Write swap(m) for m with bits 2j and 2j+1 exchanged,
+and call pair j complete in m when m holds both of its bits:
+
+* contraction: x |_ a is nonzero iff swap(x) is a subset of a, and then
+  equals (-1)^s (a ^ swap(x)) with s = #(even bits of x) + #(complete pairs
+  of x) + sum over bits b of swap(x) of #(bits of a below b);
+* star: star(m) = m |_ vol = (-1)^#(complete pairs of m) (vol ^ swap(m));
+* pair products: for a set J of complete pairs of a, z_J |_ a =
+  (-1)^|J| (a ^ z_J), which is all the flip map of the knot complex needs.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .errors import DomainError, GenusMismatch
 from .rings import ZZ
 
 _popcount = int.bit_count
+_EVEN = 0x5555_5555_5555_5555  # first vector of each pair, genus <= 32
 
 
 def blade_grade(mask):
@@ -45,53 +56,34 @@ def wedge_blades(a, b):
     return (-1 if inversions & 1 else 1), a | b
 
 
-def contract_vector_blade(vbit, mask):
-    """e_{vbit+1} |_ blade: (coeff, mask) or None.
+def swap_pairs(mask):
+    """Exchange bits 2j and 2j+1 of every pair."""
+    return ((mask & _EVEN) << 1) | ((mask >> 1) & _EVEN)
 
-    Only the symplectic partner of v can be removed; partner bits differ in
-    the lowest bit (2i <-> 2i+1, zero-based).
-    """
-    partner = vbit ^ 1
-    pbit = 1 << partner
-    if not mask & pbit:
-        return None
-    # position of the partner inside the ascending blade, and omega value
-    sign = -1 if _popcount(mask & (pbit - 1)) & 1 else 1
-    # v = e_{2i-1} (even bit): omega(e_{2i}, e_{2i-1}) = -1; v = e_{2i}: +1
-    if not vbit & 1:
-        sign = -sign
-    return sign, mask ^ pbit
+
+def complete_pairs(mask):
+    """Pairs of which the blade holds both vectors, as even-bit flags."""
+    return mask & (mask >> 1) & _EVEN
 
 
 def contract_blades(xmask, amask):
-    """x |_ a for blades x, a: (coeff, mask) or None.
-
-    Vectors of x apply right-to-left, so the highest-index vector hits first.
-    """
-    coeff = 1
-    bits = []
-    xx = xmask
-    while xx:
-        low = xx & -xx
-        bits.append(low.bit_length() - 1)
-        xx ^= low
-    for vbit in reversed(bits):
-        hit = contract_vector_blade(vbit, amask)
-        if hit is None:
-            return None
-        s, amask = hit
-        coeff *= s
-    return coeff, amask
-
-
-def full_blade(g):
-    return (1 << (2 * g)) - 1
+    """x |_ a for blades x, a: (coeff, mask) or None (closed form above)."""
+    sx = swap_pairs(xmask)
+    if sx & ~amask:
+        return None
+    parity = _popcount(xmask & _EVEN) + _popcount(complete_pairs(xmask))
+    b = sx
+    while b:
+        low = b & -b
+        parity += _popcount(amask & (low - 1))
+        b ^= low
+    return (-1 if parity & 1 else 1), amask ^ sx
 
 
 def star_blade(mask, g):
-    """Hodge-Lefschetz star of a blade: contraction into the volume blade."""
-    hit = contract_blades(mask, full_blade(g))
-    return hit  # the volume blade contains every partner, so never None
+    """Hodge-Lefschetz star of a blade, mask |_ vol: (sign, mask')."""
+    return ((-1 if _popcount(complete_pairs(mask)) & 1 else 1),
+            ((1 << (2 * g)) - 1) ^ swap_pairs(mask))
 
 
 def pair_mask(j):
@@ -378,12 +370,6 @@ def blades_of_grade(g, p):
     masks = [sum(1 << b for b in bits) for bits in combinations(range(2 * g), p)]
     masks.sort()
     return masks
-
-
-def dim_lambda(g, p):
-    if p < 0 or p > 2 * g:
-        return 0
-    return comb(2 * g, p)
 
 
 def random_multivector(g, grade, rng, ring=ZZ, density=0.5, span=9):

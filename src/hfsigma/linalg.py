@@ -17,6 +17,11 @@ Pivoting is indexed, so no pivot search rescans the matrix:
   row -> columns index.
 
 A heap entry whose length no longer matches its line is stale and skipped.
+
+Field ranks and kernels read a Z matrix directly, without a converted copy:
+over F_p each entry is reduced on load (entries divisible by p are
+dropped), the F_2 rank reads parities, and Q elimination starts from the
+integers.
 """
 
 import heapq
@@ -149,15 +154,9 @@ class SparseExactMatrix:
         return m
 
     def convert(self, ring):
+        coerce = ring.coerce
         m = SparseExactMatrix(self.rows, self.cols, ring)
-        for (r, c), v in self.entries.items():
-            m[r, c] = v
-        return m
-
-    def transpose(self):
-        m = SparseExactMatrix(self.cols, self.rows, self.ring)
-        for (r, c), v in self.entries.items():
-            m.entries[(c, r)] = v
+        m.entries = {k: x for k, v in self.entries.items() if (x := coerce(v))}
         return m
 
     def column(self, c):
@@ -185,10 +184,19 @@ class SparseExactMatrix:
 
     @classmethod
     def from_columns(cls, rows, columns, ring=ZZ):
+        coerce = ring.coerce
         m = cls(rows, len(columns), ring)
-        for c, coldict in enumerate(columns):
-            for r, v in coldict.items():
-                m[r, c] = v
+        m.entries = {(r, c): x for c, col in enumerate(columns)
+                     for r, v in col.items() if (x := coerce(v))}
+        return m
+
+    @classmethod
+    def from_int_entries(cls, rows, cols, entries, ring=ZZ):
+        """Adopt a dict of nonzero int entries (reduced mod p over F_p)
+        without a copy; over Q the values become Fractions."""
+        m = cls(rows, cols, ring)
+        m.entries = ({k: Fraction(v) for k, v in entries.items()}
+                     if ring == QQ else entries)
         return m
 
     @classmethod
@@ -229,10 +237,10 @@ class SparseExactMatrix:
 # ---------------------------------------------------------------------------
 
 def _rank_f2(m, deadline=None):
-    # rows as bitmasks over columns; XOR elimination
+    # rows as bitmasks over columns; XOR elimination on the entry parities
     rows = {}
     for (r, c), v in m.entries.items():
-        if int(v) % 2:
+        if v & 1:
             rows[r] = rows.get(r, 0) ^ (1 << c)
     pivots = {}  # leading column -> row bitmask
     rank = 0
@@ -250,8 +258,9 @@ def _rank_f2(m, deadline=None):
     return rank
 
 
-def _field_eliminate(m, want_kernel=False, deadline=None):
-    """Sparse Gaussian elimination over Q or F_p.
+def _field_eliminate(m, ring, want_kernel=False, deadline=None):
+    """Sparse Gaussian elimination over the field (Q or F_p) of a matrix
+    over Z or over that field.
 
     Returns (rank, kernel_columns).  The pivot column is the shortest live
     column (lowest index among equal lengths) to limit fill; the pivot row is
@@ -259,10 +268,7 @@ def _field_eliminate(m, want_kernel=False, deadline=None):
     and a row -> columns index lists the columns the pivot row is cleared
     from.
     """
-    ring = m.ring
     p = ring.p
-    if ring == ZZ:
-        ring = QQ
 
     def inv(x):
         if p is None:
@@ -271,7 +277,11 @@ def _field_eliminate(m, want_kernel=False, deadline=None):
 
     cols = [dict() for _ in range(m.cols)]  # col -> {row: val}
     for (r, c), v in m.entries.items():
-        cols[c][r] = ring.coerce(v)
+        if p is not None:
+            v %= p
+            if not v:
+                continue
+        cols[c][r] = v
     index = {}  # row -> set of live columns holding it
     for c, col in enumerate(cols):
         for r in col:
@@ -336,36 +346,37 @@ def _field_eliminate(m, want_kernel=False, deadline=None):
     return rank, kernel
 
 
+def _over(m, ring):
+    """m as a matrix over Z or over the ring, which defaults to m's own."""
+    ring = ring or m.ring
+    return (m if m.ring in (ZZ, ring) else m.convert(ring)), ring
+
+
 def rank(m, ring=None, deadline=None):
     """Exact rank of m over the given ring (default: the matrix's own ring;
     Z matrices are ranked over Q).  The deadline, if any, is checked once
     per pivot."""
-    mm = m if ring is None or ring == m.ring else m.convert(ring)
-    r = mm.ring
-    if r.kind == "Fp" and r.p == 2:
-        return _rank_f2(mm, deadline)
-    if r.kind == "Fp" or r.kind == "Q" or r.kind == "Z":
-        return _field_eliminate(mm, want_kernel=False, deadline=deadline)[0]
-    raise DomainError(f"rank over {r.tag} unsupported")
+    m, ring = _over(m, ring)
+    if ring.p == 2:
+        return _rank_f2(m, deadline)
+    return _field_eliminate(m, QQ if ring == ZZ else ring, deadline=deadline)[0]
 
 
 def kernel_rank(m, ring=None):
-    mm = m if ring is None else m.convert(ring) if ring != m.ring else m
-    return mm.cols - rank(mm)
+    return m.cols - rank(m, ring)
 
 
-def kernel_basis(m, ring=None):
+def kernel_basis(m, ring=None, deadline=None):
     """Kernel basis over a field, as a list of sparse columns.
 
     Over Z this is deliberately not provided here; the engine works with
     integer kernel lattices via integer_kernel_lattice.
     """
-    mm = m if ring is None else (m.convert(ring) if ring != m.ring else m)
-    if not mm.ring.is_field:
+    m, ring = _over(m, ring)
+    if not ring.is_field:
         raise UnsupportedOperation("kernel_basis is only provided over fields; "
                                    "Z matrices expose kernel_rank only")
-    _, basis = _field_eliminate(mm, want_kernel=True)
-    return basis
+    return _field_eliminate(m, ring, want_kernel=True, deadline=deadline)[1]
 
 
 def solve_columns(basis_columns, rhs_columns, nrows):
@@ -554,20 +565,21 @@ def smith_normal_form(m, deadline=None):
     return normalize_divisibility_chain(factors)
 
 
-def cokernel(m):
+def cokernel(m, deadline=None):
     """Presentation of Z^rows / column span of m."""
     if m.ring != ZZ:
         raise DomainError("cokernel wants a Z matrix")
-    factors = smith_normal_form(m)
+    factors = smith_normal_form(m, deadline=deadline)
     return GroupPresentation(m.rows - len(factors), factors)
 
 
-def integer_kernel_lattice(m):
+def integer_kernel_lattice(m, deadline=None):
     """Z-basis of the kernel lattice {x : m x = 0}, as sparse columns.
 
     Column-echelon reduction of m stacked over the identity: columns whose
     top block vanishes carry a basis of the (saturated) kernel in the bottom
-    block.  All column operations are unimodular.
+    block.  All column operations are unimodular.  The deadline, if any, is
+    checked once per pivot row.
     """
     if m.ring != ZZ:
         raise DomainError("integer_kernel_lattice wants a Z matrix")
@@ -586,6 +598,8 @@ def integer_kernel_lattice(m):
         carriers = sorted(index[prow])
         if not carriers:
             continue
+        if deadline is not None:
+            deadline.tick()
         while len(carriers) > 1:
             carriers.sort(key=lambda c: abs(top[c][prow]))
             c0 = carriers[0]
@@ -621,7 +635,7 @@ def integer_kernel_lattice(m):
     return [bot[c] for c in range(ncols) if not pivot[c]]
 
 
-def lattice_quotient(basis_columns, subgroup_columns, ambient_rows):
+def lattice_quotient(basis_columns, subgroup_columns, ambient_rows, deadline=None):
     """Presentation of (lattice spanned by basis) / (subgroup of it).
 
     basis_columns must be a Z-basis of a saturated lattice containing the
@@ -638,4 +652,4 @@ def lattice_quotient(basis_columns, subgroup_columns, ambient_rows):
             if Fraction(v).denominator != 1:
                 raise DomainError("subgroup generator outside the lattice")
             pres[i, j] = Fraction(v).numerator
-    return cokernel(pres)
+    return cokernel(pres, deadline=deadline)

@@ -45,6 +45,10 @@ class Ring:
 
     def coerce(self, x):
         """Bring x into canonical form for this ring; reject lossy input."""
+        if type(x) is int:  # the common case, without the Fraction test
+            if self.p is not None:
+                return x % self.p
+            return x if self.kind == "Z" else Fraction(x)
         if self.kind == "Fp":
             if isinstance(x, Fraction):
                 num, den = x.numerator % self.p, x.denominator % self.p
@@ -60,9 +64,6 @@ class Ring:
                 raise DomainError(f"{x} is not an integer")
             return x.numerator
         return int(x)
-
-    def is_zero(self, x):
-        return self.coerce(x) == 0
 
     @property
     def tag(self):

@@ -251,3 +251,25 @@ def test_criterion_12_reproducibility(tmp_path):
     b.pop("timestamp")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     _report("criterion-12 reproducibility", "(byte-identical modulo timestamp)")
+
+
+def test_cold_runs_are_deterministic(tmp_path):
+    """Two cold runs, each with a fresh cache directory, recompute the same
+    canonical payload byte for byte."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+
+    def run(argv, cache):
+        env["HF_CACHE_DIR"] = str(cache)
+        out = json.loads(subprocess.run(
+            [sys.executable, "-m", "hfsigma.cli", *argv, "--out", "json"],
+            capture_output=True, text=True, env=env, check=True).stdout)
+        out.pop("timestamp")
+        return json.dumps(out, sort_keys=True)
+
+    for n, argv in enumerate((["hat", "--genus", "4"],
+                              ["infinity", "--genus", "4", "--ring", "Z"],
+                              ["plus", "--genus", "3", "--reduced"])):
+        assert run(argv, tmp_path / f"a{n}") == run(argv, tmp_path / f"b{n}"), argv
+    _report("cold-versus-cold reproducibility", "(hat, infinity Z, plus --reduced)")

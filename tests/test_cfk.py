@@ -1,16 +1,18 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from hfsigma.cfk import (B_PLUS, GradedElement, J_GEQ0, Region, corner,
-                         gamma_action, hook, j_infinity, j_plus, min_zero,
-                         row_i0, slice_basis, slice_map, u_slice_map)
+from hfsigma.cfk import (B_PLUS, GradedElement, J_GEQ0, Region, _flip_blade,
+                         corner, gamma_action, hook, j_infinity, j_plus,
+                         min_zero, row_i0, slice_basis, slice_map, u_chain_map,
+                         u_slice_map)
 from hfsigma.errors import DomainError
 from hfsigma.exterior import (Multivector, blade_grade, eta,
                               random_multivector, star_blade, contract_blades,
                               wedge_blades)
-from hfsigma.linalg import rank
+from hfsigma.linalg import SparseExactMatrix, rank
 from hfsigma.rings import GF, QQ, ZZ
 
 
@@ -206,3 +208,68 @@ def test_mod2_flip_is_star_shift():
             expect = {k: v for k, v in expect.items() if v}
             got = {r: int(v) % 2 for r, v in cols[c].items() if int(v) % 2}
             assert got == expect
+
+
+def _ref_flip_blade(g, mask):
+    # the eta_n terms as contractions by every n-subset of complete pairs
+    p = blade_grade(mask)
+    s_coeff, s_mask = star_blade(mask, g)
+    base = (-1) ** (g - 1) * (-1) ** p * s_coeff
+    pairs = [j for j in range(g) if s_mask >> (2 * j) & 3 == 3]
+    out = []
+    for n in range(len(pairs) + 1):
+        for sub in combinations(pairs, n):
+            cc, m2 = contract_blades(sum(0b11 << (2 * j) for j in sub), s_mask)
+            out.append((p - g + n, m2, base * 2 ** n * cc))
+    return tuple(out)
+
+
+def test_flip_blade_against_subset_contractions():
+    for g in range(1, 6):
+        for mask in range(1 << (2 * g)):
+            assert _flip_blade(g, mask) == _ref_flip_blade(g, mask), (g, mask)
+
+
+def _ref_slice_entries(sm, g, ring):
+    # per-entry assembly through __getitem__/__setitem__, term by term
+    op, s = sm.op, sm.s
+    shift = 0 if op == "one_plus_J" else s
+    mat = SparseExactMatrix(sm.target.size, sm.source.size, ring)
+    for c, (i, mask) in enumerate(sm.source.elements):
+        flips = [] if op == "v" else [(i + di + shift, m2, w)
+                                      for di, m2, w in _ref_flip_blade(g, mask)]
+        ident = [] if op == "h" else [(i, mask, 1)]
+        for i2, m2, w in (flips + ident if op == "one_plus_J" else ident + flips):
+            r = sm.target.index.get((i2, m2))
+            if r is not None:
+                mat[r, c] = mat[r, c] + w
+    return list(mat.entries.items())
+
+
+def _ref_u_entries(um, steps, ring):
+    mat = SparseExactMatrix(um.target.size, um.source.size, ring)
+    for c, (i, mask) in enumerate(um.source.elements):
+        r = um.target.index.get((i - steps, mask))
+        if r is not None:
+            mat[r, c] = 1
+    return list(mat.entries.items())
+
+
+def test_one_pass_assembly_matches_per_entry_order():
+    for g in range(1, 5):
+        for ring in (ZZ, GF(3)):
+            for s in (0, -1, -2):
+                for d in range(-g - 3, g + 5):
+                    for op in ("v", "h", "F", "F_hat", "one_plus_J"):
+                        if op == "one_plus_J" and s:
+                            continue
+                        sm = slice_map(g, op, d, ring, s)
+                        assert list(sm.matrix.entries.items()) == \
+                            _ref_slice_entries(sm, g, ring), (g, ring, s, d, op)
+                    for region in (B_PLUS, corner(s)):
+                        um = u_slice_map(g, region, d, ring)
+                        assert list(um.matrix.entries.items()) == _ref_u_entries(um, 1, ring)
+                        for steps in (1, 2, 3):
+                            um = u_chain_map(g, region, d, steps, ring)
+                            assert list(um.matrix.entries.items()) == \
+                                _ref_u_entries(um, steps, ring)

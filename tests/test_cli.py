@@ -110,3 +110,27 @@ def test_beta_command():
     assert proc.returncode == 0
     res = json.loads(proc.stdout)["result"]
     assert res["total"] == 20  # 2 * C(5, 2)
+
+
+def test_plus_time_budget_exits_1():
+    proc = run_cli("plus", "--genus", "3", "--extended", "--time-budget", "0")
+    assert proc.returncode == 1
+    assert "time budget exhausted" in proc.stderr
+
+
+def test_truncated_cache_file_is_a_miss(tmp_path):
+    def payload(proc):
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        data.pop("timestamp")
+        return json.dumps(data, sort_keys=True)
+
+    cold = payload(run_cli("hat", "--genus", "3", "--out", "json"))
+    cache = tmp_path / "cache"
+    env = {"HF_CACHE_DIR": str(cache)}
+    run_cli("hat", "--genus", "3", "--out", "json", env_extra=env)
+    (path,) = cache.glob("*.json")
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    assert payload(run_cli("hat", "--genus", "3", "--out", "json", env_extra=env)) == cold
+    assert path.read_text() == text  # recomputed and rewritten

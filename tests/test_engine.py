@@ -48,6 +48,33 @@ def test_infinity_budget_covers_field_ranks():
             engine.hf_infinity(3, ring, deadline=Deadline(-1))
 
 
+def test_budget_covers_hat_and_plus():
+    for ring in (ZZ, GF(3)):
+        for flavor in (engine.hf_hat, engine.hf_plus_torsion, engine.hf_plus_reduced):
+            with pytest.raises(BudgetExceeded):
+                flavor(3, ring, deadline=Deadline(-1))
+
+
+def test_chain_matrix_matches_per_entry_assembly():
+    from hfsigma.cfk import B_PLUS, _flip_blade, corner, slice_basis
+    from hfsigma.linalg import SparseExactMatrix
+    for g in (2, 3, 4):
+        for kk in (1, 2):
+            degs = list(range(-g, g, 2 * kk))
+            m, colkeys, rowoff = engine.chain_matrix(g, kk, degs)
+            ref = SparseExactMatrix(m.rows, m.cols, ZZ)
+            for c, (d, i, mask) in enumerate(colkeys):
+                terms = [(d, (i, mask), 1)] + [(d - 2 * kk, (i + di - kk, m2), w)
+                                               for di, m2, w in _flip_blade(g, mask)]
+                for dd, key, w in terms:
+                    r = slice_basis(g, corner(-kk), dd).index.get(key)
+                    if r is not None:
+                        ref[rowoff[dd] + r, c] = ref[rowoff[dd] + r, c] + w
+            assert [(d, i, mask) for d in degs
+                    for (i, mask) in slice_basis(g, B_PLUS, d).elements] == colkeys
+            assert list(m.entries.items()) == list(ref.entries.items())
+
+
 def test_infinity_torsion_g3():
     tz = engine.hf_infinity(3, ZZ)
     factors = tz.all_invariant_factors()

@@ -4,8 +4,8 @@ import pytest
 
 from hfsigma.errors import GenusMismatch
 from hfsigma.exterior import (Multivector, all_blades, blade_grade,
-                              blades_of_grade, eta, interior, omega,
-                              random_multivector)
+                              blades_of_grade, contract_blades, eta, interior,
+                              omega, random_multivector, star_blade)
 from hfsigma.rings import QQ, ZZ
 from math import comb
 
@@ -150,3 +150,39 @@ def test_fp_coefficients_normalize():
     a = Multivector(g, {0: 5, 1: -1}, GF(3))
     assert a.coeffs == {0: 2, 1: 2}
     assert (a + a + a).is_zero()
+
+
+def _ref_contract_vector(vbit, mask):
+    # e_{vbit+1} |_ blade, one vector at a time: only the partner is removed
+    pbit = 1 << (vbit ^ 1)
+    if not mask & pbit:
+        return None
+    sign = -1 if bin(mask & (pbit - 1)).count("1") % 2 else 1
+    return (-sign if vbit % 2 == 0 else sign), mask ^ pbit
+
+
+def _ref_contract(xmask, amask):
+    # vectors of x apply right to left, the highest index first
+    coeff = 1
+    for vbit in reversed([b for b in range(xmask.bit_length()) if xmask >> b & 1]):
+        hit = _ref_contract_vector(vbit, amask)
+        if hit is None:
+            return None
+        s, amask = hit
+        coeff *= s
+    return coeff, amask
+
+
+def test_star_closed_form_against_reference():
+    for g in range(1, 7):
+        full = (1 << (2 * g)) - 1
+        for m in range(1 << (2 * g)):
+            assert star_blade(m, g) == _ref_contract(m, full), (g, m)
+
+
+def test_contraction_closed_form_against_reference():
+    for g in range(1, 5):
+        n = 1 << (2 * g)
+        for x in range(n):
+            for a in range(n):
+                assert contract_blades(x, a) == _ref_contract(x, a), (g, x, a)

@@ -217,6 +217,16 @@ def test_field_kernel_and_z_restriction(m):
 
 @PROPERTY
 @given(int_matrices(max_cols=7))
+def test_field_ranks_read_z_matrices_directly(m):
+    for ring in (GF(2), GF(3), GF(5), QQ):
+        mf = m.convert(ring)
+        assert rank(m, ring) == rank(mf)
+        assert ([list(c.items()) for c in kernel_basis(m, ring)]
+                == [list(c.items()) for c in kernel_basis(mf)])
+
+
+@PROPERTY
+@given(int_matrices(max_cols=7))
 def test_integer_kernel_lattice_saturated(m):
     kb = integer_kernel_lattice(m)
     assert len(kb) == m.cols - rank(m, QQ)
