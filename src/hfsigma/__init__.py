@@ -1,20 +1,44 @@
 """Exact computation of the Heegaard Floer homology of a surface times a
 circle, over Z, Q and prime fields, through integer linear algebra on the
 symplectic exterior algebra of the surface.
+
+The public names below are imported from their submodules on first access
+(PEP 562), so `import hfsigma` alone loads no layer of the engine.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .errors import (BudgetExceeded, DomainError, ExtendedScaleRequired,
-                     GenusMismatch, UnsupportedOperation)
-from .exterior import (Multivector, contract, eta, hodge_lefschetz_star,
-                       interior, omega, wedge)
-from .lefschetz import (op_H, op_L, op_lambda, primitive_basis,
-                        primitive_decomposition, self_dual_lattice)
-from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
-                     kernel_basis, kernel_rank, rank, smith_normal_form)
-from .cfk import GradedElement, SliceBasis, j_infinity, slice_basis, slice_map
-from .engine import (FloerTable, XModel, eg_cohomology, h1_action, hf_hat,
-                     hf_infinity, hf_plus_nontorsion, hf_plus_reduced,
-                     hf_plus_torsion, triple_cup_beta, u_action_red)
-from .rings import GF, QQ, ZZ, Ring, parse_ring
+_EXPORTS = {
+    "errors": ("BudgetExceeded", "DomainError", "ExtendedScaleRequired",
+               "GenusMismatch", "UnsupportedOperation"),
+    "exterior": ("Multivector", "contract", "eta", "hodge_lefschetz_star",
+                 "interior", "omega", "wedge"),
+    "lefschetz": ("op_H", "op_L", "op_lambda", "primitive_basis",
+                  "primitive_decomposition", "self_dual_lattice"),
+    "linalg": ("GroupPresentation", "SparseExactMatrix", "cokernel",
+               "kernel_basis", "kernel_rank", "rank", "smith_normal_form"),
+    "cfk": ("GradedElement", "SliceBasis", "j_infinity", "slice_basis",
+            "slice_map"),
+    "engine": ("FloerTable", "XModel", "eg_cohomology", "h1_action", "hf_hat",
+               "hf_infinity", "hf_plus_nontorsion", "hf_plus_reduced",
+               "hf_plus_torsion", "triple_cup_beta", "u_action_red"),
+    "rings": ("GF", "QQ", "ZZ", "Ring", "parse_ring"),
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a layer: `hfsigma.engine` needs no import first
+        return import_module(f".{name}", __name__)
+    mod = _HOME.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{mod}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -7,24 +7,23 @@ cache.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Output is deterministic for a fixed configuration: JSON is emitted with
 sorted keys, and the one timestamp field sits outside the hashed payload.
+
+The engine layers are imported inside the code that computes, so `--help`
+and a result-cache hit load only this module, errors, rings and schemas.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from fractions import Fraction
 
-from . import __version__, engine, verify as verify_mod
-from .cfk import slice_map
+from . import __version__
 from .errors import (BudgetExceeded, Deadline, DomainError,
                      ExtendedScaleRequired, GenusMismatch,
                      UnsupportedOperation)
-from .linalg import SparseExactMatrix, cokernel, smith_normal_form
-from .rings import ZZ, parse_ring
+from .rings import ZZ, group_notation, parse_ring
 
 HARD_GENUS_CAP = 10
 DESK_GENUS_CAP = 6  # beyond this the integer runs need --extended
@@ -75,12 +74,11 @@ def _deadline(args):
 # ---------------------------------------------------------------------------
 
 def _render_table_entries(entries_json):
-    from .linalg import GroupPresentation
     lines = []
     width = max((len(e["deg"]) for e in entries_json), default=3)
     for e in entries_json:
         grp = e["group"]
-        desc = str(GroupPresentation(grp["free_rank"], grp["invariant_factors"]))
+        desc = group_notation(grp["free_rank"], grp["invariant_factors"])
         lines.append(f"  {e['deg']:>{width}}  rank {grp['free_rank']:<6} {desc}")
     return lines
 
@@ -96,22 +94,18 @@ def _emit(args, payload, title):
         "version": __version__,
         "config": _config_dict(args),
         "result": payload,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    canonical = json.dumps(envelope, sort_keys=True, indent=2)
-    envelope_ts = dict(envelope)
-    envelope_ts["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     if out == "json":
-        text = json.dumps(envelope_ts, sort_keys=True, indent=2)
-    elif out == "tsv":
-        text = _to_tsv(payload, title)
-    elif out == "table" or out is None:
-        text = _to_text(payload, title)
-    else:
-        # a path: write canonical JSON there, print a note
-        with open(out, "w") as fh:
-            fh.write(json.dumps(envelope_ts, sort_keys=True, indent=2))
-        return f"wrote {out}", canonical
-    return text, canonical
+        return json.dumps(envelope, sort_keys=True, indent=2)
+    if out == "tsv":
+        return _to_tsv(payload, title)
+    if out == "table" or out is None:
+        return _to_text(payload, title)
+    # a path: write the JSON envelope there, print a note
+    with open(out, "w") as fh:
+        fh.write(json.dumps(envelope, sort_keys=True, indent=2))
+    return f"wrote {out}"
 
 
 def _to_tsv(payload, title):
@@ -161,16 +155,25 @@ def _cache_dir(args):
 
 
 def _cache_key(args):
+    """sha256 of the command, its configuration and the bytes of the
+    package's modules and data files (in sorted path order), so that a
+    stored result names the code that computed it."""
+    import hashlib
+    pkg = os.path.dirname(__file__)
+    paths = sorted([name for name in os.listdir(pkg) if name.endswith(".py")]
+                   + [f"data/{name}" for name in os.listdir(os.path.join(pkg, "data"))
+                      if name.endswith(".json")])
+    source = hashlib.sha256()
+    for rel in paths:
+        source.update(rel.encode() + b"\0")
+        with open(os.path.join(pkg, rel), "rb") as fh:
+            source.update(fh.read())
     blob = json.dumps({"command": args.command, "config": _config_dict(args),
-                       "version": __version__}, sort_keys=True)
+                       "source": source.hexdigest()}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_load(args):
-    cdir = _cache_dir(args)
-    if not cdir:
-        return None
-    path = os.path.join(cdir, _cache_key(args) + ".json")
+def _cache_load(path):
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -178,12 +181,10 @@ def _cache_load(args):
         return None
 
 
-def _cache_store(args, payload):
-    cdir = _cache_dir(args)
-    if not cdir:
-        return
+def _cache_store(path, payload):
+    import tempfile
+    cdir = os.path.dirname(path)
     os.makedirs(cdir, exist_ok=True)
-    path = os.path.join(cdir, _cache_key(args) + ".json")
     fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
     with os.fdopen(fd, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
@@ -191,11 +192,17 @@ def _cache_store(args, payload):
 
 
 def _cached(args, compute):
-    hit = _cache_load(args)
+    """compute(), or the result stored for this command, configuration and
+    source in the cache directory, when one is set."""
+    cdir = _cache_dir(args)
+    if not cdir:
+        return compute()
+    path = os.path.join(cdir, _cache_key(args) + ".json")
+    hit = _cache_load(path)
     if hit is not None:
         return hit
     payload = compute()
-    _cache_store(args, payload)
+    _cache_store(path, payload)
     return payload
 
 
@@ -208,8 +215,13 @@ def cmd_hat(args):
     ring = parse_ring(args.ring)
     window = _window_to_d_range(args.degrees, args.genus, None)
     dl = _deadline(args)
-    payload = _cached(args, lambda: engine.hf_hat(args.genus, ring, window, dl).to_json())
-    text, _ = _emit(args, payload, f"hat table, genus {args.genus}, ring {ring.tag}")
+
+    def compute():
+        from . import engine
+        return engine.hf_hat(args.genus, ring, window, dl).to_json()
+
+    payload = _cached(args, compute)
+    text = _emit(args, payload, f"hat table, genus {args.genus}, ring {ring.tag}")
     print(text)
     return 0
 
@@ -221,14 +233,15 @@ def cmd_plus(args):
     dl = _deadline(args)
 
     def compute():
+        from . import engine
         full = engine.hf_plus_torsion(args.genus, ring, window, dl).to_json()
         if args.reduced:
             full["reduced"] = engine.hf_plus_reduced(args.genus, ring, window, dl).to_json()
         return full
 
     payload = _cached(args, compute)
-    text, _ = _emit(args, payload,
-                    f"plus table (torsion spin-c), genus {args.genus}, ring {ring.tag}")
+    text = _emit(args, payload,
+                 f"plus table (torsion spin-c), genus {args.genus}, ring {ring.tag}")
     print(text)
     if args.reduced and args.out in (None, "table"):
         print(_to_text(payload["reduced"], "reduced part"))
@@ -239,10 +252,15 @@ def cmd_infinity(args):
     ring = parse_ring(args.ring)
     _check_scale(args, heavy_integer_run=(ring == ZZ and args.genus > DESK_GENUS_CAP))
     dl = _deadline(args)
-    payload = _cached(args, lambda: engine.hf_infinity(args.genus, ring, deadline=dl).to_json())
-    text, _ = _emit(args, payload,
-                    f"infinity table, genus {args.genus}, ring {ring.tag} "
-                    f"(periodic: one entry per parity)")
+
+    def compute():
+        from . import engine
+        return engine.hf_infinity(args.genus, ring, deadline=dl).to_json()
+
+    payload = _cached(args, compute)
+    text = _emit(args, payload,
+                 f"infinity table, genus {args.genus}, ring {ring.tag} "
+                 f"(periodic: one entry per parity)")
     print(text)
     return 0
 
@@ -253,27 +271,35 @@ def cmd_nontorsion(args):
         raise DomainError("nontorsion wants --spinc k with k != 0; "
                           "use `hf plus` for the torsion structure")
 
+    dl = _deadline(args)
+
     def compute():
-        table, model = engine.hf_plus_nontorsion(args.genus, args.spinc)
+        from . import engine
+        table, model = engine.hf_plus_nontorsion(args.genus, args.spinc,
+                                                 deadline=dl)
         data = table.to_json()
         data["model"] = model.to_json()
         return data
 
     payload = _cached(args, compute)
-    text, _ = _emit(args, payload,
-                    f"plus table, genus {args.genus}, spin-c {args.spinc}")
+    text = _emit(args, payload,
+                 f"plus table, genus {args.genus}, spin-c {args.spinc}")
     print(text)
     return 0
 
 
 def cmd_action(args):
+    from . import engine
     _check_scale(args, heavy_integer_run=False)
     if args.spinc == 0:
         raise DomainError("the action is provided for --spinc k != 0 only")
     g, k = args.genus, args.spinc
-    table, model = engine.hf_plus_nontorsion(g, k, cross_check=False)
+    dl = _deadline(args)
+    table, model = engine.hf_plus_nontorsion(g, k, cross_check=False, deadline=dl)
     found = []
     for key in model.basis():
+        if dl is not None:
+            dl.tick()
         n = model.degree_of(key)
         for gi in range(1, 2 * g + 1):
             _, corrs = engine.h1_action(g, k, gi, key)
@@ -286,9 +312,9 @@ def cmd_action(args):
                 })
     payload = {"genus": g, "spinc": k, "standard": not found,
                "corrections_found": len(found), "corrections": found}
-    text, _ = _emit(args, payload,
-                    f"homology action, genus {g}, spin-c {k}: "
-                    f"{'standard' if not found else f'{len(found)} corrections'}")
+    text = _emit(args, payload,
+                 f"homology action, genus {g}, spin-c {k}: "
+                 f"{'standard' if not found else f'{len(found)} corrections'}")
     print(text)
     return 0
 
@@ -298,6 +324,7 @@ def cmd_eg(args):
     ring = parse_ring(args.ring)
 
     def compute():
+        from . import engine
         eg = engine.eg_cohomology(args.genus, ring)
         entries = [{"deg": str(j), "group": grp.to_json()}
                    for j, grp in sorted(eg.items())]
@@ -309,13 +336,14 @@ def cmd_eg(args):
         return {"entries": entries, "contraction_comparison": comparison}
 
     payload = _cached(args, compute)
-    text, _ = _emit(args, payload,
-                    f"circle-bundle cohomology, genus {args.genus}, ring {ring.tag}")
+    text = _emit(args, payload,
+                 f"circle-bundle cohomology, genus {args.genus}, ring {ring.tag}")
     print(text)
     return 0
 
 
 def cmd_beta(args):
+    from . import engine
     _check_scale(args, heavy_integer_run=False)
     g = args.genus
     dims = engine.beta_quotient_dims(g)
@@ -324,12 +352,13 @@ def cmd_beta(args):
                "total": sum(dims.values())}
     if args.spinc is not None and args.spinc >= 0:
         payload["matrix"] = engine.triple_cup_beta(g, args.spinc).to_json()
-    text, _ = _emit(args, payload, f"triple-cup quotients, genus {g}")
+    text = _emit(args, payload, f"triple-cup quotients, genus {g}")
     print(text)
     return 0
 
 
 def cmd_slice(args):
+    from .cfk import slice_map
     _check_scale(args, heavy_integer_run=False)
     ring = parse_ring(args.ring)
     s = args.spinc if args.spinc is not None else 0
@@ -341,13 +370,14 @@ def cmd_slice(args):
     payload["op"] = args.op
     payload["degree"] = d
     payload["s"] = s
-    text, _ = _emit(args, payload,
-                    f"slice map {args.op}, genus {args.genus}, degree {d}")
+    text = _emit(args, payload,
+                 f"slice map {args.op}, genus {args.genus}, degree {d}")
     print(text)
     return 0
 
 
 def cmd_snf(args):
+    from .linalg import SparseExactMatrix, cokernel, smith_normal_form
     with open(args.input) as fh:
         data = json.load(fh)
     m = SparseExactMatrix.from_json(data)
@@ -357,16 +387,17 @@ def cmd_snf(args):
     payload = {"invariant_factors": factors,
                "cokernel": cokernel(m).to_json(),
                "rank": len(factors)}
-    text, _ = _emit(args, payload, f"Smith normal form of {args.input}")
+    text = _emit(args, payload, f"Smith normal form of {args.input}")
     print(text)
     return 0
 
 
 def cmd_verify(args):
+    from . import verify
     max_genus = args.max_genus or 4
     if max_genus > 5 and not args.extended:
         raise ExtendedScaleRequired("verification beyond genus 5 needs --extended")
-    suites = [args.suite] if args.suite != "all" else list(verify_mod._SUITE_FUNCS)
+    suites = [args.suite] if args.suite != "all" else list(verify._SUITE_FUNCS)
     reports = []
     if args.jobs and args.jobs > 1 and len(suites) > 1:
         import concurrent.futures as cf
@@ -375,9 +406,9 @@ def cmd_verify(args):
                 reports = list(ex.map(_suite_worker,
                                       [(s, max_genus) for s in suites]))
         except (OSError, RuntimeError):
-            reports = [verify_mod.run_suite(s, max_genus) for s in suites]
+            reports = [verify.run_suite(s, max_genus) for s in suites]
     else:
-        reports = [verify_mod.run_suite(s, max_genus) for s in suites]
+        reports = [verify.run_suite(s, max_genus) for s in suites]
     ok = True
     payload = {"suites": []}
     for rep in reports:
@@ -387,14 +418,15 @@ def cmd_verify(args):
             for line in rep.lines():
                 print(line)
     if args.out not in (None, "table"):
-        text, _ = _emit(args, payload, "verification report")
+        text = _emit(args, payload, "verification report")
         print(text)
     return 0 if ok else 1
 
 
 def _suite_worker(pair):
+    from . import verify
     name, max_genus = pair
-    return verify_mod.run_suite(name, max_genus)
+    return verify.run_suite(name, max_genus)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +499,8 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run a verification suite")
     common(sp, genus_required=False)
-    sp.add_argument("--suite", default="all", choices=list(verify_mod.SUITES))
+    sp.add_argument("--suite", default="all",
+                    help="a suite name or all; an unknown name lists the suites")
     sp.add_argument("--max-genus", type=int, default=None)
     sp.set_defaults(func=cmd_verify)
 

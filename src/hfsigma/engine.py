@@ -429,7 +429,7 @@ def apply_F(y, g, kk):
             + j_infinity(y).u_power(kk).project(corner(s)))
 
 
-def hf_plus_nontorsion(g, k, cross_check=True):
+def hf_plus_nontorsion(g, k, cross_check=True, deadline=None):
     """Plus flavor for spin-c structures with nonzero first Chern class.
 
     Zero once |k| >= g; otherwise free with the per-degree ranks of
@@ -457,13 +457,13 @@ def hf_plus_nontorsion(g, k, cross_check=True):
         prev = 0
         for top_idx, top in enumerate(degs):
             m, _, _ = _chain_cached(g, kk, tuple(degs[:top_idx + 1]))
-            kr = m.cols - rank(m, QQ)
+            kr = m.cols - rank(m, QQ, deadline=deadline)
             per_degree[top] = kr - prev
             prev = kr
     for n, v in sorted(per_degree.items()):
         table.entries[n] = GroupPresentation(v)
     if cross_check:
-        phi_rank = phi_image_rank(g, kk)
+        phi_rank = phi_image_rank(g, kk, deadline)
         direct = sum(per_degree.values())
         if phi_rank != direct or direct != model.total_rank():
             raise AssertionError(
@@ -482,7 +482,7 @@ def _chain_cached(g, kk, degrees):
     return chain_matrix(g, kk, list(degrees))
 
 
-def phi_image_rank(g, kk):
+def phi_image_rank(g, kk, deadline=None):
     """Rank of the phi image over Q (all basis elements of the model)."""
     model = XModel(g, g - 1 - kk)
     keys = {}
@@ -498,7 +498,8 @@ def phi_image_rank(g, kk):
         cols.append(col)
     if not cols:
         return 0
-    return rank(SparseExactMatrix.from_columns(len(keys), cols, QQ))
+    return rank(SparseExactMatrix.from_columns(len(keys), cols, QQ),
+                deadline=deadline)
 
 
 def f_restriction_surjective(g, kk, d_lo=None, d_hi=None):

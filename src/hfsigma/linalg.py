@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, UnsupportedOperation
-from .rings import QQ, ZZ, parse_ring
+from .rings import QQ, ZZ, group_notation, parse_ring
 
 
 class GroupPresentation:
@@ -72,13 +72,7 @@ class GroupPresentation:
         return n
 
     def __str__(self):
-        from collections import Counter
-        parts = []
-        if self.free_rank:
-            parts.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
-        for d, count in sorted(Counter(self.invariant_factors).items()):
-            parts.append(f"Z/{d}" if count == 1 else f"(Z/{d})^{count}")
-        return " + ".join(parts) if parts else "0"
+        return group_notation(self.free_rank, self.invariant_factors)
 
     def __repr__(self):
         return f"GroupPresentation({self.free_rank}, {list(self.invariant_factors)})"

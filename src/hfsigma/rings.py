@@ -2,9 +2,11 @@
 
 Coefficients are plain Python objects (int for Z and F_p, Fraction for Q),
 so all arithmetic is arbitrary precision.  A Ring instance only carries the
-tag and knows how to coerce/normalize values.
+tag and knows how to coerce/normalize values.  group_notation writes a
+finitely generated abelian group in terms of Z, for the tables.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import DomainError
@@ -101,3 +103,13 @@ def parse_ring(text):
     if t.startswith("F") and t[1:].isdigit():
         return GF(int(t[1:]))
     raise DomainError(f"cannot parse ring {text!r} (expected Z, Q, F2, Fp:<p>)")
+
+
+def group_notation(free_rank, invariant_factors):
+    """Z^r + Z/d + (Z/e)^n ..., equal factors collected, or "0"."""
+    parts = []
+    if free_rank:
+        parts.append("Z" if free_rank == 1 else f"Z^{free_rank}")
+    for d, count in sorted(Counter(invariant_factors).items()):
+        parts.append(f"Z/{d}" if count == 1 else f"(Z/{d})^{count}")
+    return " + ".join(parts) if parts else "0"

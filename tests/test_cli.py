@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -9,15 +10,23 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv, env_extra=None, src=SRC, python_args=("-m", "hfsigma.cli")):
     env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("HF_CACHE_DIR", None)
     if env_extra:
         env.update(env_extra)
-    proc = subprocess.run([sys.executable, "-m", "hfsigma.cli", *argv],
+    proc = subprocess.run([sys.executable, *python_args, *argv],
                           capture_output=True, text=True, env=env)
     return proc
+
+
+def _payload(proc):
+    """The JSON envelope of a run without its timestamp, as sorted text."""
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    data.pop("timestamp")
+    return json.dumps(data, sort_keys=True)
 
 
 def test_hat_tsv_rank_29():
@@ -119,18 +128,73 @@ def test_plus_time_budget_exits_1():
 
 
 def test_truncated_cache_file_is_a_miss(tmp_path):
-    def payload(proc):
-        assert proc.returncode == 0, proc.stderr
-        data = json.loads(proc.stdout)
-        data.pop("timestamp")
-        return json.dumps(data, sort_keys=True)
-
-    cold = payload(run_cli("hat", "--genus", "3", "--out", "json"))
+    cold = _payload(run_cli("hat", "--genus", "3", "--out", "json"))
     cache = tmp_path / "cache"
     env = {"HF_CACHE_DIR": str(cache)}
     run_cli("hat", "--genus", "3", "--out", "json", env_extra=env)
     (path,) = cache.glob("*.json")
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
-    assert payload(run_cli("hat", "--genus", "3", "--out", "json", env_extra=env)) == cold
+    assert _payload(run_cli("hat", "--genus", "3", "--out", "json", env_extra=env)) == cold
     assert path.read_text() == text  # recomputed and rewritten
+
+
+def test_nontorsion_time_budget_exits_1():
+    proc = run_cli("nontorsion", "--genus", "3", "--spinc", "1", "--extended",
+                   "--time-budget", "0")
+    assert proc.returncode == 1
+    assert "time budget exhausted" in proc.stderr
+
+
+def test_verify_unknown_suite_exits_2():
+    proc = run_cli("verify", "--suite", "bogus")
+    assert proc.returncode == 2
+    assert "bogus" in proc.stderr
+    for name in ("sl2", "star", "plus", "beta"):
+        assert f"'{name}'" in proc.stderr
+
+
+# Runs hf in-process, then reports on stderr which package modules it loaded.
+LOADED_PROBE = """
+import sys
+from hfsigma.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+sys.stderr.write(" ".join(sorted(m for m in sys.modules if m.startswith("hfsigma"))))
+"""
+ENGINE_MODULES = {"hfsigma.engine", "hfsigma.cfk", "hfsigma.linalg",
+                  "hfsigma.exterior", "hfsigma.lefschetz", "hfsigma.verify"}
+
+
+def test_help_and_cache_hits_load_only_the_cli(tmp_path):
+    def loaded(*argv, env_extra=None):
+        proc = run_cli(*argv, env_extra=env_extra, python_args=("-c", LOADED_PROBE))
+        return set(proc.stderr.split()), proc.stdout
+
+    mods, out = loaded("--help")
+    assert "usage: hf" in out and "hfsigma.cli" in mods
+    assert not mods & ENGINE_MODULES
+    env = {"HF_CACHE_DIR": str(tmp_path / "cache")}
+    cold, _ = loaded("hat", "-g", "2", "--out", "json", env_extra=env)
+    assert "hfsigma.engine" in cold  # the probe sees a computation
+    for out_form in ("json", "table"):
+        mods, out = loaded("hat", "-g", "2", "--out", out_form, env_extra=env)
+        assert "rank 9" in out or '"free_rank": 9' in out
+        assert not mods & ENGINE_MODULES, out_form
+
+
+def test_cache_key_covers_source(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(os.path.join(SRC, "hfsigma"), src / "hfsigma",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "cache"
+    env = {"HF_CACHE_DIR": str(cache)}
+    first = _payload(run_cli("hat", "-g", "2", "--out", "json", env_extra=env, src=src))
+    assert len(list(cache.glob("*.json"))) == 1
+    with open(src / "hfsigma" / "engine.py", "a") as fh:
+        fh.write("# an edit that must invalidate cached results\n")
+    second = run_cli("hat", "-g", "2", "--out", "json", env_extra=env, src=src)
+    assert _payload(second) == first
+    assert len(list(cache.glob("*.json"))) == 2  # a miss, stored anew

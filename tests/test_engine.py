@@ -55,6 +55,13 @@ def test_budget_covers_hat_and_plus():
                 flavor(3, ring, deadline=Deadline(-1))
 
 
+def test_budget_covers_nontorsion():
+    with pytest.raises(BudgetExceeded):
+        engine.hf_plus_nontorsion(3, 1, deadline=Deadline(-1))
+    with pytest.raises(BudgetExceeded):
+        engine.phi_image_rank(3, 1, deadline=Deadline(-1))
+
+
 def test_chain_matrix_matches_per_entry_assembly():
     from hfsigma.cfk import B_PLUS, _flip_blade, corner, slice_basis
     from hfsigma.linalg import SparseExactMatrix
