@@ -12,10 +12,31 @@ The flip automorphism acts on a grade-p term at U-coordinate i by
 with eps = (-1)^(g-1); the sign is pinned by freeness of the middle-degree
 cokernel (see the sign suite).  The star lands at the mirrored lattice point
 and the eta_n terms smear it down the antidiagonal.
+
+Torus-weight blocks.  Give symplectic pair i of a blade the weight
+bit(2i) - bit(2i+1) in {-1, 0, 1}: its weight under the diagonal torus of
+Sp(2g) that scales the pair's two vectors by t and 1/t.  The star keeps a
+pair that holds one vector and exchanges an empty pair with a complete
+one, and contraction by eta_n only removes complete pairs, so J, U and
+every slice op (v, h, F, F_hat, one_plus_J) preserve the weight vector:
+each slice matrix is block diagonal, with one block per weight vector in
+{-1, 0, 1}^g.
+
+The signed permutations of the pairs (pair swaps, and a_i -> b_i,
+b_i -> -a_i) lie in Sp(2g, Z).  They preserve omega and the volume form,
+hence commute with the star, with contraction by eta_n, with J and with U,
+and they map blades to signed blades of the same grade at the same lattice
+point.  So a block whose weight vector has r nonzero entries is conjugate
+by a signed permutation matrix to the representative block of type r, with
+weight vector (1^r, 0^(g-r)), and has its Smith form and its rank over
+every ring.  There are C(g, r) * 2^r blocks of type r; the representative
+holds the masks with bit 2i alone for i < r and 00 or 11 for each later
+pair, 2^(g-r) masks in all against 4^g.
 """
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .errors import DomainError, GenusMismatch
 from .exterior import (blade_grade, blades_of_grade, complete_pairs,
@@ -98,8 +119,26 @@ def min_zero(s=0):
 # slice bases
 # ---------------------------------------------------------------------------
 
+def block_masks(g, r, p):
+    """Masks of grade p in the representative type-r weight block, in
+    ascending order: bit 2i alone for i < r, then 00 or 11 for each later
+    pair."""
+    k, odd = divmod(p - r, 2)
+    if odd or not 0 <= k <= g - r:
+        return []
+    base = sum(1 << (2 * i) for i in range(r))
+    return sorted(base | sum(pair_mask(j) for j in pairs)
+                  for pairs in combinations(range(r, g), k))
+
+
+def block_multiplicity(g, r):
+    """Number of weight blocks of type r: C(g, r) * 2^r."""
+    return comb(g, r) << r
+
+
 class SliceBasis:
-    """Ordered basis of the degree-d slice of a region.
+    """Ordered basis of the degree-d slice of a region, or of its
+    representative type-r weight block when r is given.
 
     Cells are (i, p) with p = g + d - 2i, listed with i ascending; within a
     cell the blades of grade p run in ascending mask order.  The enumeration
@@ -108,7 +147,7 @@ class SliceBasis:
 
     __slots__ = ("genus", "region", "degree", "cells", "index", "elements")
 
-    def __init__(self, genus, region, degree):
+    def __init__(self, genus, region, degree, r=None):
         g = genus
         self.genus = g
         self.region = region
@@ -127,7 +166,7 @@ class SliceBasis:
             if not region.contains(i, d - i):
                 continue
             self.cells.append((i, p))
-            for mask in blades_of_grade(g, p):
+            for mask in blades_of_grade(g, p) if r is None else block_masks(g, r, p):
                 self.index[(i, mask)] = len(self.elements)
                 self.elements.append((i, mask))
 
@@ -141,8 +180,8 @@ class SliceBasis:
 
 
 @lru_cache(maxsize=None)
-def slice_basis(g, region, d):
-    return SliceBasis(g, region, d)
+def slice_basis(g, region, d, r=None):
+    return SliceBasis(g, region, d, r)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +412,40 @@ def _op_terms(g, op, s, mask):
     return flips if op == "h" else ((0, mask, 1),) + flips
 
 
+def _regions(op, s=0):
+    """Source and target regions of a slice op."""
+    if op == "one_plus_J":
+        return B_PLUS, B_PLUS
+    if op == "F_hat":
+        return row_i0(), min_zero(s)
+    return B_PLUS, corner(s)
+
+
+def _assemble(g, op, s, src, tgt, ring):
+    """The op's matrix from the source basis to the target basis, in one
+    pass over plain ints.  An entry whose sum reaches zero is dropped and,
+    should it become nonzero again, reinserted at the end: the field
+    eliminators pivot on a column's first row, so the order is part of the
+    result."""
+    p = ring.p
+    get = tgt.index.get
+    ent = {}
+    for c, (i, mask) in enumerate(src.elements):
+        for di, m2, w in _op_terms(g, op, s, mask):
+            r = get((i + di, m2))
+            if r is None:
+                continue
+            key = (r, c)
+            v = ent.get(key, 0) + w
+            if p is not None:
+                v %= p
+            if v:
+                ent[key] = v
+            else:
+                ent.pop(key, None)
+    return SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
+
+
 def slice_map(g, op, d, ring=ZZ, s=0):
     """Matrix of one structure map on the degree-d slice.
 
@@ -390,48 +463,29 @@ def slice_map(g, op, d, ring=ZZ, s=0):
         raise DomainError(f"unknown slice op {op!r}")
     if s > 0:
         raise DomainError("slice maps are built for s <= 0; use conjugation")
-    if op == "one_plus_J":
-        src = slice_basis(g, B_PLUS, d)
-        tgt = src
-    elif op == "F_hat":
-        src = slice_basis(g, row_i0(), d)
-        tgt = slice_basis(g, min_zero(s), d)
-        if s != 0:
-            tgt = UnionBasis([slice_basis(g, min_zero(s), d),
-                              slice_basis(g, min_zero(s), d + 2 * s)])
+    src_region, tgt_region = _regions(op, s)
+    src = slice_basis(g, src_region, d)
+    if s == 0 or op == "one_plus_J":
+        tgt = slice_basis(g, tgt_region, d)
     else:
-        src = slice_basis(g, B_PLUS, d)
-        if s == 0:
-            tgt = slice_basis(g, corner(s), d)
-        else:
-            degs = []
-            if op in ("v", "F"):
-                degs.append(d)
-            if op in ("h", "F"):
-                degs.append(d + 2 * s)
-            tgt = UnionBasis([slice_basis(g, corner(s), dd) for dd in degs])
-    # One pass over plain ints.  An entry whose sum reaches zero is dropped
-    # and, should it become nonzero again, reinserted at the end: the field
-    # eliminators pivot on a column's first row, so the order is part of
-    # the result.
-    p = ring.p
-    get = tgt.index.get
-    ent = {}
-    for c, (i, mask) in enumerate(src.elements):
-        for di, m2, w in _op_terms(g, op, s, mask):
-            r = get((i + di, m2))
-            if r is None:
-                continue
-            key = (r, c)
-            v = ent.get(key, 0) + w
-            if p is not None:
-                v %= p
-            if v:
-                ent[key] = v
-            else:
-                ent.pop(key, None)
-    mat = SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
-    return SliceMap(mat, src, tgt, op, s)
+        degs = {"v": [d], "h": [d + 2 * s]}.get(op, [d, d + 2 * s])
+        tgt = UnionBasis([slice_basis(g, tgt_region, dd) for dd in degs])
+    return SliceMap(_assemble(g, op, s, src, tgt, ring), src, tgt, op, s)
+
+
+def block_map(g, op, d, r, ring=ZZ):
+    """The representative type-r weight block of an s = 0 slice op in
+    degree d: the op restricted to the masks of weight (1^r, 0^(g-r)).
+    Each of the block_multiplicity(g, r) type-r blocks of slice_map(g, op,
+    d) has its Smith form and ranks (module docstring)."""
+    if op not in OPS:
+        raise DomainError(f"unknown slice op {op!r}")
+    if not 0 <= r <= g:
+        raise DomainError(f"weight type {r} out of range for genus {g}")
+    src_region, tgt_region = _regions(op)
+    src = slice_basis(g, src_region, d, r)
+    tgt = slice_basis(g, tgt_region, d, r)
+    return SliceMap(_assemble(g, op, 0, src, tgt, ring), src, tgt, op)
 
 
 def _u_power(g, region, d_hi, steps, ring, op):

@@ -108,9 +108,24 @@ def _emit(args, payload, title):
     return f"wrote {out}"
 
 
+def _is_matrix(payload):
+    """A slice payload: a sparse matrix whose entries are [row, col, value]."""
+    return isinstance(payload, dict) and "rows" in payload and "cols" in payload
+
+
+def _matrix_lines(payload, sep):
+    head = (f"{payload['rows']} x {payload['cols']} matrix over {payload['ring']}, "
+            f"{len(payload['entries'])} nonzero entries")
+    return [head, sep.join(("row", "col", "value"))] + [
+        sep.join(str(x) for x in entry) for entry in payload["entries"]]
+
+
 def _to_tsv(payload, title):
     rows = [f"# {title}"]
-    if isinstance(payload, dict) and "entries" in payload:
+    if _is_matrix(payload):
+        head, *body = _matrix_lines(payload, "\t")
+        rows += [f"# {head}"] + body
+    elif isinstance(payload, dict) and "entries" in payload:
         rows.append("degree\tfree_rank\tinvariant_factors")
         for e in payload["entries"]:
             grp = e["group"]
@@ -123,7 +138,9 @@ def _to_tsv(payload, title):
 
 def _to_text(payload, title):
     lines = [title]
-    if isinstance(payload, dict) and "entries" in payload:
+    if _is_matrix(payload):
+        lines += ["  " + line for line in _matrix_lines(payload, " ")]
+    elif isinstance(payload, dict) and "entries" in payload:
         lines.extend(_render_table_entries(payload["entries"]))
         if payload.get("towers"):
             lines.append("  towers:")

@@ -18,9 +18,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .cfk import (B_PLUS, GradedElement, J_GEQ0, corner, gamma_action,
-                  j_infinity, slice_basis, slice_map, u_chain_map,
-                  u_slice_map, _flip_blade)
+from .cfk import (B_PLUS, GradedElement, J_GEQ0, block_map,
+                  block_multiplicity, corner, gamma_action, j_infinity,
+                  slice_basis, slice_map, u_chain_map, u_slice_map,
+                  _flip_blade)
 from .errors import DomainError, UnsupportedOperation
 from .exterior import Multivector, blade_grade, blades_of_grade, eta, omega
 from .lefschetz import coprimitive_dim, primitive_dim, self_dual_rank
@@ -105,17 +106,41 @@ def _kernel_cols(g, op, d, s=0, deadline=None):
     return [dict(items) for items in _KERNELS[key]]
 
 
-def _cone_group(g, op, d, ring, s=0, deadline=None):
-    """Ker(op_d) (+) Coker(op_{d+1}) over the ring, as a presentation."""
-    lo = _fmap(g, op, d, s).matrix
-    hi = _fmap(g, op, d + 1, s).matrix
-    if ring == ZZ:
-        krank = lo.cols - rank(lo, QQ, deadline=deadline)
-        cok = cokernel(hi, deadline=deadline)
-        return GroupPresentation(krank + cok.free_rank, cok.invariant_factors)
-    krank = lo.cols - rank(lo, ring, deadline=deadline)
-    cokrank = hi.rows - rank(hi, ring, deadline=deadline)
-    return GroupPresentation(krank + cokrank)
+_BLOCKS = {}  # (g, op, d, r, ring) -> (rows, cols, rank, torsion factors)
+
+
+def _block_data(g, op, d, r, ring, deadline=None):
+    """(rows, cols, rank, torsion factors) of the representative type-r
+    block over the ring, computed once.  Over Z one Smith form gives the
+    rank too: it is the number of invariant factors."""
+    key = (g, op, d, r, ring)
+    if key not in _BLOCKS:
+        m = block_map(g, op, d, r).matrix
+        if ring == ZZ:
+            factors = smith_normal_form(m, deadline=deadline)
+            _BLOCKS[key] = (m.rows, m.cols, len(factors),
+                            tuple(f for f in factors if f != 1))
+        else:
+            _BLOCKS[key] = (m.rows, m.cols, rank(m, ring, deadline=deadline), ())
+    return _BLOCKS[key]
+
+
+def _cone_group(g, op, d, ring, deadline=None):
+    """Ker(op_d) (+) Coker(op_{d+1}) over the ring, as a presentation,
+    summed over the weight blocks: block_multiplicity(g, r) copies of the
+    representative type-r block for r = 0..g (cfk module docstring).  The
+    deadline is checked once per block, cached or not."""
+    free = 0
+    torsion = []
+    for r in range(g + 1):
+        if deadline is not None:
+            deadline.tick()
+        _, lo_cols, lo_rank, _ = _block_data(g, op, d, r, ring, deadline)
+        hi_rows, _, hi_rank, factors = _block_data(g, op, d + 1, r, ring, deadline)
+        mult = block_multiplicity(g, r)
+        free += mult * (lo_cols - lo_rank + hi_rows - hi_rank)
+        torsion.extend(factors * mult)
+    return GroupPresentation(free, torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +202,9 @@ def hf_infinity(g, ring=ZZ, deadline=None):
     """
     table = FloerTable(g, 0, ring, "infinity")
     for d in (g, g + 1):
-        lo = _fmap(g, "one_plus_J", d).matrix
-        hi = _fmap(g, "one_plus_J", d + 1).matrix
-        if ring == ZZ:
-            krank = lo.cols - rank(lo, QQ, deadline=deadline)
-            fs = smith_normal_form(hi, deadline=deadline)
-            cok = GroupPresentation(hi.rows - len(fs), fs)
-            grp = GroupPresentation(krank + cok.free_rank, cok.invariant_factors)
-        else:
-            grp = GroupPresentation((lo.cols - rank(lo, ring, deadline=deadline))
-                                    + (hi.rows - rank(hi, ring, deadline=deadline)))
-        table.entries[half(d)] = grp
-        table.metadata.setdefault("matrix_hashes", {})[_deg_str(d)] = matrix_hash(lo)
+        table.entries[half(d)] = _cone_group(g, "one_plus_J", d, ring, deadline)
+        hashes = table.metadata.setdefault("matrix_hashes", {})
+        hashes[_deg_str(d)] = matrix_hash(_fmap(g, "one_plus_J", d).matrix)
     table.metadata["periodic"] = True
     table.metadata["parity_degrees"] = [_deg_str(half(g)), _deg_str(half(g + 1))]
     return table

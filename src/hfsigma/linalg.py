@@ -25,6 +25,7 @@ integers.
 """
 
 import heapq
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -86,30 +87,54 @@ class GroupPresentation:
         return cls(data["free_rank"], data["invariant_factors"])
 
 
+def _coprime_base(values):
+    """Pairwise coprime integers > 1 such that every value is a product of
+    their powers (factor refinement: split any two that share a gcd)."""
+    base = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for k, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[k]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
 def normalize_divisibility_chain(factors):
     """Rewrite a multiset of nonzero moduli as a divisibility chain.
 
-    diag(a, b) is unimodularly equivalent to diag(gcd(a,b), lcm(a,b)), so
-    pairwise passes converge to the invariant factors.  Factors equal to 1
-    are kept: the chain length equals the input length.
+    Over a coprime base of the moduli, Z/m splits into its parts Z/b^e
+    (Chinese remainder theorem), so the k-th largest invariant factor is the
+    product over the base of b to its k-th largest exponent.  The cost is
+    linear in the number of moduli for a fixed set of distinct values.
+    Factors equal to 1 are kept: the chain length equals the input length.
     """
-    fs = sorted(abs(f) for f in factors)
-    if any(f == 0 for f in fs):
+    fs = [abs(f) for f in factors]
+    if 0 in fs:
         raise DomainError("divisibility chain wants nonzero factors")
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs)):
-            if fs[i] == 1:
-                continue
-            for j in range(i + 1, len(fs)):
-                a, b = fs[i], fs[j]
-                if b % a:
-                    g = gcd(a, b)
-                    fs[i], fs[j] = g, a * b // g
-                    changed = True
-        fs.sort()
-    return fs
+    counts = Counter(f for f in fs if f != 1)
+    exponents = []
+    for b in _coprime_base(counts):
+        es = []
+        for v, n in counts.items():
+            e = 0
+            while v % b == 0:
+                v //= b
+                e += 1
+            if e:
+                es += [e] * n
+        es.sort(reverse=True)
+        exponents.append((b, es))
+    chain = [1] * max((len(es) for _, es in exponents), default=0)
+    for b, es in exponents:
+        for k, e in enumerate(es):
+            chain[k] *= b ** e
+    return [1] * (len(fs) - len(chain)) + chain[::-1]
 
 
 class SparseExactMatrix:

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per shipped criterion, exact equality throughout.
 
-Default scale is genus <= 5 (minutes on a laptop); the genus-7 order-4
-torsion hunt is gated behind HF_EXTENDED=1.  Each test prints a PASS line so
-`pytest -v -s tests/test_acceptance.py` doubles as the acceptance report.
+Default scale is genus <= 5, plus the genus-7 order-4 torsion hunt.  Each
+test prints a PASS line so `pytest -v -s tests/test_acceptance.py` doubles
+as the acceptance report.
 """
 
 import json
@@ -11,8 +11,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import comb
-
-import pytest
 
 from hfsigma import engine, verify
 from hfsigma.lefschetz import primitive_dim, self_dual_rank
@@ -101,13 +99,11 @@ def test_criterion_05_integral_torsion():
             "(2-torsion g=3,4,5; 3-torsion g=5)")
 
 
-@pytest.mark.skipif(not os.environ.get("HF_EXTENDED"),
-                    reason="extended-scale run; set HF_EXTENDED=1")
 def test_criterion_05x_order_four_torsion_g7():
-    """Extended: a factor divisible by 4 in the genus-7 integral table."""
+    """A factor divisible by 4 in the genus-7 integral table."""
     factors = engine.hf_infinity(7, ZZ).all_invariant_factors()
     assert any(f % 4 == 0 for f in factors)
-    _report("criterion-05x order-4 torsion", "(g=7 extended)")
+    _report("criterion-05x order-4 torsion", "(g=7)")
 
 
 def test_criterion_06_reduced_part():

@@ -87,6 +87,19 @@ def test_slice_and_snf_pipeline(tmp_path):
     assert res["rank"] == len(res["invariant_factors"])
 
 
+def test_slice_table_and_tsv_list_entries():
+    args = ("slice", "--genus", "3", "--op", "F", "--degree", "1", "--ring", "Z")
+    entries = json.loads(run_cli(*args, "--out", "json").stdout)["result"]["entries"]
+    for out, header, sep in (("table", "  row col value", None),
+                             ("tsv", "row\tcol\tvalue", "\t")):
+        proc = run_cli(*args, "--out", out)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        lines = proc.stdout.splitlines()
+        start = lines.index(header) + 1
+        assert [line.split(sep) for line in lines[start:]] == \
+            [[str(x) for x in e] for e in entries]
+
+
 def test_reproducibility_and_cache(tmp_path):
     cache = tmp_path / "cache"
     env = {"HF_CACHE_DIR": str(cache)}

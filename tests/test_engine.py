@@ -55,6 +55,14 @@ def test_budget_covers_hat_and_plus():
                 flavor(3, ring, deadline=Deadline(-1))
 
 
+def test_budget_holds_against_cached_blocks():
+    for ring in (ZZ, GF(3)):
+        for flavor in (engine.hf_hat, engine.hf_plus_torsion, engine.hf_infinity):
+            flavor(3, ring)
+            with pytest.raises(BudgetExceeded):
+                flavor(3, ring, deadline=Deadline(-1))
+
+
 def test_budget_covers_nontorsion():
     with pytest.raises(BudgetExceeded):
         engine.hf_plus_nontorsion(3, 1, deadline=Deadline(-1))

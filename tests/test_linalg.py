@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hfsigma.errors import BudgetExceeded, Deadline, DomainError, UnsupportedOperation
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                             integer_kernel_lattice, kernel_basis, kernel_rank,
-                            lattice_quotient, rank, smith_normal_form,
-                            solve_columns)
+                            lattice_quotient, normalize_divisibility_chain,
+                            rank, smith_normal_form, solve_columns)
 from hfsigma.rings import GF, QQ, ZZ
 
 
@@ -269,6 +269,37 @@ def test_presentation_normalization():
     assert g.torsion_order() == 24
     assert str(GroupPresentation(2, [2, 2, 6])) == "Z^2 + (Z/2)^2 + Z/6"
     assert str(GroupPresentation(0, [])) == "0"
+
+
+def pairwise_chain(factors):
+    """Divisibility chain by pairwise gcd/lcm passes: diag(a, b) is
+    equivalent to diag(gcd(a, b), lcm(a, b))."""
+    fs = sorted(abs(f) for f in factors)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(fs)):
+            for j in range(i + 1, len(fs)):
+                a, b = fs[i], fs[j]
+                if b % a:
+                    fs[i], fs[j] = gcd(a, b), a * b // gcd(a, b)
+                    changed = True
+        fs.sort()
+    return fs
+
+
+@PROPERTY
+@given(st.lists(st.builds(lambda f, sign: f * sign,
+                          st.one_of(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 25, 30, 49]),
+                                    st.integers(1, 10 ** 9)),
+                          st.sampled_from((1, -1))),
+                max_size=14))
+def test_divisibility_chain_against_pairwise_passes(factors):
+    chain = normalize_divisibility_chain(factors)
+    assert chain == pairwise_chain(factors)
+    assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+    with pytest.raises(DomainError):
+        normalize_divisibility_chain(factors + [0])
 
 
 def test_matrix_json_roundtrip():
