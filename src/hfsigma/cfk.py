@@ -421,16 +421,18 @@ def _regions(op, s=0):
     return B_PLUS, corner(s)
 
 
-def _assemble(g, op, s, src, tgt, ring):
+def _assemble(g, op, s, src, tgt, ring, deadline=None):
     """The op's matrix from the source basis to the target basis, in one
     pass over plain ints.  An entry whose sum reaches zero is dropped and,
     should it become nonzero again, reinserted at the end: the field
     eliminators pivot on a column's first row, so the order is part of the
-    result."""
+    result.  The deadline, if any, is checked once per source column."""
     p = ring.p
     get = tgt.index.get
     ent = {}
     for c, (i, mask) in enumerate(src.elements):
+        if deadline is not None:
+            deadline.tick()
         for di, m2, w in _op_terms(g, op, s, mask):
             r = get((i + di, m2))
             if r is None:
@@ -446,7 +448,7 @@ def _assemble(g, op, s, src, tgt, ring):
     return SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
 
 
-def slice_map(g, op, d, ring=ZZ, s=0):
+def slice_map(g, op, d, ring=ZZ, s=0, deadline=None):
     """Matrix of one structure map on the degree-d slice.
 
     Ops and their regions:
@@ -457,7 +459,8 @@ def slice_map(g, op, d, ring=ZZ, s=0):
 
     For s != 0 the h summand shifts the antidiagonal by 2s, so the target
     basis is the union of the degree-d and degree-(d+2s) slices of the
-    corner; the relative grading is only preserved mod 2|s| there.
+    corner; the relative grading is only preserved mod 2|s| there.  The
+    deadline, if any, is checked once per source column.
     """
     if op not in OPS:
         raise DomainError(f"unknown slice op {op!r}")
@@ -470,10 +473,10 @@ def slice_map(g, op, d, ring=ZZ, s=0):
     else:
         degs = {"v": [d], "h": [d + 2 * s]}.get(op, [d, d + 2 * s])
         tgt = UnionBasis([slice_basis(g, tgt_region, dd) for dd in degs])
-    return SliceMap(_assemble(g, op, s, src, tgt, ring), src, tgt, op, s)
+    return SliceMap(_assemble(g, op, s, src, tgt, ring, deadline), src, tgt, op, s)
 
 
-def block_map(g, op, d, r, ring=ZZ):
+def block_map(g, op, d, r, ring=ZZ, deadline=None):
     """The representative type-r weight block of an s = 0 slice op in
     degree d: the op restricted to the masks of weight (1^r, 0^(g-r)).
     Each of the block_multiplicity(g, r) type-r blocks of slice_map(g, op,
@@ -485,7 +488,7 @@ def block_map(g, op, d, r, ring=ZZ):
     src_region, tgt_region = _regions(op)
     src = slice_basis(g, src_region, d, r)
     tgt = slice_basis(g, tgt_region, d, r)
-    return SliceMap(_assemble(g, op, 0, src, tgt, ring), src, tgt, op)
+    return SliceMap(_assemble(g, op, 0, src, tgt, ring, deadline), src, tgt, op)
 
 
 def _u_power(g, region, d_hi, steps, ring, op):

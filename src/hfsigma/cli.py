@@ -339,13 +339,14 @@ def cmd_action(args):
 def cmd_eg(args):
     _check_scale(args, heavy_integer_run=args.genus > DESK_GENUS_CAP)
     ring = parse_ring(args.ring)
+    dl = _deadline(args)
 
     def compute():
         from . import engine
-        eg = engine.eg_cohomology(args.genus, ring)
+        eg = engine.eg_cohomology(args.genus, ring, deadline=dl)
         entries = [{"deg": str(j), "group": grp.to_json()}
                    for j, grp in sorted(eg.items())]
-        cmpres = engine.contraction_cokernel_comparison(args.genus)
+        cmpres = engine.contraction_cokernel_comparison(args.genus, deadline=dl)
         comparison = {str(par): {"one_minus_exp": lhs.to_json(),
                                  "wedge_sum": rhs.to_json(),
                                  "equal": lhs == rhs}

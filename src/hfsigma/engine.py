@@ -23,11 +23,12 @@ from .cfk import (B_PLUS, GradedElement, J_GEQ0, block_map,
                   slice_basis, slice_map, u_chain_map, u_slice_map,
                   _flip_blade)
 from .errors import DomainError, UnsupportedOperation
-from .exterior import Multivector, blade_grade, blades_of_grade, eta, omega
-from .lefschetz import coprimitive_dim, primitive_dim, self_dual_rank
+from .exterior import Multivector, blade_grade, blades_of_grade, eta
+from .lefschetz import (coprimitive_dim, primitive_dim, raising_matrix,
+                        self_dual_rank)
 from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
-                     integer_kernel_lattice, kernel_basis, lattice_quotient,
-                     rank, smith_normal_form)
+                     cokernel_over, factor_rank, integer_kernel_lattice,
+                     kernel_basis, lattice_quotient, rank, smith_normal_form)
 from .rings import QQ, ZZ
 
 
@@ -106,40 +107,50 @@ def _kernel_cols(g, op, d, s=0, deadline=None):
     return [dict(items) for items in _KERNELS[key]]
 
 
-_BLOCKS = {}  # (g, op, d, r, ring) -> (rows, cols, rank, torsion factors)
+_BLOCKS = {}  # (g, op, d, r) -> (rows, cols, invariant factors)
 
 
-def _block_data(g, op, d, r, ring, deadline=None):
-    """(rows, cols, rank, torsion factors) of the representative type-r
-    block over the ring, computed once.  Over Z one Smith form gives the
-    rank too: it is the number of invariant factors."""
-    key = (g, op, d, r, ring)
+def _block_data(g, op, d, r, deadline=None):
+    """(rows, cols, invariant factors) of the representative type-r block,
+    from one Smith form computed once.  By universal coefficients it serves
+    every ring: the rank over Q is the number of invariant factors, the
+    rank over F_p the number prime to p, and the factors are the torsion of
+    the cokernel over Z (linalg.factor_rank, linalg.cokernel_over)."""
+    key = (g, op, d, r)
     if key not in _BLOCKS:
-        m = block_map(g, op, d, r).matrix
-        if ring == ZZ:
-            factors = smith_normal_form(m, deadline=deadline)
-            _BLOCKS[key] = (m.rows, m.cols, len(factors),
-                            tuple(f for f in factors if f != 1))
-        else:
-            _BLOCKS[key] = (m.rows, m.cols, rank(m, ring, deadline=deadline), ())
+        m = block_map(g, op, d, r, deadline=deadline).matrix
+        _BLOCKS[key] = (m.rows, m.cols, tuple(smith_normal_form(m, deadline=deadline)))
     return _BLOCKS[key]
+
+
+def _blocks(g, op, d, deadline=None):
+    """(multiplicity, rows, cols, invariant factors) of op_d's weight blocks:
+    block_multiplicity(g, r) copies of the representative type-r block for
+    r = 0..g (cfk module docstring).  The deadline is checked once per
+    block, cached or not."""
+    for r in range(g + 1):
+        if deadline is not None:
+            deadline.tick()
+        yield (block_multiplicity(g, r),) + _block_data(g, op, d, r, deadline)
+
+
+def _kernel_rank(g, op, d, ring, deadline=None):
+    """Rank of Ker(op_d) over the ring: cols - factor_rank per block."""
+    return sum(mult * (cols - factor_rank(factors, ring))
+               for mult, _, cols, factors in _blocks(g, op, d, deadline))
 
 
 def _cone_group(g, op, d, ring, deadline=None):
     """Ker(op_d) (+) Coker(op_{d+1}) over the ring, as a presentation,
-    summed over the weight blocks: block_multiplicity(g, r) copies of the
-    representative type-r block for r = 0..g (cfk module docstring).  The
-    deadline is checked once per block, cached or not."""
-    free = 0
+    summed over the weight blocks.  Each block enters through its integer
+    Smith form alone (universal coefficients): its kernel over the ring has
+    rank cols - factor_rank, and its cokernel is cokernel_over the ring."""
+    free = _kernel_rank(g, op, d, ring, deadline)
     torsion = []
-    for r in range(g + 1):
-        if deadline is not None:
-            deadline.tick()
-        _, lo_cols, lo_rank, _ = _block_data(g, op, d, r, ring, deadline)
-        hi_rows, _, hi_rank, factors = _block_data(g, op, d + 1, r, ring, deadline)
-        mult = block_multiplicity(g, r)
-        free += mult * (lo_cols - lo_rank + hi_rows - hi_rank)
-        torsion.extend(factors * mult)
+    for mult, rows, _, factors in _blocks(g, op, d + 1, deadline):
+        cok = cokernel_over(rows, factors, ring)
+        free += mult * cok.free_rank
+        torsion.extend(cok.invariant_factors * mult)
     return GroupPresentation(free, torsion)
 
 
@@ -159,7 +170,8 @@ def hf_hat(g, ring=ZZ, window=None, deadline=None):
     table = FloerTable(g, 0, ring, "hat")
     for d in range(window[0], window[1] + 1):
         table.entries[half(d)] = _cone_group(g, "F_hat", d, ring, deadline=deadline)
-    table.metadata["matrix_hash_d0"] = matrix_hash(_fmap(g, "F_hat", 0).matrix)
+    table.metadata["matrix_hash_d0"] = matrix_hash(
+        slice_map(g, "F_hat", 0, deadline=deadline).matrix)
     return table
 
 
@@ -204,7 +216,8 @@ def hf_infinity(g, ring=ZZ, deadline=None):
     for d in (g, g + 1):
         table.entries[half(d)] = _cone_group(g, "one_plus_J", d, ring, deadline)
         hashes = table.metadata.setdefault("matrix_hashes", {})
-        hashes[_deg_str(d)] = matrix_hash(_fmap(g, "one_plus_J", d).matrix)
+        hashes[_deg_str(d)] = matrix_hash(
+            slice_map(g, "one_plus_J", d, deadline=deadline).matrix)
     table.metadata["periodic"] = True
     table.metadata["parity_degrees"] = [_deg_str(half(g)), _deg_str(half(g + 1))]
     return table
@@ -258,41 +271,45 @@ def _stable_hi(g, d):
 
 
 def _reduced_summands(g, d, ring, deadline=None):
-    """Reduced pieces of the degree d+1/2 group: the kernel-side lattice
-    quotient and the cokernel-side quotient by the image of a high U-power."""
+    """Reduced pieces of the degree d+1/2 group: the kernel-side quotient of
+    Ker F_d by the image S of U^N on Ker F_hi, and the cokernel-side
+    quotient by the image of a high U-power.
+
+    The cokernel side is one Smith form of [F_{d+1} | U^N] read over the
+    ring, and the rank of Ker F_d over the ring comes from the block Smith
+    forms.  Over Z and Q, S is spanned by the image of the kernel lattice
+    at hi and the quotient is read off one Smith form of its generators
+    (linalg.lattice_quotient).  Over F_p, S is the image of the F_p kernel
+    at hi, which can be larger than the kernel lattice mod p.
+    """
     hi = _stable_hi(g, d)
     steps = (hi - d) // 2
     un = u_chain_map(g, B_PLUS, hi, steps).matrix
     f1 = _fmap(g, "F", d + 1).matrix
     un1 = u_chain_map(g, corner(0), hi + 1, steps).matrix
     stack = SparseExactMatrix.hstack(f1, un1)
-    if ring == ZZ or ring == QQ:
-        k_lo = _kernel_cols(g, "F", d, deadline=deadline)
-        k_hi = _kernel_cols(g, "F", hi, deadline=deadline)
-        img = [v for v in un.mul_columns(k_hi) if v]
-        if k_lo:
-            red_k = lattice_quotient(k_lo, img, _fmap(g, "F", d).matrix.cols,
-                                     deadline=deadline)
-        else:
-            red_k = GroupPresentation(0, [])
-        red_c = cokernel(stack, deadline=deadline)
-        if ring == QQ:
-            red_k = GroupPresentation(red_k.free_rank)
-            red_c = GroupPresentation(red_c.free_rank)
+    red_c = cokernel_over(stack.rows, smith_normal_form(stack, deadline=deadline), ring)
+    k_rank = _kernel_rank(g, "F", d, ring, deadline)
+    if ring.p is not None:
+        khi = kernel_basis(_fmap(g, "F", hi).matrix, ring, deadline=deadline)
+        img = [c for c in un.mul_columns(khi) if c]
+        red_k = GroupPresentation(k_rank - _span_rank(img, un.rows, ring, deadline))
         return red_k, red_c
-    # prime fields: ranks of the same quotients, read off the Z matrices
-    klo = kernel_basis(_fmap(g, "F", d).matrix, ring, deadline=deadline)
-    khi = kernel_basis(_fmap(g, "F", hi).matrix, ring, deadline=deadline)
-    img = [c for c in un.mul_columns(khi) if c]
-    red_k_rank = len(klo) - _span_rank(img, un.rows, ring, deadline)
-    red_c_rank = f1.rows - rank(stack, ring, deadline=deadline)
-    return GroupPresentation(red_k_rank), GroupPresentation(red_c_rank)
+    khi = _kernel_cols(g, "F", hi, deadline=deadline)
+    img = [v for v in un.mul_columns(khi) if v]
+    if any(_fmap(g, "F", d).matrix.mul_columns(img)):
+        raise AssertionError("U^N carried the kernel at hi outside Ker F_d")
+    red_k = lattice_quotient(k_rank, img, un.rows, deadline=deadline)
+    if ring == QQ:
+        red_k = GroupPresentation(red_k.free_rank)
+    return red_k, red_c
 
 
 def _span_rank(cols, nrows, ring, deadline=None):
+    """Rank over the ring of the span of integer columns."""
     if not cols:
         return 0
-    return rank(SparseExactMatrix.from_columns(nrows, cols, ring), deadline=deadline)
+    return rank(SparseExactMatrix.from_columns(nrows, cols), ring, deadline=deadline)
 
 
 def hf_plus_reduced(g, ring=ZZ, window=None, deadline=None):
@@ -646,24 +663,14 @@ def unexpected_u_kernel_dim(g):
     return 2 ** (g - 1) - comb(2 * g, g) // 2 + comb(2 * g, g - 2)
 
 
-def _q_cols(cols):
-    return [{r: Fraction(v) for r, v in c.items()} for c in cols if c]
-
-
-def _rank_cols_q(cols, nrows):
-    if not cols:
-        return 0
-    return rank(SparseExactMatrix.from_columns(nrows, cols, QQ))
-
-
 def _quotient_map_dims(T, v1_cols, w1_cols, w2_cols):
-    """For T: V1 -> V2 with subspaces W1, W2 (T W1 <= W2): dimensions of
-    V1/W1, of the kernel and of the image of the induced quotient map."""
-    tv1 = _q_cols(T.mul_columns(v1_cols))
-    rw1 = _rank_cols_q(_q_cols(w1_cols), T.cols)
-    rw2 = _rank_cols_q(_q_cols(w2_cols), T.rows)
-    dim_v1 = _rank_cols_q(_q_cols(v1_cols), T.cols)
-    r_all = _rank_cols_q(tv1 + _q_cols(w2_cols), T.rows)
+    """For T: V1 -> V2 with subspaces W1, W2 (T W1 <= W2), all spanned by
+    integer columns: dimensions over Q of V1/W1, of the kernel and of the
+    image of the induced quotient map."""
+    rw1 = _span_rank(w1_cols, T.cols, QQ)
+    rw2 = _span_rank(w2_cols, T.rows, QQ)
+    dim_v1 = _span_rank(v1_cols, T.cols, QQ)
+    r_all = _span_rank(T.mul_columns(v1_cols) + w2_cols, T.rows, QQ)
     dim_red = dim_v1 - rw1
     ker = dim_v1 + rw2 - r_all - rw1
     img = r_all - rw2
@@ -691,11 +698,9 @@ def u_action_red(g, window=None):
     def kdata(d):
         hi = _stable_hi(g, d)
         steps = (hi - d) // 2
-        klo = _q_cols(_kernel_cols(g, "F", d))
         khi = _kernel_cols(g, "F", hi)
         un = u_chain_map(g, B_PLUS, hi, steps).matrix
-        w = _q_cols(un.mul_columns(khi))
-        return klo, w
+        return _kernel_cols(g, "F", d), un.mul_columns(khi)
 
     @lru_cache(maxsize=None)
     def cdata(d1):
@@ -703,9 +708,8 @@ def u_action_red(g, window=None):
         steps = (hi1 - d1) // 2
         f1 = _fmap(g, "F", d1).matrix
         un1 = u_chain_map(g, corner(0), hi1, steps).matrix
-        w = f1.col_dicts() + un1.col_dicts()
-        v = [{i: Fraction(1)} for i in range(f1.rows)]
-        return v, _q_cols(w)
+        v = [{i: 1} for i in range(f1.rows)]
+        return v, f1.col_dicts() + un1.col_dicts()
 
     per_degree = {}
     for d in range(window[0], window[1] + 1):
@@ -745,34 +749,22 @@ def u_action_red(g, window=None):
 # circle-bundle cohomology cross-checks
 # ---------------------------------------------------------------------------
 
-def _wedge_omega_matrix(g, j):
-    """Matrix of wedging with the symplectic form, grade j-2 -> grade j."""
-    src = blades_of_grade(g, j - 2)
-    tgt = blades_of_grade(g, j)
-    idx = {m: i for i, m in enumerate(tgt)}
-    m = SparseExactMatrix(len(tgt), len(src), ZZ)
-    w = omega(g)
-    for c, mask in enumerate(src):
-        img = w.wedge(Multivector.from_blade(g, mask))
-        for m2, v in img.coeffs.items():
-            m[idx[m2], c] = m[idx[m2], c] + v
-    return m
-
-
-def eg_cohomology(g, ring=ZZ):
+def eg_cohomology(g, ring=ZZ, deadline=None):
     """Cohomology of the circle bundle over the Jacobian torus with Euler
     class the intersection form, via its Gysin sequence: degree j gives
-    Coker(wedge: j-2 -> j) (+) Ker(wedge: j-1 -> j+1)."""
+    Coker(wedge: j-2 -> j) (+) Ker(wedge: j-1 -> j+1).  One Smith form per
+    wedge matrix (lefschetz.raising_matrix), shared by degrees j and j-1 and
+    read over the ring by universal coefficients."""
+    wedge = {}
+    for i in range(-2, 2 * g + 1):
+        m = raising_matrix(g, i)
+        wedge[i] = (m.rows, m.cols, smith_normal_form(m, deadline=deadline))
     out = {}
     for j in range(0, 2 * g + 2):
-        cok_m = _wedge_omega_matrix(g, j)
-        ker_m = _wedge_omega_matrix(g, j + 1)
-        if ring == ZZ:
-            cok = cokernel(cok_m)
-            krank = ker_m.cols - rank(ker_m, QQ)
-        else:
-            cok = GroupPresentation(cok_m.rows - rank(cok_m, ring))
-            krank = ker_m.cols - rank(ker_m, ring)
+        rows, _, factors = wedge[j - 2]
+        _, cols, ker_factors = wedge[j - 1]
+        cok = cokernel_over(rows, factors, ring)
+        krank = cols - factor_rank(ker_factors, ring)
         out[j] = GroupPresentation(cok.free_rank + krank, cok.invariant_factors)
     return out
 
@@ -801,16 +793,16 @@ def _one_minus_exp_contraction_matrix(g, parity):
     return mat
 
 
-def contraction_cokernel_comparison(g):
+def contraction_cokernel_comparison(g, deadline=None):
     """Per parity: presentation of the cokernel of contraction by
     1 - exp(-omega) next to the direct sum of the per-degree cokernels of
     wedging with omega (the two agree for every genus computed here)."""
     out = {}
     for parity in (0, 1):
-        lhs = cokernel(_one_minus_exp_contraction_matrix(g, parity))
+        lhs = cokernel(_one_minus_exp_contraction_matrix(g, parity), deadline=deadline)
         rhs = GroupPresentation(0, [])
         for j in range(parity, 2 * g + 1, 2):
-            rhs = rhs.direct_sum(cokernel(_wedge_omega_matrix(g, j)))
+            rhs = rhs.direct_sum(cokernel(raising_matrix(g, j - 2), deadline=deadline))
         out[parity] = (lhs, rhs)
     return out
 

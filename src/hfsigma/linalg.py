@@ -4,7 +4,13 @@ Everything is arbitrary precision: integer matrices use Python ints, rational
 ones Fractions, prime fields ints reduced mod p.  The Smith normal form runs
 a sparse pre-elimination on +-1 pivots before falling back to general gcd
 pivoting on the residual block; the invariant factors of the diagonalized
-matrix are then normalized into a divisibility chain by pairwise gcd/lcm.
+matrix are then normalized into a divisibility chain over a coprime base of
+the distinct moduli.
+
+The Smith form of an integer matrix serves every coefficient ring by
+universal coefficients: its rank over Q is the number of invariant factors,
+its rank over F_p the number prime to p, and its cokernel over a field is
+free of rows minus that rank (factor_rank, cokernel_over).
 
 Pivoting is indexed, so no pivot search rescans the matrix:
 
@@ -20,8 +26,7 @@ A heap entry whose length no longer matches its line is stale and skipped.
 
 Field ranks and kernels read a Z matrix directly, without a converted copy:
 over F_p each entry is reduced on load (entries divisible by p are
-dropped), the F_2 rank reads parities, and Q elimination starts from the
-integers.
+dropped), and Q elimination starts from the integers.
 """
 
 import heapq
@@ -255,28 +260,6 @@ class SparseExactMatrix:
 # elimination over fields
 # ---------------------------------------------------------------------------
 
-def _rank_f2(m, deadline=None):
-    # rows as bitmasks over columns; XOR elimination on the entry parities
-    rows = {}
-    for (r, c), v in m.entries.items():
-        if v & 1:
-            rows[r] = rows.get(r, 0) ^ (1 << c)
-    pivots = {}  # leading column -> row bitmask
-    rank = 0
-    for vec in rows.values():
-        if deadline is not None:
-            deadline.tick()
-        while vec:
-            lead = vec.bit_length() - 1
-            if lead in pivots:
-                vec ^= pivots[lead]
-            else:
-                pivots[lead] = vec
-                rank += 1
-                break
-    return rank
-
-
 def _field_eliminate(m, ring, want_kernel=False, deadline=None):
     """Sparse Gaussian elimination over the field (Q or F_p) of a matrix
     over Z or over that field.
@@ -376,8 +359,6 @@ def rank(m, ring=None, deadline=None):
     Z matrices are ranked over Q).  The deadline, if any, is checked once
     per pivot."""
     m, ring = _over(m, ring)
-    if ring.p == 2:
-        return _rank_f2(m, deadline)
     return _field_eliminate(m, QQ if ring == ZZ else ring, deadline=deadline)[0]
 
 
@@ -584,12 +565,26 @@ def smith_normal_form(m, deadline=None):
     return normalize_divisibility_chain(factors)
 
 
+def factor_rank(factors, ring):
+    """Rank over the ring of an integer matrix with these invariant factors:
+    all of them over Z and Q, those prime to p over F_p."""
+    p = ring.p
+    return len(factors) if p is None else sum(1 for f in factors if f % p)
+
+
+def cokernel_over(rows, factors, ring):
+    """Cokernel over the ring of an integer matrix with this many rows and
+    these invariant factors: R^rows / image, with the factors as torsion
+    over Z and free over a field."""
+    return GroupPresentation(rows - factor_rank(factors, ring),
+                             factors if ring == ZZ else ())
+
+
 def cokernel(m, deadline=None):
     """Presentation of Z^rows / column span of m."""
     if m.ring != ZZ:
         raise DomainError("cokernel wants a Z matrix")
-    factors = smith_normal_form(m, deadline=deadline)
-    return GroupPresentation(m.rows - len(factors), factors)
+    return cokernel_over(m.rows, smith_normal_form(m, deadline=deadline), ZZ)
 
 
 def integer_kernel_lattice(m, deadline=None):
@@ -654,21 +649,18 @@ def integer_kernel_lattice(m, deadline=None):
     return [bot[c] for c in range(ncols) if not pivot[c]]
 
 
-def lattice_quotient(basis_columns, subgroup_columns, ambient_rows, deadline=None):
-    """Presentation of (lattice spanned by basis) / (subgroup of it).
+def lattice_quotient(lattice_rank, generators, rows, deadline=None):
+    """Presentation of L / S, for a saturated lattice L in Z^rows of the given
+    rank and the subgroup S spanned by the generators (sparse columns).
 
-    basis_columns must be a Z-basis of a saturated lattice containing the
-    subgroup generators; coordinates are solved exactly over Q and are then
-    integral.
+    Precondition: every generator lies in L; for a kernel lattice, the
+    caller checks that the map kills them.  Since L is saturated, Z^rows / L
+    is free, so 0 -> L/S -> Z^rows/S -> Z^rows/L -> 0 splits: L/S has the
+    torsion of Z^rows / S and free rank lattice_rank - rank S, both read
+    off one Smith form of the generators.  No basis of L is needed.
     """
-    k = len(basis_columns)
-    if k == 0:
-        return GroupPresentation(0, [])
-    coords = solve_columns(basis_columns, subgroup_columns, ambient_rows)
-    pres = SparseExactMatrix(k, len(subgroup_columns), ZZ)
-    for j, sol in enumerate(coords):
-        for i, v in sol.items():
-            if Fraction(v).denominator != 1:
-                raise DomainError("subgroup generator outside the lattice")
-            pres[i, j] = Fraction(v).numerator
-    return cokernel(pres, deadline=deadline)
+    factors = smith_normal_form(SparseExactMatrix.from_columns(rows, generators),
+                                deadline=deadline)
+    if len(factors) > lattice_rank:
+        raise DomainError("the generators span more than the lattice")
+    return GroupPresentation(lattice_rank - len(factors), factors)

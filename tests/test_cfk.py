@@ -5,10 +5,10 @@ from math import comb
 import pytest
 
 from hfsigma.cfk import (B_PLUS, GradedElement, J_GEQ0, Region, _flip_blade,
-                         corner, gamma_action, hook, j_infinity, j_plus,
-                         min_zero, row_i0, slice_basis, slice_map, u_chain_map,
-                         u_slice_map)
-from hfsigma.errors import DomainError
+                         block_map, corner, gamma_action, hook, j_infinity,
+                         j_plus, min_zero, row_i0, slice_basis, slice_map,
+                         u_chain_map, u_slice_map)
+from hfsigma.errors import BudgetExceeded, Deadline, DomainError
 from hfsigma.exterior import (Multivector, blade_grade, eta,
                               random_multivector, star_blade, contract_blades,
                               wedge_blades)
@@ -273,3 +273,11 @@ def test_one_pass_assembly_matches_per_entry_order():
                             um = u_chain_map(g, region, d, steps, ring)
                             assert list(um.matrix.entries.items()) == \
                                 _ref_u_entries(um, steps, ring)
+
+
+def test_slice_construction_checks_the_deadline():
+    with pytest.raises(BudgetExceeded):
+        slice_map(3, "F", 1, deadline=Deadline(-1))
+    with pytest.raises(BudgetExceeded):
+        block_map(3, "one_plus_J", 4, 1, deadline=Deadline(-1))
+    assert slice_map(3, "F", 1, deadline=Deadline(60)).matrix == slice_map(3, "F", 1).matrix

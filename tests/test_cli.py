@@ -152,6 +152,12 @@ def test_truncated_cache_file_is_a_miss(tmp_path):
     assert path.read_text() == text  # recomputed and rewritten
 
 
+def test_eg_time_budget_exits_1():
+    proc = run_cli("eg", "--genus", "3", "--extended", "--time-budget", "0")
+    assert proc.returncode == 1
+    assert "time budget exhausted" in proc.stderr
+
+
 def test_nontorsion_time_budget_exits_1():
     proc = run_cli("nontorsion", "--genus", "3", "--spinc", "1", "--extended",
                    "--time-budget", "0")

@@ -255,10 +255,36 @@ def test_solve_columns_roundtrip(b, data):
 
 
 def test_lattice_quotient():
-    q = lattice_quotient([{0: 1}, {1: 1}], [{0: 2}, {1: 3}], 2)
+    q = lattice_quotient(2, [{0: 2}, {1: 3}], 2)
     assert q == GroupPresentation(0, [6])
-    q = lattice_quotient([{0: 1}, {1: 1}], [{0: 2}], 2)
+    q = lattice_quotient(2, [{0: 2}], 2)
     assert q == GroupPresentation(1, [2])
+
+
+def test_lattice_quotient_of_a_saturated_non_coordinate_lattice():
+    # L = Ker(1, -1, 1) in Z^3 with basis (1, 1, 0), (0, 1, 1): saturated,
+    # and no coordinate plane
+    f = SparseExactMatrix(1, 3, ZZ, {(0, 0): 1, (0, 1): -1, (0, 2): 1})
+    basis = [{0: 1, 1: 1}, {1: 1, 2: 1}]
+    assert not any(f.mul_columns(basis))
+    assert len(integer_kernel_lattice(f)) == 2
+    for coords, want in (([(2, 0), (0, 3)], GroupPresentation(0, [6])),
+                         ([(1, 1)], GroupPresentation(1)),
+                         ([(2, 2)], GroupPresentation(1, [2])),
+                         ([(2, 4), (4, 2)], GroupPresentation(0, [2, 6])),
+                         ([], GroupPresentation(2))):
+        gens = [{r: v for r, v in {0: a, 1: a + b, 2: b}.items() if v}
+                for a, b in coords]
+        assert not any(f.mul_columns(gens))
+        assert lattice_quotient(2, gens, 3) == want
+        # the coordinate route: solve for the coordinates, then a cokernel
+        sols = solve_columns(basis, gens, 3)
+        pres = SparseExactMatrix(2, len(gens), ZZ,
+                                 {(i, j): v for j, sol in enumerate(sols)
+                                  for i, v in sol.items()})
+        assert cokernel(pres) == want
+    with pytest.raises(DomainError):
+        lattice_quotient(1, [{0: 1}, {1: 1}], 2)
 
 
 def test_presentation_normalization():

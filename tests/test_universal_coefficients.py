@@ -1,0 +1,98 @@
+"""Tables over Q and F_p read off integer Smith forms, against the per-ring
+routes they replace.
+
+The reference routes below eliminate over each ring separately, as the
+engine did before one Smith form per integer matrix served every ring: the
+reduced part takes full integer kernel lattices at d and at hi, solves for
+the coordinates of the subgroup and takes a cokernel (F_p kernel bases and
+ranks over F_p), and the circle-bundle cohomology takes a rank over the ring
+next to a cokernel.
+"""
+
+import pytest
+
+from hfsigma import engine
+from hfsigma.cfk import B_PLUS, corner, slice_map, u_chain_map
+from hfsigma.lefschetz import raising_matrix
+from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
+                            integer_kernel_lattice, kernel_basis, rank,
+                            solve_columns)
+from hfsigma.rings import GF, QQ, ZZ
+
+RINGS = (ZZ, QQ, GF(2), GF(3))
+
+
+def reference_reduced(g, d, ring):
+    hi = engine._stable_hi(g, d)
+    steps = (hi - d) // 2
+    un = u_chain_map(g, B_PLUS, hi, steps).matrix
+    f_lo = slice_map(g, "F", d).matrix
+    f_hi = slice_map(g, "F", hi).matrix
+    f1 = slice_map(g, "F", d + 1).matrix
+    un1 = u_chain_map(g, corner(0), hi + 1, steps).matrix
+    stack = SparseExactMatrix.hstack(f1, un1)
+    if ring.p is not None:
+        k_lo = kernel_basis(f_lo, ring)
+        img = [c for c in un.mul_columns(kernel_basis(f_hi, ring)) if c]
+        span = rank(SparseExactMatrix.from_columns(f_lo.cols, img, ring)) if img else 0
+        return GroupPresentation(len(k_lo) - span + f1.rows - rank(stack, ring))
+    k_lo = integer_kernel_lattice(f_lo)
+    img = [v for v in un.mul_columns(integer_kernel_lattice(f_hi)) if v]
+    red_k = GroupPresentation()
+    if k_lo:
+        coords = solve_columns(k_lo, img, f_lo.cols)
+        # ZZ entries reject a non-integral coordinate
+        pres = SparseExactMatrix(len(k_lo), len(img), ZZ,
+                                 {(i, j): v for j, sol in enumerate(coords)
+                                  for i, v in sol.items()})
+        red_k = cokernel(pres)
+    red = red_k.direct_sum(cokernel(stack))
+    return GroupPresentation(red.free_rank) if ring == QQ else red
+
+
+def reference_eg(g, ring):
+    out = {}
+    for j in range(0, 2 * g + 2):
+        cok_m = raising_matrix(g, j - 2)
+        ker_m = raising_matrix(g, j - 1)
+        if ring == ZZ:
+            cok = cokernel(cok_m)
+            krank = ker_m.cols - rank(ker_m, QQ)
+        else:
+            cok = GroupPresentation(cok_m.rows - rank(cok_m, ring))
+            krank = ker_m.cols - rank(ker_m, ring)
+        out[j] = GroupPresentation(cok.free_rank + krank, cok.invariant_factors)
+    return out
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.tag)
+def test_reduced_part_matches_the_per_ring_reference(ring):
+    for g in range(1, 5):
+        lo, hi = engine.default_plus_window(g)
+        want = {engine.half(d): reference_reduced(g, d, ring) for d in range(lo, hi + 1)}
+        assert engine.hf_plus_reduced(g, ring).entries == want, g
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.tag)
+def test_eg_cohomology_matches_the_per_ring_reference(ring):
+    for g in range(1, 5):
+        assert engine.eg_cohomology(g, ring) == reference_eg(g, ring), g
+
+
+def test_field_tables_reuse_the_integer_smith_forms(monkeypatch):
+    for table in (engine.hf_hat, engine.hf_plus_torsion, engine.hf_infinity):
+        table(4, ZZ)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "smith_normal_form", counted(engine.smith_normal_form))
+    monkeypatch.setattr(engine, "rank", counted(engine.rank))
+    for ring in (QQ, GF(2), GF(3)):
+        for table in (engine.hf_hat, engine.hf_plus_torsion, engine.hf_infinity):
+            table(4, ring)
+    assert calls == []
