@@ -448,8 +448,9 @@ def _assemble(g, op, s, src, tgt, ring, deadline=None):
     return SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
 
 
-def slice_map(g, op, d, ring=ZZ, s=0, deadline=None):
-    """Matrix of one structure map on the degree-d slice.
+def slice_map(g, op, d, ring=ZZ, s=0, deadline=None, r=None):
+    """Matrix of one structure map on the degree-d slice, or on its
+    representative type-r weight block when r is given.
 
     Ops and their regions:
       v, h, F      : quotient {i >= 0}  ->  corner {i >= 0, j >= s}
@@ -459,53 +460,42 @@ def slice_map(g, op, d, ring=ZZ, s=0, deadline=None):
 
     For s != 0 the h summand shifts the antidiagonal by 2s, so the target
     basis is the union of the degree-d and degree-(d+2s) slices of the
-    corner; the relative grading is only preserved mod 2|s| there.  The
-    deadline, if any, is checked once per source column.
+    corner; the relative grading is only preserved mod 2|s| there.
+
+    With r, source and target hold only the masks of weight
+    (1^r, 0^(g-r)), and the matrix is the op restricted to them.  Each of
+    the block_multiplicity(g, r) type-r blocks of the whole matrix has its
+    Smith form and ranks (module docstring).  The deadline, if any, is
+    checked once per source column.
     """
     if op not in OPS:
         raise DomainError(f"unknown slice op {op!r}")
     if s > 0:
         raise DomainError("slice maps are built for s <= 0; use conjugation")
+    if r is not None and not 0 <= r <= g:
+        raise DomainError(f"weight type {r} out of range for genus {g}")
     src_region, tgt_region = _regions(op, s)
-    src = slice_basis(g, src_region, d)
+    src = slice_basis(g, src_region, d, r)
     if s == 0 or op == "one_plus_J":
-        tgt = slice_basis(g, tgt_region, d)
+        tgt = slice_basis(g, tgt_region, d, r)
     else:
         degs = {"v": [d], "h": [d + 2 * s]}.get(op, [d, d + 2 * s])
-        tgt = UnionBasis([slice_basis(g, tgt_region, dd) for dd in degs])
+        tgt = UnionBasis([slice_basis(g, tgt_region, dd, r) for dd in degs])
     return SliceMap(_assemble(g, op, s, src, tgt, ring, deadline), src, tgt, op, s)
 
 
-def block_map(g, op, d, r, ring=ZZ, deadline=None):
-    """The representative type-r weight block of an s = 0 slice op in
-    degree d: the op restricted to the masks of weight (1^r, 0^(g-r)).
-    Each of the block_multiplicity(g, r) type-r blocks of slice_map(g, op,
-    d) has its Smith form and ranks (module docstring)."""
-    if op not in OPS:
-        raise DomainError(f"unknown slice op {op!r}")
-    if not 0 <= r <= g:
-        raise DomainError(f"weight type {r} out of range for genus {g}")
-    src_region, tgt_region = _regions(op)
-    src = slice_basis(g, src_region, d, r)
-    tgt = slice_basis(g, tgt_region, d, r)
-    return SliceMap(_assemble(g, op, 0, src, tgt, ring, deadline), src, tgt, op)
-
-
-def _u_power(g, region, d_hi, steps, ring, op):
-    src = slice_basis(g, region, d_hi)
-    tgt = slice_basis(g, region, d_hi - 2 * steps)
+def u_chain_map(g, region, d_hi, steps, ring=ZZ, r=None):
+    """Matrix of U^steps from the degree-d_hi slice down to d_hi - 2*steps,
+    or from its representative type-r weight block when r is given."""
+    src = slice_basis(g, region, d_hi, r)
+    tgt = slice_basis(g, region, d_hi - 2 * steps, r)
     get = tgt.index.get
-    ent = {(r, c): 1 for c, (i, mask) in enumerate(src.elements)
-           if (r := get((i - steps, mask))) is not None}
+    ent = {(row, c): 1 for c, (i, mask) in enumerate(src.elements)
+           if (row := get((i - steps, mask))) is not None}
     mat = SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
-    return SliceMap(mat, src, tgt, op)
+    return SliceMap(mat, src, tgt, "U" if steps == 1 else f"U^{steps}")
 
 
-def u_slice_map(g, region, d, ring=ZZ):
+def u_slice_map(g, region, d, ring=ZZ, r=None):
     """Matrix of U: degree-d slice -> degree-(d-2) slice of the same region."""
-    return _u_power(g, region, d, 1, ring, "U")
-
-
-def u_chain_map(g, region, d_hi, steps, ring=ZZ):
-    """Matrix of U^steps from the degree-d_hi slice down to d_hi - 2*steps."""
-    return _u_power(g, region, d_hi, steps, ring, f"U^{steps}")
+    return u_chain_map(g, region, d, 1, ring, r)

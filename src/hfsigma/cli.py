@@ -2,8 +2,12 @@
 
 Commands: hat | plus | infinity | nontorsion | action | eg | beta | slice |
 snf | verify, with shared flags --genus, --spinc, --ring, --degrees,
---out {table,json,tsv}, --extended, --jobs, and the HF_CACHE_DIR result
-cache.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+--out {table,json,tsv}, --extended, --time-budget, --jobs, and the
+HF_CACHE_DIR result cache.  Exit codes: 0 success, 1 verification failure
+or an exhausted time budget, 2 usage error.
+
+--time-budget SECONDS holds in hat, plus, infinity, nontorsion, action, eg
+and beta; --extended only lifts the genus cap on the heavy integer runs.
 
 Output is deterministic for a fixed configuration: JSON is emitted with
 sorted keys, and the one timestamp field sits outside the hashed payload.
@@ -64,9 +68,7 @@ def _check_scale(args, heavy_integer_run):
 
 
 def _deadline(args):
-    if args.extended:
-        return Deadline(args.time_budget, f"(budget {args.time_budget}s)")
-    return None
+    return Deadline(args.time_budget, f"(budget {args.time_budget}s)")
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +317,7 @@ def cmd_action(args):
     table, model = engine.hf_plus_nontorsion(g, k, cross_check=False, deadline=dl)
     found = []
     for key in model.basis():
-        if dl is not None:
-            dl.tick()
+        dl.tick()
         n = model.degree_of(key)
         for gi in range(1, 2 * g + 1):
             _, corrs = engine.h1_action(g, k, gi, key)
@@ -364,7 +365,7 @@ def cmd_beta(args):
     from . import engine
     _check_scale(args, heavy_integer_run=False)
     g = args.genus
-    dims = engine.beta_quotient_dims(g)
+    dims = engine.beta_quotient_dims(g, _deadline(args))
     payload = {"genus": g,
                "quotient_dims": {str(s): v for s, v in sorted(dims.items())},
                "total": sum(dims.values())}
@@ -467,7 +468,7 @@ def build_parser():
         sp.add_argument("--out", default=None,
                         help="table, json, tsv, or a path for JSON output")
         sp.add_argument("--extended", action="store_true",
-                        help="allow extended-scale runs under a time budget")
+                        help="lift the genus cap on heavy integer runs")
         sp.add_argument("--time-budget", type=float, default=3600.0)
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--cache-dir", default=None,

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .cfk import (B_PLUS, GradedElement, J_GEQ0, block_map,
-                  block_multiplicity, corner, gamma_action, j_infinity,
+from .cfk import (B_PLUS, GradedElement, J_GEQ0, block_multiplicity,
+                  corner, gamma_action, j_infinity,
                   slice_basis, slice_map, u_chain_map, u_slice_map,
                   _flip_blade)
 from .errors import DomainError, UnsupportedOperation
@@ -88,21 +88,19 @@ def half(n):
 
 
 # ---------------------------------------------------------------------------
-# shared slice-map cache
+# torus-weight blocks
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _fmap(g, op, d, s=0):
-    return slice_map(g, op, d, ZZ, s)
+_KERNELS = {}  # (g, d, r) -> kernel lattice of the type-r block of F_d
 
 
-_KERNELS = {}  # (g, op, d, s) -> kernel lattice, columns as sorted items
-
-
-def _kernel_cols(g, op, d, s=0, deadline=None):
-    key = (g, op, d, s)
+def _kernel_cols(g, d, r, deadline=None):
+    """Integer kernel lattice of the representative type-r block of F_d,
+    computed once; fresh column dicts on every call."""
+    key = (g, d, r)
     if key not in _KERNELS:
-        lattice = integer_kernel_lattice(_fmap(g, op, d, s).matrix, deadline=deadline)
+        m = slice_map(g, "F", d, deadline=deadline, r=r).matrix
+        lattice = integer_kernel_lattice(m, deadline=deadline)
         _KERNELS[key] = tuple(tuple(sorted(c.items())) for c in lattice)
     return [dict(items) for items in _KERNELS[key]]
 
@@ -118,26 +116,25 @@ def _block_data(g, op, d, r, deadline=None):
     the cokernel over Z (linalg.factor_rank, linalg.cokernel_over)."""
     key = (g, op, d, r)
     if key not in _BLOCKS:
-        m = block_map(g, op, d, r, deadline=deadline).matrix
+        m = slice_map(g, op, d, deadline=deadline, r=r).matrix
         _BLOCKS[key] = (m.rows, m.cols, tuple(smith_normal_form(m, deadline=deadline)))
     return _BLOCKS[key]
 
 
-def _blocks(g, op, d, deadline=None):
-    """(multiplicity, rows, cols, invariant factors) of op_d's weight blocks:
-    block_multiplicity(g, r) copies of the representative type-r block for
-    r = 0..g (cfk module docstring).  The deadline is checked once per
-    block, cached or not."""
+def _block_sum(g, block_group, deadline=None):
+    """Direct sum over r = 0..g of block_multiplicity(g, r) copies of
+    block_group(r), the group of the representative type-r weight block
+    (cfk module docstring).  The deadline is checked once per block, cached
+    or not."""
+    free, torsion = 0, []
     for r in range(g + 1):
         if deadline is not None:
             deadline.tick()
-        yield (block_multiplicity(g, r),) + _block_data(g, op, d, r, deadline)
-
-
-def _kernel_rank(g, op, d, ring, deadline=None):
-    """Rank of Ker(op_d) over the ring: cols - factor_rank per block."""
-    return sum(mult * (cols - factor_rank(factors, ring))
-               for mult, _, cols, factors in _blocks(g, op, d, deadline))
+        grp = block_group(r)
+        mult = block_multiplicity(g, r)
+        free += mult * grp.free_rank
+        torsion.extend(grp.invariant_factors * mult)
+    return GroupPresentation(free, torsion)
 
 
 def _cone_group(g, op, d, ring, deadline=None):
@@ -145,13 +142,13 @@ def _cone_group(g, op, d, ring, deadline=None):
     summed over the weight blocks.  Each block enters through its integer
     Smith form alone (universal coefficients): its kernel over the ring has
     rank cols - factor_rank, and its cokernel is cokernel_over the ring."""
-    free = _kernel_rank(g, op, d, ring, deadline)
-    torsion = []
-    for mult, rows, _, factors in _blocks(g, op, d + 1, deadline):
-        cok = cokernel_over(rows, factors, ring)
-        free += mult * cok.free_rank
-        torsion.extend(cok.invariant_factors * mult)
-    return GroupPresentation(free, torsion)
+    def block_group(r):
+        _, cols, lo = _block_data(g, op, d, r, deadline)
+        rows, _, hi = _block_data(g, op, d + 1, r, deadline)
+        cok = cokernel_over(rows, hi, ring)
+        return GroupPresentation(cols - factor_rank(lo, ring) + cok.free_rank,
+                                 cok.invariant_factors)
+    return _block_sum(g, block_group, deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -270,39 +267,46 @@ def _stable_hi(g, d):
     return hi
 
 
-def _reduced_summands(g, d, ring, deadline=None):
-    """Reduced pieces of the degree d+1/2 group: the kernel-side quotient of
-    Ker F_d by the image S of U^N on Ker F_hi, and the cokernel-side
-    quotient by the image of a high U-power.
+def _reduced_group(g, d, ring, deadline=None):
+    """Reduced part of the degree d+1/2 group: the quotient of Ker F_d by
+    the image S of U^N on Ker F_hi, plus the quotient of Coker F_{d+1} by
+    the image of a high U-power.
 
-    The cokernel side is one Smith form of [F_{d+1} | U^N] read over the
-    ring, and the rank of Ker F_d over the ring comes from the block Smith
-    forms.  Over Z and Q, S is spanned by the image of the kernel lattice
-    at hi and the quotient is read off one Smith form of its generators
-    (linalg.lattice_quotient).  Over F_p, S is the image of the F_p kernel
-    at hi, which can be larger than the kernel lattice mod p.
+    F, U^N and the regions preserve the weight vector and commute with the
+    signed pair permutations (cfk module docstring), so the group is the sum
+    over the weight blocks, read off the representative type-r blocks.  Per
+    block, the cokernel side is one Smith form of [F_{d+1} | U^N] read over
+    the ring, and the rank of Ker F_d over the ring comes from the block's
+    Smith form.  Over Z and Q, S is spanned by the image of the kernel
+    lattice at hi and the quotient is read off one Smith form of its
+    generators (linalg.lattice_quotient).  Over F_p, S is the image of the
+    F_p kernel at hi, which can be larger than the kernel lattice mod p.
     """
     hi = _stable_hi(g, d)
     steps = (hi - d) // 2
-    un = u_chain_map(g, B_PLUS, hi, steps).matrix
-    f1 = _fmap(g, "F", d + 1).matrix
-    un1 = u_chain_map(g, corner(0), hi + 1, steps).matrix
-    stack = SparseExactMatrix.hstack(f1, un1)
-    red_c = cokernel_over(stack.rows, smith_normal_form(stack, deadline=deadline), ring)
-    k_rank = _kernel_rank(g, "F", d, ring, deadline)
-    if ring.p is not None:
-        khi = kernel_basis(_fmap(g, "F", hi).matrix, ring, deadline=deadline)
-        img = [c for c in un.mul_columns(khi) if c]
-        red_k = GroupPresentation(k_rank - _span_rank(img, un.rows, ring, deadline))
-        return red_k, red_c
-    khi = _kernel_cols(g, "F", hi, deadline=deadline)
-    img = [v for v in un.mul_columns(khi) if v]
-    if any(_fmap(g, "F", d).matrix.mul_columns(img)):
-        raise AssertionError("U^N carried the kernel at hi outside Ker F_d")
-    red_k = lattice_quotient(k_rank, img, un.rows, deadline=deadline)
-    if ring == QQ:
-        red_k = GroupPresentation(red_k.free_rank)
-    return red_k, red_c
+
+    def block_group(r):
+        un = u_chain_map(g, B_PLUS, hi, steps, r=r).matrix
+        f1 = slice_map(g, "F", d + 1, deadline=deadline, r=r).matrix
+        un1 = u_chain_map(g, corner(0), hi + 1, steps, r=r).matrix
+        stack = SparseExactMatrix.hstack(f1, un1)
+        red_c = cokernel_over(stack.rows, smith_normal_form(stack, deadline=deadline), ring)
+        _, cols, factors = _block_data(g, "F", d, r, deadline)
+        k_rank = cols - factor_rank(factors, ring)
+        if ring.p is not None:
+            f_hi = slice_map(g, "F", hi, deadline=deadline, r=r).matrix
+            img = [c for c in un.mul_columns(kernel_basis(f_hi, ring, deadline=deadline)) if c]
+            red_k = GroupPresentation(k_rank - _span_rank(img, un.rows, ring, deadline))
+        else:
+            img = [v for v in un.mul_columns(_kernel_cols(g, hi, r, deadline)) if v]
+            if any(slice_map(g, "F", d, deadline=deadline, r=r).matrix.mul_columns(img)):
+                raise AssertionError("U^N carried the kernel at hi outside Ker F_d")
+            red_k = lattice_quotient(k_rank, img, un.rows, deadline=deadline)
+            if ring == QQ:
+                red_k = GroupPresentation(red_k.free_rank)
+        return red_k.direct_sum(red_c)
+
+    return _block_sum(g, block_group, deadline)
 
 
 def _span_rank(cols, nrows, ring, deadline=None):
@@ -319,8 +323,7 @@ def hf_plus_reduced(g, ring=ZZ, window=None, deadline=None):
         window = default_plus_window(g)
     table = FloerTable(g, 0, ring, "plus_red")
     for d in range(window[0], window[1] + 1):
-        red_k, red_c = _reduced_summands(g, d, ring, deadline)
-        table.entries[half(d)] = red_k.direct_sum(red_c)
+        table.entries[half(d)] = _reduced_group(g, d, ring, deadline)
     return table
 
 
@@ -678,7 +681,8 @@ def _quotient_map_dims(T, v1_cols, w1_cols, w2_cols):
 
 
 def u_action_red(g, window=None):
-    """The U endomorphism of the reduced plus flavor, degree by degree.
+    """The U endomorphism of the reduced plus flavor, degree by degree,
+    summed over the weight blocks like the reduced part itself.
 
     Reports, for each half-integer degree delta in the window: the reduced
     dimension, the kernel dimension of U: red_delta -> red_(delta-2), and
@@ -695,34 +699,35 @@ def u_action_red(g, window=None):
         window = (-g, g - 1)
 
     @lru_cache(maxsize=None)
-    def kdata(d):
+    def kdata(d, r):
         hi = _stable_hi(g, d)
         steps = (hi - d) // 2
-        khi = _kernel_cols(g, "F", hi)
-        un = u_chain_map(g, B_PLUS, hi, steps).matrix
-        return _kernel_cols(g, "F", d), un.mul_columns(khi)
+        un = u_chain_map(g, B_PLUS, hi, steps, r=r).matrix
+        return _kernel_cols(g, d, r), un.mul_columns(_kernel_cols(g, hi, r))
 
     @lru_cache(maxsize=None)
-    def cdata(d1):
+    def cdata(d1, r):
         hi1 = _stable_hi(g, d1)
         steps = (hi1 - d1) // 2
-        f1 = _fmap(g, "F", d1).matrix
-        un1 = u_chain_map(g, corner(0), hi1, steps).matrix
+        f1 = slice_map(g, "F", d1, r=r).matrix
+        un1 = u_chain_map(g, corner(0), hi1, steps, r=r).matrix
         v = [{i: 1} for i in range(f1.rows)]
         return v, f1.col_dicts() + un1.col_dicts()
 
     per_degree = {}
     for d in range(window[0], window[1] + 1):
-        klo, w1k = kdata(d)
-        _, w2k = kdata(d - 2)
-        u_b = u_slice_map(g, B_PLUS, d).matrix
-        dim_k, ker_k, img_k = _quotient_map_dims(u_b, klo, w1k, w2k)
-        vc, w1c = cdata(d + 1)
-        _, w2c = cdata(d - 1)
-        u_c = u_slice_map(g, corner(0), d + 1).matrix
-        dim_c, ker_c, img_c = _quotient_map_dims(u_c, vc, w1c, w2c)
-        per_degree[half(d)] = {"dim": dim_k + dim_c, "ker": ker_k + ker_c,
-                               "img": img_k + img_c}
+        row = {"dim": 0, "ker": 0, "img": 0}
+        for r in range(g + 1):
+            klo, w1k = kdata(d, r)
+            _, w2k = kdata(d - 2, r)
+            u_b = u_slice_map(g, B_PLUS, d, r=r).matrix
+            vc, w1c = cdata(d + 1, r)
+            _, w2c = cdata(d - 1, r)
+            u_c = u_slice_map(g, corner(0), d + 1, r=r).matrix
+            for key, k, c in zip(row, _quotient_map_dims(u_b, klo, w1k, w2k),
+                                 _quotient_map_dims(u_c, vc, w1c, w2c)):
+                row[key] += block_multiplicity(g, r) * (k + c)
+        per_degree[half(d)] = row
     checks = {}
     for delta, row in per_degree.items():
         target = per_degree.get(delta - 2)
@@ -856,9 +861,10 @@ def _combinations_sorted(n, k):
     return combinations(range(n), k)
 
 
-def beta_quotient_dims(g):
+def beta_quotient_dims(g, deadline=None):
     """dim over Q of Ker(beta_s)/Im(beta_(s+3)) for each s, with the
-    composition check beta_s . beta_(s+3) = 0."""
+    composition check beta_s . beta_(s+3) = 0.  The deadline, if any, is
+    passed to every rank."""
     n = 2 * g + 1
     mats = {s: triple_cup_beta(g, s) for s in range(0, n + 4)}
     out = {}
@@ -867,6 +873,6 @@ def beta_quotient_dims(g):
         m3 = mats[s + 3]
         if any(m.mul_columns(m3.col_dicts())):
             raise AssertionError(f"beta_{s} . beta_{s+3} != 0")
-        ker = m.cols - rank(m, QQ) if m.rows else m.cols
-        out[s] = ker - rank(m3, QQ)
+        ker = m.cols - rank(m, QQ, deadline=deadline) if m.rows else m.cols
+        out[s] = ker - rank(m3, QQ, deadline=deadline)
     return out

@@ -21,7 +21,7 @@ class ExtendedScaleRequired(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An extended-scale computation ran past its time budget."""
+    """A computation ran past its time budget."""
 
 
 class Deadline:

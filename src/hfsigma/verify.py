@@ -419,7 +419,7 @@ def suite_plus(max_genus=5):
         # kernel rank at stable degrees = primitive dims of matching parity
         bad = 0
         for d in (g - 1, g):
-            m = engine._fmap(g, "F", d).matrix
+            m = slice_map(g, "F", d).matrix
             krank = m.cols - rank(m, QQ)
             want = sum(primitive_dim(g, j) for j in range((g + d) % 2, g + 1, 2))
             if krank != want:
@@ -428,7 +428,7 @@ def suite_plus(max_genus=5):
         # cokernel rank for all d >= 0 equals the coprimitive count
         bad = 0
         for d in range(0, g + 2):
-            m = engine._fmap(g, "F", d).matrix
+            m = slice_map(g, "F", d).matrix
             crank = m.rows - rank(m, QQ)
             want = sum(coprimitive_dim(g, j)
                        for j in range(g + d, g - d - 1, -2) if j >= g)

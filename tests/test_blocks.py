@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 from hfsigma import engine
-from hfsigma.cfk import block_map, block_masks, block_multiplicity, slice_map
+from hfsigma.cfk import block_masks, block_multiplicity, slice_map
 from hfsigma.errors import DomainError
 from hfsigma.exterior import blades_of_grade
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
@@ -91,7 +91,7 @@ def test_block_map_is_the_restricted_slice_map():
                 sm = slice_map(g, op, d)
                 blocks = weight_blocks(sm)
                 for r in range(g + 1):
-                    bm = block_map(g, op, d, r)
+                    bm = slice_map(g, op, d, r=r)
                     rows, cols = blocks.get((1,) * r + (0,) * (g - r), ([], []))
                     assert bm.source.elements == [sm.source.elements[c] for c in cols]
                     assert bm.target.elements == [sm.target.elements[k] for k in rows]
@@ -107,7 +107,7 @@ def test_every_weight_block_has_its_representatives_smith_form():
                 seen = dict.fromkeys(range(g + 1), 0)
                 for w in product((-1, 0, 1), repeat=g):
                     r = sum(1 for x in w if x)
-                    rep = block_map(g, op, d, r).matrix
+                    rep = slice_map(g, op, d, r=r).matrix
                     rows, cols = blocks.get(w, ([], []))
                     block = restrict(sm.matrix, rows, cols)
                     assert (block.rows, block.cols) == (rep.rows, rep.cols)
@@ -130,7 +130,7 @@ def test_tables_match_the_full_matrix_reference(ring):
 
 def test_block_map_rejects_bad_input():
     with pytest.raises(DomainError):
-        block_map(2, "nope", 0, 0)
+        slice_map(2, "nope", 0, r=0)
     for r in (-1, 3):
         with pytest.raises(DomainError):
-            block_map(2, "F", 0, r)
+            slice_map(2, "F", 0, r=r)

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from hfsigma.cfk import (B_PLUS, GradedElement, J_GEQ0, Region, _flip_blade,
-                         block_map, corner, gamma_action, hook, j_infinity,
+                         corner, gamma_action, hook, j_infinity,
                          j_plus, min_zero, row_i0, slice_basis, slice_map,
                          u_chain_map, u_slice_map)
 from hfsigma.errors import BudgetExceeded, Deadline, DomainError
@@ -279,5 +279,5 @@ def test_slice_construction_checks_the_deadline():
     with pytest.raises(BudgetExceeded):
         slice_map(3, "F", 1, deadline=Deadline(-1))
     with pytest.raises(BudgetExceeded):
-        block_map(3, "one_plus_J", 4, 1, deadline=Deadline(-1))
+        slice_map(3, "one_plus_J", 4, r=1, deadline=Deadline(-1))
     assert slice_map(3, "F", 1, deadline=Deadline(60)).matrix == slice_map(3, "F", 1).matrix

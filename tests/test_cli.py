@@ -140,6 +140,13 @@ def test_plus_time_budget_exits_1():
     assert "time budget exhausted" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ("plus", "hat", "beta"))
+def test_time_budget_holds_without_extended(command):
+    proc = run_cli(command, "--genus", "3", "--time-budget", "0")
+    assert proc.returncode == 1
+    assert "time budget exhausted" in proc.stderr
+
+
 def test_truncated_cache_file_is_a_miss(tmp_path):
     cold = _payload(run_cli("hat", "--genus", "3", "--out", "json"))
     cache = tmp_path / "cache"

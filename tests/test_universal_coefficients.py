@@ -1,18 +1,22 @@
-"""Tables over Q and F_p read off integer Smith forms, against the per-ring
-routes they replace.
+"""Tables over Q and F_p read off integer Smith forms, and the reduced part
+and U-action read off weight blocks, against the routes they replace.
 
-The reference routes below eliminate over each ring separately, as the
-engine did before one Smith form per integer matrix served every ring: the
+The reference routes below eliminate whole slice matrices over each ring
+separately, as the engine did before one Smith form per integer matrix
+served every ring and before the reduced part moved to weight blocks: the
 reduced part takes full integer kernel lattices at d and at hi, solves for
 the coordinates of the subgroup and takes a cokernel (F_p kernel bases and
-ranks over F_p), and the circle-bundle cohomology takes a rank over the ring
-next to a cokernel.
+ranks over F_p), the U-action ranks quotients of whole kernel lattices and
+whole [F | U^N] stacks, and the circle-bundle cohomology takes a rank over
+the ring next to a cokernel.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from hfsigma import engine
-from hfsigma.cfk import B_PLUS, corner, slice_map, u_chain_map
+from hfsigma.cfk import B_PLUS, corner, slice_map, u_chain_map, u_slice_map
 from hfsigma.lefschetz import raising_matrix
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                             integer_kernel_lattice, kernel_basis, rank,
@@ -50,6 +54,55 @@ def reference_reduced(g, d, ring):
     return GroupPresentation(red.free_rank) if ring == QQ else red
 
 
+def reference_u_action_red(g):
+    window = (-g, g - 1)
+
+    def kdata(d):
+        hi = engine._stable_hi(g, d)
+        un = u_chain_map(g, B_PLUS, hi, (hi - d) // 2).matrix
+        k_hi = integer_kernel_lattice(slice_map(g, "F", hi).matrix)
+        return integer_kernel_lattice(slice_map(g, "F", d).matrix), un.mul_columns(k_hi)
+
+    def cdata(d1):
+        hi1 = engine._stable_hi(g, d1)
+        f1 = slice_map(g, "F", d1).matrix
+        un1 = u_chain_map(g, corner(0), hi1, (hi1 - d1) // 2).matrix
+        return [{i: 1} for i in range(f1.rows)], f1.col_dicts() + un1.col_dicts()
+
+    per_degree = {}
+    for d in range(window[0], window[1] + 1):
+        klo, w1k = kdata(d)
+        _, w2k = kdata(d - 2)
+        u_b = u_slice_map(g, B_PLUS, d).matrix
+        vc, w1c = cdata(d + 1)
+        _, w2c = cdata(d - 1)
+        u_c = u_slice_map(g, corner(0), d + 1).matrix
+        dims = [k + c for k, c in
+                zip(engine._quotient_map_dims(u_b, klo, w1k, w2k),
+                    engine._quotient_map_dims(u_c, vc, w1c, w2c))]
+        per_degree[engine.half(d)] = dict(zip(("dim", "ker", "img"), dims))
+    for delta, row in per_degree.items():
+        target = per_degree.get(delta - 2)
+        row["surjective"] = target is None or row["img"] == target["dim"]
+        row["injective"] = row["ker"] == 0
+    support = [delta for delta, row in per_degree.items() if row["dim"]]
+    formula = engine.unexpected_u_kernel_dim(g)
+    got = per_degree.get(Fraction(1, 2), {"ker": 0})["ker"]
+    checks = {
+        "surjective_at_and_below_middle": all(
+            per_degree[delta]["surjective"]
+            for delta in support if delta <= Fraction(-1, 2)),
+        "injective_above": all(row["injective"] for delta, row in per_degree.items()
+                               if delta > Fraction(3, 2)),
+        "unexpected_kernel_formula": formula,
+        "unexpected_kernel_computed": got,
+        "unexpected_kernel_matches": got == formula,
+    }
+    return {"genus": g,
+            "per_degree": {str(k): v for k, v in sorted(per_degree.items())},
+            "checks": checks}
+
+
 def reference_eg(g, ring):
     out = {}
     for j in range(0, 2 * g + 2):
@@ -67,10 +120,38 @@ def reference_eg(g, ring):
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.tag)
 def test_reduced_part_matches_the_per_ring_reference(ring):
-    for g in range(1, 5):
+    for g in range(1, 6 if ring in (ZZ, GF(2)) else 5):
         lo, hi = engine.default_plus_window(g)
         want = {engine.half(d): reference_reduced(g, d, ring) for d in range(lo, hi + 1)}
         assert engine.hf_plus_reduced(g, ring).entries == want, g
+
+
+@pytest.mark.parametrize("g", (3, 4, 5))
+def test_u_action_matches_the_whole_matrix_reference(g):
+    assert engine.u_action_red(g) == reference_u_action_red(g)
+
+
+def test_reduced_part_and_u_action_build_only_weight_blocks(monkeypatch):
+    for obj in vars(engine).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    monkeypatch.setattr(engine, "_BLOCKS", {})
+    monkeypatch.setattr(engine, "_KERNELS", {})
+    whole = []
+
+    def blocks_only(fn):
+        def wrapper(*args, **kwargs):
+            if kwargs.get("r") is None:
+                whole.append((fn.__name__,) + args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("slice_map", "u_chain_map", "u_slice_map"):
+        monkeypatch.setattr(engine, name, blocks_only(getattr(engine, name)))
+    for ring in (ZZ, QQ, GF(3)):
+        engine.hf_plus_reduced(4, ring)
+    engine.u_action_red(4)
+    assert whole == []
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.tag)
