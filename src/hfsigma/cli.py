@@ -6,8 +6,8 @@ snf | verify, with shared flags --genus, --spinc, --ring, --degrees,
 HF_CACHE_DIR result cache.  Exit codes: 0 success, 1 verification failure
 or an exhausted time budget, 2 usage error.
 
---time-budget SECONDS holds in hat, plus, infinity, nontorsion, action, eg
-and beta; --extended only lifts the genus cap on the heavy integer runs.
+--time-budget SECONDS holds in hat, plus, infinity, nontorsion, action, eg,
+beta and verify; --extended only lifts the genus cap on the heavy integer runs.
 
 Output is deterministic for a fixed configuration: JSON is emitted with
 sorted keys, and the one timestamp field sits outside the hashed payload.
@@ -286,7 +286,7 @@ def cmd_infinity(args):
 
 def cmd_nontorsion(args):
     _check_scale(args, heavy_integer_run=args.genus > DESK_GENUS_CAP)
-    if args.spinc == 0:
+    if not args.spinc:
         raise DomainError("nontorsion wants --spinc k with k != 0; "
                           "use `hf plus` for the torsion structure")
 
@@ -310,17 +310,15 @@ def cmd_nontorsion(args):
 def cmd_action(args):
     from . import engine
     _check_scale(args, heavy_integer_run=False)
-    if args.spinc == 0:
+    if not args.spinc:
         raise DomainError("the action is provided for --spinc k != 0 only")
     g, k = args.genus, args.spinc
     dl = _deadline(args)
-    table, model = engine.hf_plus_nontorsion(g, k, cross_check=False, deadline=dl)
+    model = engine.XModel(g, g - 1 - abs(k))
     found = []
     for key in model.basis():
-        dl.tick()
         n = model.degree_of(key)
-        for gi in range(1, 2 * g + 1):
-            _, corrs = engine.h1_action(g, k, gi, key)
+        for gi, corrs in engine.h1_corrections(g, k, key, dl):
             for ct in corrs:
                 found.append({
                     "gamma": gi, "xi_u_coord": key[0], "xi_blade_mask": key[1],
@@ -417,17 +415,20 @@ def cmd_verify(args):
     if max_genus > 5 and not args.extended:
         raise ExtendedScaleRequired("verification beyond genus 5 needs --extended")
     suites = [args.suite] if args.suite != "all" else list(verify._SUITE_FUNCS)
+    dl = _deadline(args)
     reports = []
     if args.jobs and args.jobs > 1 and len(suites) > 1:
         import concurrent.futures as cf
         try:
             with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
                 reports = list(ex.map(_suite_worker,
-                                      [(s, max_genus) for s in suites]))
+                                      [(s, max_genus, dl) for s in suites]))
+        except BudgetExceeded:
+            raise
         except (OSError, RuntimeError):
-            reports = [verify.run_suite(s, max_genus) for s in suites]
+            reports = [verify.run_suite(s, max_genus, dl) for s in suites]
     else:
-        reports = [verify.run_suite(s, max_genus) for s in suites]
+        reports = [verify.run_suite(s, max_genus, dl) for s in suites]
     ok = True
     payload = {"suites": []}
     for rep in reports:
@@ -442,10 +443,12 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def _suite_worker(pair):
+def _suite_worker(job):
+    """One suite in a worker process, against the parent's deadline (the
+    monotonic clock is shared by the processes of one machine)."""
     from . import verify
-    name, max_genus = pair
-    return verify.run_suite(name, max_genus)
+    name, max_genus, deadline = job
+    return verify.run_suite(name, max_genus, deadline)
 
 
 # ---------------------------------------------------------------------------

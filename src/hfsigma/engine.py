@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .cfk import (B_PLUS, GradedElement, J_GEQ0, block_multiplicity,
-                  corner, gamma_action, j_infinity,
+from .cfk import (B_PLUS, GradedElement, J_GEQ0, block_masks,
+                  block_multiplicity, corner, gamma_action, j_infinity,
                   slice_basis, slice_map, u_chain_map, u_slice_map,
                   _flip_blade)
 from .errors import DomainError, UnsupportedOperation
@@ -359,15 +359,18 @@ class XModel:
         return sum(comb(2 * self.genus, m) * (self.d - m + 1)
                    for m in range(0, self.d + 1))
 
-    def basis(self):
+    def basis(self, r=None):
         """Plane keys (i=c, mask) of the embedded copy inside the i >= 0
-        quotient; position (c, m - g + c)."""
+        quotient; position (c, m - g + c).  With r, only the masks of the
+        representative type-r weight block (cfk.block_masks)."""
         out = []
         if self.d is None or self.d < 0:
             return out
+        g = self.genus
         for m in range(0, self.d + 1):
+            masks = blades_of_grade(g, m) if r is None else block_masks(g, r, m)
             for c in range(0, self.d - m + 1):
-                for mask in blades_of_grade(self.genus, m):
+                for mask in masks:
                     out.append((c, mask))
         return out
 
@@ -405,10 +408,11 @@ class _TriangleRegion:
         return i >= 0 and j <= -self.kk - 1
 
 
-def chain_matrix(g, kk, degrees):
+def chain_matrix(g, kk, degrees, r=None):
     """Matrix of F = v + h over the listed source degrees of one residue
-    class mod 2|k|; h drops the antidiagonal by 2|k|, so rows span the
-    corner slices of the source degrees and one step below.
+    class mod 2|k|, or of its representative type-r weight block when r is
+    given; h drops the antidiagonal by 2|k|, so rows span the corner slices
+    of the source degrees and one step below.
 
     Returns (matrix, column key list, row offset map).  The v term of a
     column lands in the degree-d row block and its h terms in the degree
@@ -418,7 +422,7 @@ def chain_matrix(g, kk, degrees):
     s = -kk
     degrees = sorted(degrees)
     rowdegs = sorted(set(degrees) | {d - 2 * kk for d in degrees})
-    rowbases = {d: slice_basis(g, corner(s), d) for d in rowdegs}
+    rowbases = {d: slice_basis(g, corner(s), d, r) for d in rowdegs}
     rowoff = {}
     nrows = 0
     for d in rowdegs:
@@ -429,7 +433,7 @@ def chain_matrix(g, kk, degrees):
     for d in degrees:
         get, off = rowbases[d].index.get, rowoff[d]
         get2, off2 = rowbases[d - 2 * kk].index.get, rowoff[d - 2 * kk]
-        for (i, mask) in slice_basis(g, B_PLUS, d).elements:
+        for (i, mask) in slice_basis(g, B_PLUS, d, r).elements:
             c = len(colkeys)
             idx = get((i, mask))
             if idx is not None:
@@ -443,12 +447,15 @@ def chain_matrix(g, kk, degrees):
     return m, colkeys, rowoff
 
 
-def phi_series(xi, kk, max_iter=200):
-    """The kernel embedding: alternating sum of (pr_{i>=0} U^|k| J+)^n."""
+def phi_series(xi, kk, max_iter=200, deadline=None):
+    """The kernel embedding: alternating sum of (pr_{i>=0} U^|k| J+)^n.  The
+    deadline, if any, is checked once per term."""
     out = GradedElement(xi.genus)
     term = xi
     sign = 1
     for _ in range(max_iter):
+        if deadline is not None:
+            deadline.tick()
         if term.is_zero():
             return out
         out = out + term.scale(sign)
@@ -465,12 +472,17 @@ def apply_F(y, g, kk):
             + j_infinity(y).u_power(kk).project(corner(s)))
 
 
-def hf_plus_nontorsion(g, k, cross_check=True, deadline=None):
+def hf_plus_nontorsion(g, k, deadline=None):
     """Plus flavor for spin-c structures with nonzero first Chern class.
 
     Zero once |k| >= g; otherwise free with the per-degree ranks of
-    X(g, g-1-|k|), computed two ways: windowed chain-matrix kernels and the
-    phi-series image (cross-checked when cross_check is set).
+    X(g, g-1-|k|), computed two ways and cross-checked: windowed
+    chain-matrix kernels and the phi-series image.
+
+    v, h and the corner regions preserve the weight vector and commute with
+    the signed pair permutations (cfk module docstring), so each prefix
+    kernel rank is the sum over r of block_multiplicity(g, r) times the
+    kernel rank of the representative type-r block of the chain matrix.
     """
     if k == 0:
         raise DomainError("k = 0 is the torsion sector; use hf_plus_torsion")
@@ -485,57 +497,59 @@ def hf_plus_nontorsion(g, k, cross_check=True, deadline=None):
     dims = model.dims()
     table = FloerTable(g, k, ZZ, "nontorsion")
     per_degree = {}
-    for r in range(2 * kk):
+    for res in range(2 * kk):
         degs = [n for n in range(-g, model.max_degree() + 1)
-                if (n - r) % (2 * kk) == 0]
-        if not degs:
-            continue
+                if (n - res) % (2 * kk) == 0]
         prev = 0
         for top_idx, top in enumerate(degs):
-            m, _, _ = _chain_cached(g, kk, tuple(degs[:top_idx + 1]))
-            kr = m.cols - rank(m, QQ, deadline=deadline)
+            prefix = tuple(degs[:top_idx + 1])
+
+            def block_kernel(r):
+                m, _, _ = _chain_cached(g, kk, prefix, r)
+                return GroupPresentation(m.cols - rank(m, QQ, deadline=deadline))
+            kr = _block_sum(g, block_kernel, deadline).free_rank
             per_degree[top] = kr - prev
             prev = kr
     for n, v in sorted(per_degree.items()):
         table.entries[n] = GroupPresentation(v)
-    if cross_check:
-        phi_rank = phi_image_rank(g, kk, deadline)
-        direct = sum(per_degree.values())
-        if phi_rank != direct or direct != model.total_rank():
-            raise AssertionError(
-                f"kernel rank mismatch: chain {direct}, phi {phi_rank}, "
-                f"model {model.total_rank()}")
-        for n, v in dims.items():
-            if per_degree.get(n, 0) != v:
-                raise AssertionError(f"degree {n}: rank {per_degree.get(n, 0)} "
-                                     f"!= model {v}")
-        table.metadata["phi_rank_checked"] = True
+    phi_rank = phi_image_rank(g, kk, deadline)
+    direct = sum(per_degree.values())
+    if phi_rank != direct or direct != model.total_rank():
+        raise AssertionError(
+            f"kernel rank mismatch: chain {direct}, phi {phi_rank}, "
+            f"model {model.total_rank()}")
+    for n, v in dims.items():
+        if per_degree.get(n, 0) != v:
+            raise AssertionError(f"degree {n}: rank {per_degree.get(n, 0)} "
+                                 f"!= model {v}")
+    table.metadata["phi_rank_checked"] = True
     return table, model
 
 
 @lru_cache(maxsize=None)
-def _chain_cached(g, kk, degrees):
-    return chain_matrix(g, kk, list(degrees))
+def _chain_cached(g, kk, degrees, r=None):
+    return chain_matrix(g, kk, list(degrees), r)
 
 
 def phi_image_rank(g, kk, deadline=None):
-    """Rank of the phi image over Q (all basis elements of the model)."""
+    """Rank over Q of the phi image of every basis element of the model.
+
+    phi is built from J, U and region projections, so it preserves the
+    weight vector and commutes with the signed pair permutations: the rank
+    is the sum over r of block_multiplicity(g, r) times the rank of the
+    images of the model elements in the representative type-r block."""
     model = XModel(g, g - 1 - kk)
-    keys = {}
-    cols = []
-    for (c, mask) in model.basis():
-        xi = GradedElement(g, {(c, mask): 1})
-        ph = phi_series(xi, kk)
-        if not apply_F(ph, g, kk).is_zero():
-            raise AssertionError("phi image escaped the kernel")
-        col = {}
-        for key, v in ph.terms.items():
-            col[keys.setdefault(key, len(keys))] = v
-        cols.append(col)
-    if not cols:
-        return 0
-    return rank(SparseExactMatrix.from_columns(len(keys), cols, QQ),
-                deadline=deadline)
+
+    def block_image(r):
+        keys = {}
+        cols = []
+        for key in model.basis(r):
+            ph = phi_series(GradedElement(g, {key: 1}), kk, deadline=deadline)
+            if not apply_F(ph, g, kk).is_zero():
+                raise AssertionError("phi image escaped the kernel")
+            cols.append({keys.setdefault(t, len(keys)): v for t, v in ph.terms.items()})
+        return GroupPresentation(_span_rank(cols, len(keys), QQ, deadline))
+    return _block_sum(g, block_image, deadline).free_rank
 
 
 def f_restriction_surjective(g, kk, d_lo=None, d_hi=None):
@@ -606,6 +620,22 @@ def h1_action(g, k, gamma_star_index, xi):
     product plus Poincare-dual wedge with the U-shift, and each correction is
     homogeneous of degree n - 1 - 2*ell*|k| pinned to a single lattice cell.
     """
+    kk, xi, n = _model_element(g, k, xi)
+    return _act(g, kk, gamma_star_index, xi, n, phi_series(xi, kk))
+
+
+def h1_corrections(g, k, xi, deadline=None):
+    """Yield (gamma, corrections of h1_action(g, k, gamma, xi)) for
+    gamma = 1..2g, from one phi series of xi."""
+    kk, xi, n = _model_element(g, k, xi)
+    ph = phi_series(xi, kk, deadline=deadline)
+    for gamma in range(1, 2 * g + 1):
+        yield gamma, _act(g, kk, gamma, xi, n, ph)[1]
+
+
+def _model_element(g, k, xi):
+    """(|k|, xi as a GradedElement, its degree), after checking that xi is
+    a homogeneous element of the model triangle and k is nonzero."""
     if k == 0:
         raise UnsupportedOperation(
             "the torsion sector has an unresolved module-structure extension; "
@@ -613,18 +643,20 @@ def h1_action(g, k, gamma_star_index, xi):
     kk = abs(k)
     if isinstance(xi, tuple):
         xi = GradedElement(g, {xi: 1})
-    tri = _TriangleRegion(kk)
-    if xi.project(tri) != xi:
+    if xi.project(_TriangleRegion(kk)) != xi:
         raise DomainError("xi must be supported in the model triangle")
     degs = xi.degrees()
     if len(degs) != 1:
         raise DomainError("xi must be homogeneous")
-    n = degs[0]
-    ph = phi_series(xi, kk)
+    return kk, xi, degs[0]
+
+
+def _act(g, kk, gamma_star_index, xi, n, ph):
+    """The body of h1_action, given the degree n and phi series ph of xi."""
     y = gamma_action(gamma_star_index, ph, truncate=True)
     if not apply_F(y, g, kk).is_zero():
         raise AssertionError("the action left the kernel")
-    full = y.project(tri)
+    full = y.project(_TriangleRegion(kk))
     std = gamma_action(gamma_star_index, xi, truncate=True)
     corr = full - std
     buckets = {}

@@ -117,8 +117,12 @@ class VerificationReport:
     suite: str
     checks: list = field(default_factory=list)
     wall_time: float = 0.0
+    deadline: object = field(default=None, repr=False, compare=False)
 
     def add(self, check_id, params, expected, computed):
+        """Record a check; the deadline, if any, is checked once per check."""
+        if self.deadline is not None:
+            self.deadline.tick()
         self.checks.append(VerificationCheck(check_id, params, expected, computed))
 
     @property
@@ -156,10 +160,10 @@ def _known_table(name):
 # exterior-algebra suites
 # ---------------------------------------------------------------------------
 
-def suite_sl2(max_genus=5):
+def suite_sl2(max_genus=5, deadline=None):
     """Commutation relations of the raising/lowering/weight triple, the
     contraction commutator, and the Leibniz rule."""
-    rep = VerificationReport("sl2")
+    rep = VerificationReport("sl2", deadline=deadline)
     for g in range(1, max_genus + 1):
         w = omega(g)
         bad_comm = 0
@@ -193,10 +197,10 @@ def suite_sl2(max_genus=5):
     return rep
 
 
-def suite_star(max_genus=5):
+def suite_star(max_genus=5, deadline=None):
     """Star involution sign, its eigenvalues on the Lefschetz summands, and
     the wedge/contract exchange identities."""
-    rep = VerificationReport("star")
+    rep = VerificationReport("star", deadline=deadline)
     for g in range(1, max_genus + 1):
         bad = sum(1 for m in all_blades(g)
                   if Multivector.from_blade(g, m).star().star()
@@ -231,10 +235,10 @@ def suite_star(max_genus=5):
     return rep
 
 
-def suite_swap(max_genus=5):
+def suite_swap(max_genus=5, deadline=None):
     """Contraction of the divided powers: the swap identity and the
     primitive special case."""
-    rep = VerificationReport("swap")
+    rep = VerificationReport("swap", deadline=deadline)
     for g in range(1, max_genus + 1):
         rng = _rng("swap", g)
         bad = 0
@@ -267,10 +271,10 @@ def suite_swap(max_genus=5):
     return rep
 
 
-def suite_jmap(max_genus=5):
+def suite_jmap(max_genus=5, deadline=None):
     """Flip-map identities: the alternate exponential form, the support
     lemma, equivariance, degree preservation, and its mod-2 reduction."""
-    rep = VerificationReport("jmap")
+    rep = VerificationReport("jmap", deadline=deadline)
     for g in range(1, max_genus + 1):
         rng = _rng("jmap", g)
 
@@ -355,12 +359,12 @@ def suite_jmap(max_genus=5):
     return rep
 
 
-def suite_hat(max_genus=5):
+def suite_hat(max_genus=5, deadline=None):
     """Hat tables against the closed form; duality; freeness; the sign
     determination; the star-fixed lattice."""
-    rep = VerificationReport("hat")
+    rep = VerificationReport("hat", deadline=deadline)
     for g in range(1, max_genus + 1):
-        table = engine.hf_hat(g)
+        table = engine.hf_hat(g, deadline=deadline)
         params = {"g": g, "hash": table.metadata.get("matrix_hash_d0")}
         bad_rank = sum(1 for d, grp in table.entries.items()
                        if grp.free_rank != engine.hf_hat_closed_form_rank(g, d))
@@ -386,13 +390,13 @@ def suite_hat(max_genus=5):
     return rep
 
 
-def suite_plus(max_genus=5):
+def suite_plus(max_genus=5, deadline=None):
     """Torsion-structure plus tables: reduced ranks against the triangle
     model, support window, freeness, stabilization, kernel and cokernel
     identifications."""
-    rep = VerificationReport("plus")
+    rep = VerificationReport("plus", deadline=deadline)
     for g in range(1, max_genus + 1):
-        red = engine.hf_plus_reduced(g)
+        red = engine.hf_plus_reduced(g, deadline=deadline)
         dims = engine.x_model_dims(g, g - 3)
         bad = sum(1 for d, grp in red.entries.items()
                   if grp.free_rank != dims.get(d - Fraction(5, 2), 0))
@@ -406,8 +410,8 @@ def suite_plus(max_genus=5):
             rep.add("reduced-support", {"g": g},
                     [Fraction(5 - 2 * g, 2), Fraction(2 * g - 7, 2)],
                     [min(support), max(support)])
-        plus = engine.hf_plus_torsion(g)
-        inf = engine.hf_infinity(g, ZZ)
+        plus = engine.hf_plus_torsion(g, deadline=deadline)
+        inf = engine.hf_infinity(g, ZZ, deadline=deadline)
         bad = 0
         for d in plus.entries:
             if d >= Fraction(2 * g - 1, 2):
@@ -439,7 +443,7 @@ def suite_plus(max_genus=5):
         rep.add("cokernel-is-coprimitives", {"g": g}, 0, bad)
         known = _known_table("plus_known.json")
         if str(g) in known:
-            tq = engine.hf_plus_torsion(g, QQ)
+            tq = engine.hf_plus_torsion(g, QQ, deadline=deadline)
             bad = sum(1 for dstr, r in known[str(g)].items()
                       if Fraction(dstr) in tq.entries
                       and tq.entries[Fraction(dstr)].free_rank != r)
@@ -457,17 +461,17 @@ def suite_plus(max_genus=5):
     return rep
 
 
-def suite_infinity(max_genus=5):
+def suite_infinity(max_genus=5, deadline=None):
     """Fully inverted flavor: rational and mod-2 ranks, integral torsion."""
-    rep = VerificationReport("infinity")
+    rep = VerificationReport("infinity", deadline=deadline)
     for g in range(1, max_genus + 1):
-        ti = engine.hf_infinity(g, QQ)
+        ti = engine.hf_infinity(g, QQ, deadline=deadline)
         rep.add("infty-rank-Q", {"g": g}, {comb(2 * g + 1, g)},
                 {grp.free_rank for grp in ti.entries.values()})
         tf = engine.hf_infinity(g, GF(2))
         rep.add("infty-rank-F2", {"g": g}, {2 ** (2 * g - 1) + 2 ** (g - 1)},
                 {grp.free_rank for grp in tf.entries.values()})
-        tz = engine.hf_infinity(g, ZZ)
+        tz = engine.hf_infinity(g, ZZ, deadline=deadline)
         factors = tz.all_invariant_factors()
         params = {"g": g, "hash": tz.metadata.get("matrix_hashes")}
         if g >= 3:
@@ -481,12 +485,12 @@ def suite_infinity(max_genus=5):
     return rep
 
 
-def suite_mod2(max_genus=5):
+def suite_mod2(max_genus=5, deadline=None):
     """Plus flavor mod 2 equals the hat table tensored up the U-tower."""
-    rep = VerificationReport("mod2")
+    rep = VerificationReport("mod2", deadline=deadline)
     for g in range(1, max_genus + 1):
         t2 = engine.hf_plus_torsion(g, GF(2))
-        hatz = engine.hf_hat(g)
+        hatz = engine.hf_hat(g, deadline=deadline)
         low = Fraction(-2 * g - 1, 2)
         bad = 0
         for d, grp in t2.entries.items():
@@ -501,13 +505,13 @@ def suite_mod2(max_genus=5):
     return rep
 
 
-def suite_action(max_genus=5, genus_corrections=5):
+def suite_action(max_genus=5, genus_corrections=5, deadline=None):
     """Nontorsion tables, the phi cross-check, and the corrected homology
     action with its location and vanishing constraints."""
-    rep = VerificationReport("action")
+    rep = VerificationReport("action", deadline=deadline)
     for g in range(2, max_genus + 1):
         for k in range(1, g):
-            table, model = engine.hf_plus_nontorsion(g, k)
+            table, model = engine.hf_plus_nontorsion(g, k, deadline=deadline)
             dims = model.dims()
             bad = sum(1 for n, grp in table.entries.items()
                       if grp.free_rank != dims.get(n, 0))
@@ -516,10 +520,10 @@ def suite_action(max_genus=5, genus_corrections=5):
             rep.add("nontorsion-model-ranks", {"g": g, "k": k}, 0, bad)
             rep.add("nontorsion-phi-cross-check", {"g": g, "k": k}, True,
                     table.metadata.get("phi_rank_checked", False))
-            tneg, _ = engine.hf_plus_nontorsion(g, -k)
+            tneg, _ = engine.hf_plus_nontorsion(g, -k, deadline=deadline)
             rep.add("conjugation-symmetry", {"g": g, "k": k}, True,
                     tneg.entries == table.entries)
-        tz, _ = engine.hf_plus_nontorsion(g, g)
+        tz, _ = engine.hf_plus_nontorsion(g, g, deadline=deadline)
         rep.add("vanishing-beyond-adjunction", {"g": g, "k": g}, {}, tz.entries)
         rep.add("F-corner-restriction-surjective", {"g": g, "k": 1}, True,
                 engine.f_restriction_surjective(g, 1))
@@ -533,9 +537,8 @@ def suite_action(max_genus=5, genus_corrections=5):
             pairs = 0
             for key in model.basis():
                 n = model.degree_of(key)
-                for gi in range(1, 2 * g + 1):
+                for gi, corrs in engine.h1_corrections(g, k, key, deadline):
                     pairs += 1
-                    _, corrs = engine.h1_action(g, k, gi, key)
                     for ct in corrs:
                         nonzero += 1
                         power, uexp, deg = engine.correction_location(g, k, n, ct.ell)
@@ -553,36 +556,37 @@ def suite_action(max_genus=5, genus_corrections=5):
     return rep
 
 
-def suite_eg(max_genus=5):
+def suite_eg(max_genus=5, deadline=None):
     """Circle-bundle cohomology: rational ranks against (co)primitive
     dimensions, integral torsion, and the two contraction cokernels."""
-    rep = VerificationReport("eg")
+    rep = VerificationReport("eg", deadline=deadline)
     for g in range(1, max_genus + 1):
-        egq = engine.eg_cohomology(g, QQ)
+        egq = engine.eg_cohomology(g, QQ, deadline=deadline)
         bad = sum(1 for j, grp in egq.items()
                   if grp.free_rank != engine.eg_rank_prediction(g, j))
         rep.add("eg-rational-dims", {"g": g}, 0, bad)
-        cmpres = engine.contraction_cokernel_comparison(g)
+        cmpres = engine.contraction_cokernel_comparison(g, deadline=deadline)
         bad = sum(1 for parity, (lhs, rhs) in cmpres.items() if lhs != rhs)
         rep.add("contraction-cokernels-agree", {"g": g}, 0, bad)
         if g >= 3:
-            egz = engine.eg_cohomology(g, ZZ)
+            egz = engine.eg_cohomology(g, ZZ, deadline=deadline)
             rep.add("eg-2-torsion", {"g": g}, True,
                     any(f % 2 == 0 for grp in egz.values()
                         for f in grp.invariant_factors))
     return rep
 
 
-def suite_beta(max_genus=4):
+def suite_beta(max_genus=4, deadline=None):
     """Triple-cup homomorphisms: composition vanishes; graded quotient
     dimensions add up to twice the per-degree inverted-flavor rank."""
-    rep = VerificationReport("beta")
+    rep = VerificationReport("beta", deadline=deadline)
     for g in range(1, max_genus + 1):
-        dims = engine.beta_quotient_dims(g)  # raises if composition nonzero
+        # raises if the composition is nonzero
+        dims = engine.beta_quotient_dims(g, deadline=deadline)
         rep.add("beta-composition-zero", {"g": g}, True, True)
         rep.add("beta-quotient-total", {"g": g}, 2 * comb(2 * g + 1, g),
                 sum(dims.values()))
-        inf = engine.hf_infinity(g, QQ)
+        inf = engine.hf_infinity(g, QQ, deadline=deadline)
         per_degree = {grp.free_rank for grp in inf.entries.values()}
         rep.add("beta-matches-infinity", {"g": g},
                 {sum(dims.values()) // 2}, per_degree)
@@ -604,13 +608,17 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name, max_genus=5):
-    """Run one suite (or every suite for "all") at the given genus cap."""
+def run_suite(name, max_genus=5, deadline=None):
+    """Run one suite (or every suite for "all") at the given genus cap.  The
+    deadline, if any, is checked once per suite and once per recorded check,
+    and passed to the engine's budgeted entry points."""
+    if deadline is not None:
+        deadline.tick()
     if name == "all":
         t0 = time.time()
         combined = VerificationReport("all")
         for n in _SUITE_FUNCS:
-            sub = run_suite(n, max_genus)
+            sub = run_suite(n, max_genus, deadline)
             combined.checks.extend(sub.checks)
         combined.wall_time = time.time() - t0
         return combined
@@ -619,8 +627,8 @@ def run_suite(name, max_genus=5):
     t0 = time.time()
     fn = _SUITE_FUNCS[name]
     if name == "beta":
-        rep = fn(min(max_genus, 4))
+        rep = fn(min(max_genus, 4), deadline=deadline)
     else:
-        rep = fn(max_genus)
+        rep = fn(max_genus, deadline=deadline)
     rep.wall_time = time.time() - t0
     return rep

@@ -2,7 +2,9 @@
 
 The full-matrix route below is the reference: it eliminates each slice
 matrix whole, as the engine did before it summed over representative
-blocks.
+blocks.  The same holds for the nontorsion sector: whole prefix chain
+matrices, the phi image of the whole model basis, and the action one
+class at a time.
 """
 
 from itertools import product
@@ -10,7 +12,7 @@ from itertools import product
 import pytest
 
 from hfsigma import engine
-from hfsigma.cfk import block_masks, block_multiplicity, slice_map
+from hfsigma.cfk import GradedElement, block_masks, block_multiplicity, slice_map
 from hfsigma.errors import DomainError
 from hfsigma.exterior import blades_of_grade
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
@@ -134,3 +136,76 @@ def test_block_map_rejects_bad_input():
     for r in (-1, 3):
         with pytest.raises(DomainError):
             slice_map(2, "F", 0, r=r)
+
+
+def full_nontorsion_ranks(g, kk):
+    """Per-degree kernel ranks of the whole prefix chain matrices, one
+    residue class mod 2|k| at a time."""
+    top_degree = engine.XModel(g, g - 1 - kk).max_degree()
+    per_degree = {}
+    for res in range(2 * kk):
+        degs = [n for n in range(-g, top_degree + 1) if (n - res) % (2 * kk) == 0]
+        prev = 0
+        for top_idx, top in enumerate(degs):
+            m, _, _ = engine.chain_matrix(g, kk, degs[:top_idx + 1])
+            kr = m.cols - rank(m, QQ)
+            per_degree[top] = kr - prev
+            prev = kr
+    return per_degree
+
+
+def full_phi_image_rank(g, kk):
+    """Rank over Q of the phi images of the whole model basis."""
+    keys = {}
+    cols = []
+    for key in engine.XModel(g, g - 1 - kk).basis():
+        ph = engine.phi_series(GradedElement(g, {key: 1}), kk)
+        cols.append({keys.setdefault(t, len(keys)): v for t, v in ph.terms.items()})
+    return rank(SparseExactMatrix.from_columns(len(keys), cols), QQ)
+
+
+def nontorsion_cases(max_genus=5):
+    return [(g, k) for g in range(2, max_genus + 1) for k in range(1, g)]
+
+
+def test_model_basis_blocks_partition_the_basis():
+    for g, k in nontorsion_cases():
+        model = engine.XModel(g, g - 1 - k)
+        for r in range(g + 1):
+            want = (1,) * r + (0,) * (g - r)
+            assert model.basis(r) == [key for key in model.basis()
+                                      if weight(g, key[1]) == want]
+
+
+def test_nontorsion_tables_match_the_whole_chain_matrices():
+    for g, k in nontorsion_cases():
+        want = {n: GroupPresentation(v) for n, v in full_nontorsion_ranks(g, k).items()}
+        for sign in (1, -1):
+            table, _ = engine.hf_plus_nontorsion(g, sign * k)
+            assert table.entries == want, (g, sign * k)
+
+
+def test_phi_image_rank_matches_the_whole_basis():
+    for g, k in nontorsion_cases():
+        assert engine.phi_image_rank(g, k) == full_phi_image_rank(g, k), (g, k)
+
+
+def test_h1_corrections_match_the_action_per_class():
+    for g, k in nontorsion_cases():
+        for key in engine.XModel(g, g - 1 - k).basis():
+            want = [(gi, engine.h1_action(g, k, gi, key)[1]) for gi in range(1, 2 * g + 1)]
+            assert list(engine.h1_corrections(g, k, key)) == want, (g, k, key)
+
+
+def test_nontorsion_ranks_build_no_whole_chain_matrix(monkeypatch):
+    types = []
+    chain_matrix = engine.chain_matrix
+
+    def spy(*args, **kwargs):
+        types.append(args[3] if len(args) > 3 else kwargs.get("r"))
+        return chain_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "chain_matrix", spy)
+    engine._chain_cached.cache_clear()
+    engine.hf_plus_nontorsion(5, 1)
+    assert types and None not in types

@@ -172,6 +172,35 @@ def test_nontorsion_time_budget_exits_1():
     assert "time budget exhausted" in proc.stderr
 
 
+@pytest.mark.parametrize("jobs", ("1", "2"))
+def test_verify_time_budget_exits_1(jobs):
+    proc = run_cli("verify", "--suite", "all", "--max-genus", "4", "--jobs", jobs,
+                   "--time-budget", "0")
+    assert proc.returncode == 1
+    assert "time budget exhausted" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ("nontorsion", "action"))
+def test_missing_spinc_exits_2(command):
+    proc = run_cli(command, "--genus", "3")
+    assert proc.returncode == 2
+    assert "--spinc" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_action_builds_the_model_without_the_table(monkeypatch, capsys):
+    from hfsigma import cli, engine
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("action computed the nontorsion table")
+
+    monkeypatch.setattr(engine, "hf_plus_nontorsion", no_table)
+    assert cli.main(["action", "-g", "4", "--spinc", "1", "--out", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "genus": 4, "spinc": 1, "standard": True, "corrections_found": 0,
+        "corrections": []}
+
+
 def test_verify_unknown_suite_exits_2():
     proc = run_cli("verify", "--suite", "bogus")
     assert proc.returncode == 2

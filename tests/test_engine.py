@@ -70,6 +70,15 @@ def test_budget_covers_nontorsion():
         engine.phi_image_rank(3, 1, deadline=Deadline(-1))
 
 
+def test_phi_series_ticks():
+    from hfsigma.cfk import GradedElement
+    xi = GradedElement(3, {(0, 0): 1})
+    with pytest.raises(BudgetExceeded):
+        engine.phi_series(xi, 1, deadline=Deadline(-1))
+    with pytest.raises(BudgetExceeded):
+        list(engine.h1_corrections(3, 1, (0, 0), deadline=Deadline(-1)))
+
+
 def test_chain_matrix_matches_per_entry_assembly():
     from hfsigma.cfk import B_PLUS, _flip_blade, corner, slice_basis
     from hfsigma.linalg import SparseExactMatrix
