@@ -34,6 +34,7 @@ holds the masks with bit 2i alone for i < r and 00 or 11 for each later
 pair, 2^(g-r) masks in all against 4^g.
 """
 
+import hashlib
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -392,7 +393,7 @@ class UnionBasis:
 OPS = ("v", "h", "F", "F_hat", "one_plus_J")
 
 
-def _op_terms(g, op, s, mask):
+def _op_terms(g, op, s, mask, flip=_flip_blade):
     """Image terms of a source blade at U-coordinate 0 under the chosen map,
     before the target-region projection: (di, mask', coeff), the term for
     input at i landing at i + di.
@@ -404,7 +405,7 @@ def _op_terms(g, op, s, mask):
     """
     if op == "v":
         return ((0, mask, 1),)
-    flips = _flip_blade(g, mask)
+    flips = flip(g, mask)
     if op == "one_plus_J":
         return flips + ((0, mask, 1),)
     if s:
@@ -421,23 +422,43 @@ def _regions(op, s=0):
     return B_PLUS, corner(s)
 
 
-def _assemble(g, op, s, src, tgt, ring, deadline=None):
-    """The op's matrix from the source basis to the target basis, in one
-    pass over plain ints.  An entry whose sum reaches zero is dropped and,
+def _bases(g, op, d, s=0, r=None, basis=slice_basis):
+    """Source and target bases of a slice op, each built by basis(g,
+    region, degree, r)."""
+    if op not in OPS:
+        raise DomainError(f"unknown slice op {op!r}")
+    if s > 0:
+        raise DomainError("slice maps are built for s <= 0; use conjugation")
+    if r is not None and not 0 <= r <= g:
+        raise DomainError(f"weight type {r} out of range for genus {g}")
+    src_region, tgt_region = _regions(op, s)
+    src = basis(g, src_region, d, r)
+    if tgt_region == src_region:  # one_plus_J: one basis, built once
+        return src, src
+    if s == 0:
+        return src, basis(g, tgt_region, d, r)
+    degs = {"v": [d], "h": [d + 2 * s]}.get(op, [d, d + 2 * s])
+    return src, UnionBasis([basis(g, tgt_region, dd, r) for dd in degs])
+
+
+def _accumulate(g, op, s, src, tgt, p=None, deadline=None, flip=_flip_blade):
+    """The op's nonzero entries from the source basis to the target basis,
+    as {row * src.size + col: value}, in one pass over plain ints (mod p
+    when p is given).  An entry whose sum reaches zero is dropped and,
     should it become nonzero again, reinserted at the end: the field
     eliminators pivot on a column's first row, so the order is part of the
     result.  The deadline, if any, is checked once per source column."""
-    p = ring.p
+    ncols = src.size
     get = tgt.index.get
     ent = {}
     for c, (i, mask) in enumerate(src.elements):
         if deadline is not None:
             deadline.tick()
-        for di, m2, w in _op_terms(g, op, s, mask):
+        for di, m2, w in _op_terms(g, op, s, mask, flip):
             r = get((i + di, m2))
             if r is None:
                 continue
-            key = (r, c)
+            key = r * ncols + c
             v = ent.get(key, 0) + w
             if p is not None:
                 v %= p
@@ -445,7 +466,7 @@ def _assemble(g, op, s, src, tgt, ring, deadline=None):
                 ent[key] = v
             else:
                 ent.pop(key, None)
-    return SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
+    return ent
 
 
 def slice_map(g, op, d, ring=ZZ, s=0, deadline=None, r=None):
@@ -468,20 +489,40 @@ def slice_map(g, op, d, ring=ZZ, s=0, deadline=None, r=None):
     Smith form and ranks (module docstring).  The deadline, if any, is
     checked once per source column.
     """
-    if op not in OPS:
-        raise DomainError(f"unknown slice op {op!r}")
-    if s > 0:
-        raise DomainError("slice maps are built for s <= 0; use conjugation")
-    if r is not None and not 0 <= r <= g:
-        raise DomainError(f"weight type {r} out of range for genus {g}")
-    src_region, tgt_region = _regions(op, s)
-    src = slice_basis(g, src_region, d, r)
-    if s == 0 or op == "one_plus_J":
-        tgt = slice_basis(g, tgt_region, d, r)
-    else:
-        degs = {"v": [d], "h": [d + 2 * s]}.get(op, [d, d + 2 * s])
-        tgt = UnionBasis([slice_basis(g, tgt_region, dd, r) for dd in degs])
-    return SliceMap(_assemble(g, op, s, src, tgt, ring, deadline), src, tgt, op, s)
+    src, tgt = _bases(g, op, d, s, r)
+    ncols = src.size
+    ent = _accumulate(g, op, s, src, tgt, ring.p, deadline)
+    mat = SparseExactMatrix.from_int_entries(
+        tgt.size, ncols, {divmod(k, ncols): v for k, v in ent.items()}, ring)
+    return SliceMap(mat, src, tgt, op, s)
+
+
+_DIGEST_CHUNK = 4096  # entries serialized per sha256 update
+
+
+def slice_digest(g, op, d, s=0, deadline=None):
+    """Fingerprint of the whole integer matrix slice_map(g, op, d, ZZ, s):
+    the first 16 hex digits of the sha256 of its canonical JSON,
+    {"cols":C,"entries":[[r,c,"v"],...],"ring":"Z","rows":R} with the
+    entries in (r, c) order.
+
+    The bytes reach sha256 in chunks, and the bases and flips are built
+    outside the slice_basis and _flip_blade caches: a fingerprint visits
+    each whole mask once, so caching them would only keep 4^g-sized state
+    alive.  The deadline, if any, is checked once per source column.
+    """
+    src, tgt = _bases(g, op, d, s, basis=SliceBasis)
+    ncols = src.size
+    ent = _accumulate(g, op, s, src, tgt, deadline=deadline,
+                      flip=_flip_blade.__wrapped__)
+    keys = sorted(ent)
+    h = hashlib.sha256(b'{"cols":%d,"entries":[' % ncols)
+    for lo in range(0, len(keys), _DIGEST_CHUNK):
+        h.update((("," if lo else "") + ",".join(
+            '[%d,%d,"%d"]' % (*divmod(k, ncols), ent[k])
+            for k in keys[lo:lo + _DIGEST_CHUNK])).encode())
+    h.update(b'],"ring":"Z","rows":%d}' % tgt.size)
+    return h.hexdigest()[:16]
 
 
 def u_chain_map(g, region, d_hi, steps, ring=ZZ, r=None):

@@ -3,11 +3,13 @@
 Commands: hat | plus | infinity | nontorsion | action | eg | beta | slice |
 snf | verify, with shared flags --genus, --spinc, --ring, --degrees,
 --out {table,json,tsv}, --extended, --time-budget, --jobs, and the
-HF_CACHE_DIR result cache.  Exit codes: 0 success, 1 verification failure
-or an exhausted time budget, 2 usage error.
+HF_CACHE_DIR result cache.  Exit codes: 0 success, 1 verification failure,
+an exhausted time budget or an output pipe closed by its reader (nothing
+more is written, and no traceback), 2 usage error.
 
 --time-budget SECONDS holds in hat, plus, infinity, nontorsion, action, eg,
-beta and verify; --extended only lifts the genus cap on the heavy integer runs.
+beta, slice, snf and verify; --extended only lifts the genus cap on the heavy
+integer runs.
 
 Output is deterministic for a fixed configuration: JSON is emitted with
 sorted keys, and the one timestamp field sits outside the hashed payload.
@@ -382,7 +384,7 @@ def cmd_slice(args):
     if s > 0:
         s = -s  # built for the negative side; conjugation-symmetric
     d = int(args.degree)
-    sm = slice_map(args.genus, args.op, d, ring, s)
+    sm = slice_map(args.genus, args.op, d, ring, s, deadline=_deadline(args))
     payload = sm.matrix.to_json()
     payload["op"] = args.op
     payload["degree"] = d
@@ -394,15 +396,15 @@ def cmd_slice(args):
 
 
 def cmd_snf(args):
-    from .linalg import SparseExactMatrix, cokernel, smith_normal_form
+    from .linalg import SparseExactMatrix, cokernel_over, smith_normal_form
     with open(args.input) as fh:
         data = json.load(fh)
     m = SparseExactMatrix.from_json(data)
     if m.ring != ZZ:
         raise DomainError("snf wants an integer matrix")
-    factors = smith_normal_form(m)
+    factors = smith_normal_form(m, deadline=_deadline(args))
     payload = {"invariant_factors": factors,
-               "cokernel": cokernel(m).to_json(),
+               "cokernel": cokernel_over(m.rows, factors, ZZ).to_json(),
                "rank": len(factors)}
     text = _emit(args, payload, f"Smith normal form of {args.input}")
     print(text)
@@ -530,8 +532,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()  # a reader that closed the pipe shows up here
+    except BrokenPipeError:
+        # the recipe in the `signal` docs: send what is still buffered to
+        # devnull, so that the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _run(argv):
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, GenusMismatch, UnsupportedOperation) as exc:

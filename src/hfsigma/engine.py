@@ -11,8 +11,6 @@ nontorsion sector is reported in the integer grading of the triangle model
 X(g, d), which lifts its relative Z/2|k| grading.
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -20,8 +18,8 @@ from math import comb
 
 from .cfk import (B_PLUS, GradedElement, J_GEQ0, block_masks,
                   block_multiplicity, corner, gamma_action, j_infinity,
-                  slice_basis, slice_map, u_chain_map, u_slice_map,
-                  _flip_blade)
+                  slice_basis, slice_digest, slice_map, u_chain_map,
+                  u_slice_map, _flip_blade)
 from .errors import DomainError, UnsupportedOperation
 from .exterior import Multivector, blade_grade, blades_of_grade, eta
 from .lefschetz import (coprimitive_dim, primitive_dim, raising_matrix,
@@ -30,11 +28,6 @@ from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                      cokernel_over, factor_rank, integer_kernel_lattice,
                      kernel_basis, lattice_quotient, rank, smith_normal_form)
 from .rings import QQ, ZZ
-
-
-def matrix_hash(m):
-    payload = json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +160,7 @@ def hf_hat(g, ring=ZZ, window=None, deadline=None):
     table = FloerTable(g, 0, ring, "hat")
     for d in range(window[0], window[1] + 1):
         table.entries[half(d)] = _cone_group(g, "F_hat", d, ring, deadline=deadline)
-    table.metadata["matrix_hash_d0"] = matrix_hash(
-        slice_map(g, "F_hat", 0, deadline=deadline).matrix)
+    table.metadata["matrix_hash_d0"] = slice_digest(g, "F_hat", 0, deadline=deadline)
     return table
 
 
@@ -213,8 +205,7 @@ def hf_infinity(g, ring=ZZ, deadline=None):
     for d in (g, g + 1):
         table.entries[half(d)] = _cone_group(g, "one_plus_J", d, ring, deadline)
         hashes = table.metadata.setdefault("matrix_hashes", {})
-        hashes[_deg_str(d)] = matrix_hash(
-            slice_map(g, "one_plus_J", d, deadline=deadline).matrix)
+        hashes[_deg_str(d)] = slice_digest(g, "one_plus_J", d, deadline=deadline)
     table.metadata["periodic"] = True
     table.metadata["parity_degrees"] = [_deg_str(half(g)), _deg_str(half(g + 1))]
     return table

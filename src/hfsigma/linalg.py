@@ -525,8 +525,11 @@ def smith_normal_form(m, deadline=None):
     # --- phase 2: gcd pivoting on the residual
     while rows:
         check_deadline()
-        pr, pc, _ = min(((r, c, abs(v)) for r, rd in rows.items() for c, v in rd.items()),
-                        key=lambda t: (t[2], len(rows[t[0]]) + len(cols[t[1]])))
+        # least |v|, then least row + column length, first in iteration order
+        a = min(min(map(abs, rd.values())) for rd in rows.values())
+        pr, pc = min(((r, c) for r, rd in rows.items() for c, v in rd.items()
+                      if v == a or v == -a),
+                     key=lambda t: len(rows[t[0]]) + len(cols[t[1]]))
         # shrink the pivot until it divides its whole row and column
         while True:
             pv = rows[pr][pc]

@@ -1,13 +1,15 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from hfsigma.cfk import (B_PLUS, GradedElement, J_GEQ0, Region, _flip_blade,
-                         corner, gamma_action, hook, j_infinity,
-                         j_plus, min_zero, row_i0, slice_basis, slice_map,
-                         u_chain_map, u_slice_map)
+from hfsigma.cfk import (B_PLUS, OPS, GradedElement, J_GEQ0, Region,
+                         _flip_blade, corner, gamma_action, hook, j_infinity,
+                         j_plus, min_zero, row_i0, slice_basis, slice_digest,
+                         slice_map, u_chain_map, u_slice_map)
 from hfsigma.errors import BudgetExceeded, Deadline, DomainError
 from hfsigma.exterior import (Multivector, blade_grade, eta,
                               random_multivector, star_blade, contract_blades,
@@ -275,9 +277,52 @@ def test_one_pass_assembly_matches_per_entry_order():
                                 _ref_u_entries(um, steps, ring)
 
 
+class _CountingDeadline:
+    def __init__(self):
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
 def test_slice_construction_checks_the_deadline():
     with pytest.raises(BudgetExceeded):
         slice_map(3, "F", 1, deadline=Deadline(-1))
     with pytest.raises(BudgetExceeded):
         slice_map(3, "one_plus_J", 4, r=1, deadline=Deadline(-1))
+    with pytest.raises(BudgetExceeded):
+        slice_digest(3, "F", 1, deadline=Deadline(-1))
     assert slice_map(3, "F", 1, deadline=Deadline(60)).matrix == slice_map(3, "F", 1).matrix
+    for build in (slice_map, slice_digest):  # one tick per source column
+        counter = _CountingDeadline()
+        build(3, "F", 1, deadline=counter)
+        assert counter.ticks == slice_basis(3, B_PLUS, 1).size
+
+
+def _to_json_digest(g, op, d, s=0):
+    # the payload fingerprint as it was first taken: the whole matrix, its
+    # to_json lists, one canonical JSON string, one sha256
+    m = slice_map(g, op, d, ZZ, s).matrix
+    payload = json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def test_slice_digest_matches_the_to_json_route():
+    for g in range(1, 6):
+        for op in OPS:
+            for s in (0, -1, -2):
+                for d in range(-g - 3, g + 4):
+                    assert slice_digest(g, op, d, s) == _to_json_digest(g, op, d, s), \
+                        (g, op, d, s)
+
+
+def test_slice_digest_pins_the_g7_infinity_hashes():
+    assert slice_digest(7, "one_plus_J", 7) == "e24003df07d3de2e"
+    assert slice_digest(7, "one_plus_J", 8) == "2f0d7fce7a269960"
+
+
+def test_slice_digest_leaves_the_caches_alone():
+    before = slice_basis.cache_info(), _flip_blade.cache_info()
+    slice_digest(5, "one_plus_J", 5)
+    slice_digest(5, "F_hat", 0)
+    assert (slice_basis.cache_info(), _flip_blade.cache_info()) == before

@@ -10,14 +10,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 
-def run_cli(*argv, env_extra=None, src=SRC, python_args=("-m", "hfsigma.cli")):
+def cli_env(env_extra=None, src=SRC):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("HF_CACHE_DIR", None)
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*argv, env_extra=None, src=SRC, python_args=("-m", "hfsigma.cli")):
     proc = subprocess.run([sys.executable, *python_args, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=cli_env(env_extra, src))
     return proc
 
 
@@ -85,6 +90,30 @@ def test_slice_and_snf_pipeline(tmp_path):
     assert proc.returncode == 0
     res = json.loads(proc.stdout)["result"]
     assert res["rank"] == len(res["invariant_factors"])
+    proc = run_cli("snf", "--input", str(inner), "--time-budget", "0")
+    assert proc.returncode == 1
+    assert "time budget exhausted" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_slice_time_budget_exits_1():
+    proc = run_cli("slice", "-g", "6", "--op", "F", "--degree", "0",
+                   "--time-budget", "0")
+    assert proc.returncode == 1
+    assert "time budget exhausted" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_closed_output_pipe_exits_1_without_traceback():
+    # about 190 kB of JSON: more than a pipe holds, so the writer sees the
+    # reader close
+    with subprocess.Popen(
+            [sys.executable, "-m", "hfsigma.cli", "slice", "-g", "6", "--op", "F",
+             "--degree", "0", "--out", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env()) as proc:
+        assert proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_slice_table_and_tsv_list_entries():
