@@ -41,7 +41,7 @@ from math import comb
 
 from .errors import DomainError, GenusMismatch
 from .exterior import (blade_grade, blades_of_grade, complete_pairs,
-                       pair_mask, star_blade, wedge_blades)
+                       pair_mask, star_blade)
 from .linalg import SparseExactMatrix
 from .rings import ZZ
 
@@ -319,28 +319,35 @@ def gamma_action(gamma_star_index, x, truncate=True):
     With truncate=True terms pushed to i < 0 die (the U^0-row truncation of
     the i >= 0 quotient).
     """
-    g = x.genus
-    vbit = gamma_star_index - 1
-    pbit = 1 << (vbit ^ 1)  # e |_ m can only remove the symplectic partner
-    psign = 1 if vbit & 1 else -1  # omega(partner, e)
     out = {}
+    for key, c in x.terms.items():
+        for key2, s in _gamma_terms(gamma_star_index, *key, truncate):
+            v = out.get(key2, 0) + s * c
+            if v:
+                out[key2] = v
+            else:
+                out.pop(key2, None)
+    return GradedElement(x.genus, out)
 
-    def bump(key, v):
-        w = out.get(key, 0) + v
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
 
-    for (i, mask), c in x.terms.items():
-        if mask & pbit:
-            s = -psign if (mask & (pbit - 1)).bit_count() & 1 else psign
-            bump((i, mask ^ pbit), s * c)
-        hit = wedge_blades(1 << vbit, mask)
-        if hit is not None and (i - 1 >= 0 or not truncate):
-            s, m2 = hit
-            bump((i - 1, m2), s * c)
-    return GradedElement(g, out)
+def _gamma_terms(gamma_star_index, i, mask, truncate=True):
+    """gamma_action on the single term mask * U^-i: tuple of
+    ((i', mask'), sign), at most one contraction and one wedge term.  Each
+    sign is (-1)^(bits of mask below the bit it removes or adds), times
+    omega(partner, e) for the contraction (exterior.contract_blades and
+    wedge_blades for a single vector)."""
+    vbit = 1 << (gamma_star_index - 1)
+    pbit = 1 << ((gamma_star_index - 1) ^ 1)  # e |_ m only removes the partner
+    out = []
+    if mask & pbit:
+        s = 1 if pbit < vbit else -1  # omega(partner, e)
+        if (mask & (pbit - 1)).bit_count() & 1:
+            s = -s
+        out.append(((i, mask ^ pbit), s))
+    if not mask & vbit and (i >= 1 or not truncate):
+        s = -1 if (mask & (vbit - 1)).bit_count() & 1 else 1
+        out.append(((i - 1, mask | vbit), s))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +532,24 @@ def slice_digest(g, op, d, s=0, deadline=None):
     return h.hexdigest()[:16]
 
 
-def u_chain_map(g, region, d_hi, steps, ring=ZZ, r=None):
+def u_chain_map(g, region, d_hi, steps, ring=ZZ, r=None, deadline=None):
     """Matrix of U^steps from the degree-d_hi slice down to d_hi - 2*steps,
-    or from its representative type-r weight block when r is given."""
+    or from its representative type-r weight block when r is given.  The
+    deadline, if any, is checked once per source column."""
     src = slice_basis(g, region, d_hi, r)
     tgt = slice_basis(g, region, d_hi - 2 * steps, r)
     get = tgt.index.get
-    ent = {(row, c): 1 for c, (i, mask) in enumerate(src.elements)
-           if (row := get((i - steps, mask))) is not None}
+    ent = {}
+    for c, (i, mask) in enumerate(src.elements):
+        if deadline is not None:
+            deadline.tick()
+        row = get((i - steps, mask))
+        if row is not None:
+            ent[(row, c)] = 1
     mat = SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
     return SliceMap(mat, src, tgt, "U" if steps == 1 else f"U^{steps}")
 
 
-def u_slice_map(g, region, d, ring=ZZ, r=None):
+def u_slice_map(g, region, d, ring=ZZ, r=None, deadline=None):
     """Matrix of U: degree-d slice -> degree-(d-2) slice of the same region."""
-    return u_chain_map(g, region, d, 1, ring, r)
+    return u_chain_map(g, region, d, 1, ring, r, deadline)

@@ -397,9 +397,12 @@ def cmd_slice(args):
 
 def cmd_snf(args):
     from .linalg import SparseExactMatrix, cokernel_over, smith_normal_form
-    with open(args.input) as fh:
-        data = json.load(fh)
-    m = SparseExactMatrix.from_json(data)
+    try:
+        with open(args.input) as fh:
+            m = SparseExactMatrix.from_json(json.load(fh))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"{args.input} holds no matrix JSON "
+                          f"(rows, cols, ring, entries): {exc!r}") from None
     if m.ring != ZZ:
         raise DomainError("snf wants an integer matrix")
     factors = smith_normal_form(m, deadline=_deadline(args))

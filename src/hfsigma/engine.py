@@ -11,15 +11,13 @@ nontorsion sector is reported in the integer grading of the triangle model
 X(g, d), which lifts its relative Z/2|k| grading.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
-from .cfk import (B_PLUS, GradedElement, J_GEQ0, block_masks,
-                  block_multiplicity, corner, gamma_action, j_infinity,
-                  slice_basis, slice_digest, slice_map, u_chain_map,
-                  u_slice_map, _flip_blade)
+from .cfk import (B_PLUS, GradedElement, block_masks, block_multiplicity,
+                  corner, slice_basis, slice_digest, slice_map, u_chain_map,
+                  u_slice_map, _flip_blade, _gamma_terms)
 from .errors import DomainError, UnsupportedOperation
 from .exterior import Multivector, blade_grade, blades_of_grade, eta
 from .lefschetz import (coprimitive_dim, primitive_dim, raising_matrix,
@@ -37,18 +35,33 @@ from .rings import QQ, ZZ
 BASIS_ORDER = "cells by U-coordinate ascending, blades by mask ascending"
 
 
-@dataclass
 class FloerTable:
-    genus: int
-    spinc: int
-    ring: object
-    flavor: str  # hat | plus | plus_red | infinity | nontorsion
-    entries: dict = field(default_factory=dict)  # degree -> GroupPresentation
-    towers: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    """One flavor's groups by degree, with its towers and metadata."""
 
-    def __post_init__(self):
+    __slots__ = ("genus", "spinc", "ring", "flavor", "entries", "towers", "metadata")
+
+    def __init__(self, genus, spinc, ring, flavor, entries=None, towers=None,
+                 metadata=None):
+        self.genus = genus
+        self.spinc = spinc
+        self.ring = ring
+        self.flavor = flavor  # hat | plus | plus_red | infinity | nontorsion
+        self.entries = {} if entries is None else entries  # degree -> GroupPresentation
+        self.towers = [] if towers is None else towers
+        self.metadata = {} if metadata is None else metadata
         self.metadata.setdefault("basis_order", BASIS_ORDER)
+
+    def _key(self):
+        return (self.genus, self.spinc, self.ring, self.flavor, self.entries,
+                self.towers, self.metadata)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return "FloerTable(%r, %r, %r, %r, %r, %r, %r)" % self._key()
 
     def rank_at(self, degree):
         grp = self.entries.get(degree)
@@ -277,9 +290,9 @@ def _reduced_group(g, d, ring, deadline=None):
     steps = (hi - d) // 2
 
     def block_group(r):
-        un = u_chain_map(g, B_PLUS, hi, steps, r=r).matrix
+        un = u_chain_map(g, B_PLUS, hi, steps, r=r, deadline=deadline).matrix
         f1 = slice_map(g, "F", d + 1, deadline=deadline, r=r).matrix
-        un1 = u_chain_map(g, corner(0), hi + 1, steps, r=r).matrix
+        un1 = u_chain_map(g, corner(0), hi + 1, steps, r=r, deadline=deadline).matrix
         stack = SparseExactMatrix.hstack(f1, un1)
         red_c = cokernel_over(stack.rows, smith_normal_form(stack, deadline=deadline), ring)
         _, cols, factors = _block_data(g, "F", d, r, deadline)
@@ -438,29 +451,99 @@ def chain_matrix(g, kk, degrees, r=None):
     return m, colkeys, rowoff
 
 
+# Every map the nontorsion sector iterates is linear and acts term by term on
+# (i, mask), so each is stored as its images of single terms, built once per
+# term: the phi step pr_{i>=0} U^|k| pr_{j>=0} J, F = v + h into the corner
+# j >= -|k|, and the truncated action of one class.  _apply sums them over
+# plain {(i, mask): coeff} dicts.
+
+class _Images(dict):
+    """{(i, mask): image of that single term}, an image being a tuple of
+    ((i', mask'), coeff); each built by build(i, mask) on first use."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        img = self[key] = self.build(*key)
+        return img
+
+
+def _apply(image, terms):
+    """The linear map given by its term images on {(i, mask): coeff}, as a
+    new dict without zero coefficients."""
+    out = {}
+    get = out.get
+    for key, c in terms.items():
+        for key2, w in image[key]:
+            v = get(key2, 0) + c * w
+            if v:
+                out[key2] = v
+            else:
+                del out[key2]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _nontorsion_images(g, kk):
+    """(phi step, F) term images for genus g and |k| = kk."""
+    def step(i, mask):
+        out = []
+        for di, m2, w in _flip_blade(g, mask):
+            i2 = i + di  # J, then keep j >= 0, shift by U^|k|, keep i >= 0
+            if i2 + blade_grade(m2) - g >= 0 and i2 >= kk:
+                out.append(((i2 - kk, m2), w))
+        return tuple(out)
+
+    def fmap(i, mask):
+        out = []
+        if i >= 0 and i + blade_grade(mask) - g >= -kk:
+            out.append(((i, mask), 1))
+        for di, m2, w in _flip_blade(g, mask):
+            i2 = i + di - kk
+            if i2 >= 0 and i2 + blade_grade(m2) - g >= -kk:
+                out.append(((i2, m2), w))
+        return tuple(out)
+
+    return _Images(step), _Images(fmap)
+
+
+@lru_cache(maxsize=None)
+def _gamma_images(gamma_star_index):
+    """Term images of the truncated action of one class; its bit rules
+    (cfk._gamma_terms) do not depend on the genus."""
+    return _Images(partial(_gamma_terms, gamma_star_index))
+
+
 def phi_series(xi, kk, max_iter=200, deadline=None):
     """The kernel embedding: alternating sum of (pr_{i>=0} U^|k| J+)^n.  The
     deadline, if any, is checked once per term."""
-    out = GradedElement(xi.genus)
-    term = xi
+    step = _nontorsion_images(xi.genus, kk)[0]
+    out = {}
+    term = xi.terms
     sign = 1
     for _ in range(max_iter):
         if deadline is not None:
             deadline.tick()
-        if term.is_zero():
-            return out
-        out = out + term.scale(sign)
-        term = (j_infinity(term).project(J_GEQ0)
-                .u_power(kk).project(B_PLUS))
+        if not term:
+            return GradedElement(xi.genus, out)
+        for key, c in term.items():
+            v = out.get(key, 0) + sign * c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        term = _apply(step, term)
         sign = -sign
     raise AssertionError("phi series did not terminate")
 
 
 def apply_F(y, g, kk):
     """F = v + h on the i >= 0 quotient, into the corner at j >= -|k|."""
-    s = -kk
-    return (y.project(corner(s))
-            + j_infinity(y).u_power(kk).project(corner(s)))
+    return GradedElement(g, _apply(_nontorsion_images(g, kk)[1], y.terms))
 
 
 def hf_plus_nontorsion(g, k, deadline=None):
@@ -530,15 +613,16 @@ def phi_image_rank(g, kk, deadline=None):
     is the sum over r of block_multiplicity(g, r) times the rank of the
     images of the model elements in the representative type-r block."""
     model = XModel(g, g - 1 - kk)
+    fmap = _nontorsion_images(g, kk)[1]
 
     def block_image(r):
         keys = {}
         cols = []
         for key in model.basis(r):
-            ph = phi_series(GradedElement(g, {key: 1}), kk, deadline=deadline)
-            if not apply_F(ph, g, kk).is_zero():
+            ph = phi_series(GradedElement(g, {key: 1}), kk, deadline=deadline).terms
+            if _apply(fmap, ph):
                 raise AssertionError("phi image escaped the kernel")
-            cols.append({keys.setdefault(t, len(keys)): v for t, v in ph.terms.items()})
+            cols.append({keys.setdefault(t, len(keys)): v for t, v in ph.items()})
         return GroupPresentation(_span_rank(cols, len(keys), QQ, deadline))
     return _block_sum(g, block_image, deadline).free_rank
 
@@ -587,13 +671,30 @@ def f_restriction_surjective(g, kk, d_lo=None, d_hi=None):
 # H_1 action on the nontorsion sector
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CorrectionTerm:
-    ell: int
-    value: GradedElement
-    exterior_power: int
-    u_exponent: int
-    degree: int
+    """One correction of the action: homogeneous of the given degree, on
+    the cell (exterior power, U exponent)."""
+
+    __slots__ = ("ell", "value", "exterior_power", "u_exponent", "degree")
+
+    def __init__(self, ell, value, exterior_power, u_exponent, degree):
+        self.ell = ell
+        self.value = value
+        self.exterior_power = exterior_power
+        self.u_exponent = u_exponent
+        self.degree = degree
+
+    def _key(self):
+        return (self.ell, self.value, self.exterior_power, self.u_exponent,
+                self.degree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return "CorrectionTerm(%r, %r, %r, %r, %r)" % self._key()
 
     def to_json(self):
         return {"ell": self.ell, "exterior_power": self.exterior_power,
@@ -612,14 +713,15 @@ def h1_action(g, k, gamma_star_index, xi):
     homogeneous of degree n - 1 - 2*ell*|k| pinned to a single lattice cell.
     """
     kk, xi, n = _model_element(g, k, xi)
-    return _act(g, kk, gamma_star_index, xi, n, phi_series(xi, kk))
+    std, corrections = _act(g, kk, gamma_star_index, xi, n, phi_series(xi, kk).terms)
+    return GradedElement(g, std), corrections
 
 
 def h1_corrections(g, k, xi, deadline=None):
     """Yield (gamma, corrections of h1_action(g, k, gamma, xi)) for
     gamma = 1..2g, from one phi series of xi."""
     kk, xi, n = _model_element(g, k, xi)
-    ph = phi_series(xi, kk, deadline=deadline)
+    ph = phi_series(xi, kk, deadline=deadline).terms
     for gamma in range(1, 2 * g + 1):
         yield gamma, _act(g, kk, gamma, xi, n, ph)[1]
 
@@ -643,15 +745,23 @@ def _model_element(g, k, xi):
 
 
 def _act(g, kk, gamma_star_index, xi, n, ph):
-    """The body of h1_action, given the degree n and phi series ph of xi."""
-    y = gamma_action(gamma_star_index, ph, truncate=True)
-    if not apply_F(y, g, kk).is_zero():
+    """The body of h1_action, given the degree n and phi series terms ph of
+    xi: (standard part as a term dict, corrections)."""
+    gamma = _gamma_images(gamma_star_index)
+    y = _apply(gamma, ph)
+    if _apply(_nontorsion_images(g, kk)[1], y):
         raise AssertionError("the action left the kernel")
-    full = y.project(_TriangleRegion(kk))
-    std = gamma_action(gamma_star_index, xi, truncate=True)
-    corr = full - std
+    std = _apply(gamma, xi.terms)
+    inside = _TriangleRegion(kk).contains
+    corr = {(i, m): v for (i, m), v in y.items() if inside(i, i + blade_grade(m) - g)}
+    for key, v in std.items():  # corr = (y on the triangle) - std
+        w = corr.get(key, 0) - v
+        if w:
+            corr[key] = w
+        else:
+            del corr[key]
     buckets = {}
-    for (i, m), v in corr.terms.items():
+    for (i, m), v in corr.items():
         deg = 2 * i + blade_grade(m) - g
         buckets.setdefault(deg, {})[(i, m)] = v
     corrections = []
@@ -689,23 +799,24 @@ def unexpected_u_kernel_dim(g):
     return 2 ** (g - 1) - comb(2 * g, g) // 2 + comb(2 * g, g - 2)
 
 
-def _quotient_map_dims(T, v1_cols, w1_cols, w2_cols):
+def _quotient_map_dims(T, v1_cols, w1_cols, w2_cols, deadline=None):
     """For T: V1 -> V2 with subspaces W1, W2 (T W1 <= W2), all spanned by
     integer columns: dimensions over Q of V1/W1, of the kernel and of the
     image of the induced quotient map."""
-    rw1 = _span_rank(w1_cols, T.cols, QQ)
-    rw2 = _span_rank(w2_cols, T.rows, QQ)
-    dim_v1 = _span_rank(v1_cols, T.cols, QQ)
-    r_all = _span_rank(T.mul_columns(v1_cols) + w2_cols, T.rows, QQ)
+    rw1 = _span_rank(w1_cols, T.cols, QQ, deadline)
+    rw2 = _span_rank(w2_cols, T.rows, QQ, deadline)
+    dim_v1 = _span_rank(v1_cols, T.cols, QQ, deadline)
+    r_all = _span_rank(T.mul_columns(v1_cols) + w2_cols, T.rows, QQ, deadline)
     dim_red = dim_v1 - rw1
     ker = dim_v1 + rw2 - r_all - rw1
     img = r_all - rw2
     return dim_red, ker, img
 
 
-def u_action_red(g, window=None):
+def u_action_red(g, window=None, deadline=None):
     """The U endomorphism of the reduced plus flavor, degree by degree,
-    summed over the weight blocks like the reduced part itself.
+    summed over the weight blocks like the reduced part itself.  The
+    deadline, if any, reaches every slice map, U-power map and rank.
 
     Reports, for each half-integer degree delta in the window: the reduced
     dimension, the kernel dimension of U: red_delta -> red_(delta-2), and
@@ -725,15 +836,16 @@ def u_action_red(g, window=None):
     def kdata(d, r):
         hi = _stable_hi(g, d)
         steps = (hi - d) // 2
-        un = u_chain_map(g, B_PLUS, hi, steps, r=r).matrix
-        return _kernel_cols(g, d, r), un.mul_columns(_kernel_cols(g, hi, r))
+        un = u_chain_map(g, B_PLUS, hi, steps, r=r, deadline=deadline).matrix
+        return (_kernel_cols(g, d, r, deadline),
+                un.mul_columns(_kernel_cols(g, hi, r, deadline)))
 
     @lru_cache(maxsize=None)
     def cdata(d1, r):
         hi1 = _stable_hi(g, d1)
         steps = (hi1 - d1) // 2
-        f1 = slice_map(g, "F", d1, r=r).matrix
-        un1 = u_chain_map(g, corner(0), hi1, steps, r=r).matrix
+        f1 = slice_map(g, "F", d1, deadline=deadline, r=r).matrix
+        un1 = u_chain_map(g, corner(0), hi1, steps, r=r, deadline=deadline).matrix
         v = [{i: 1} for i in range(f1.rows)]
         return v, f1.col_dicts() + un1.col_dicts()
 
@@ -743,12 +855,12 @@ def u_action_red(g, window=None):
         for r in range(g + 1):
             klo, w1k = kdata(d, r)
             _, w2k = kdata(d - 2, r)
-            u_b = u_slice_map(g, B_PLUS, d, r=r).matrix
+            u_b = u_slice_map(g, B_PLUS, d, r=r, deadline=deadline).matrix
             vc, w1c = cdata(d + 1, r)
             _, w2c = cdata(d - 1, r)
-            u_c = u_slice_map(g, corner(0), d + 1, r=r).matrix
-            for key, k, c in zip(row, _quotient_map_dims(u_b, klo, w1k, w2k),
-                                 _quotient_map_dims(u_c, vc, w1c, w2c)):
+            u_c = u_slice_map(g, corner(0), d + 1, r=r, deadline=deadline).matrix
+            for key, k, c in zip(row, _quotient_map_dims(u_b, klo, w1k, w2k, deadline),
+                                 _quotient_map_dims(u_c, vc, w1c, w2c, deadline)):
                 row[key] += block_multiplicity(g, r) * (k + c)
         per_degree[half(d)] = row
     checks = {}

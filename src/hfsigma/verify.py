@@ -10,7 +10,6 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -91,12 +90,25 @@ _CHECK_SOURCES = {
 }
 
 
-@dataclass
 class VerificationCheck:
-    check_id: str
-    params: dict
-    expected: object
-    computed: object
+    __slots__ = ("check_id", "params", "expected", "computed")
+
+    def __init__(self, check_id, params, expected, computed):
+        self.check_id = check_id
+        self.params = params
+        self.expected = expected
+        self.computed = computed
+
+    def _key(self):
+        return (self.check_id, self.params, self.expected, self.computed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return "VerificationCheck(%r, %r, %r, %r)" % self._key()
 
     @property
     def ok(self):
@@ -112,12 +124,27 @@ class VerificationCheck:
                 "source": self.source, "pass": self.ok}
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list = field(default_factory=list)
-    wall_time: float = 0.0
-    deadline: object = field(default=None, repr=False, compare=False)
+    """A suite's checks; the deadline takes no part in equality."""
+
+    __slots__ = ("suite", "checks", "wall_time", "deadline")
+
+    def __init__(self, suite, checks=None, wall_time=0.0, deadline=None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+        self.wall_time = wall_time
+        self.deadline = deadline
+
+    def _key(self):
+        return (self.suite, self.checks, self.wall_time)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return "VerificationReport(%r, %r, %r)" % self._key()
 
     def add(self, check_id, params, expected, computed):
         """Record a check; the deadline, if any, is checked once per check."""
@@ -450,7 +477,7 @@ def suite_plus(max_genus=5, deadline=None):
             rep.add("plus-known-data-regression", {"g": g}, 0, bad)
         # U-action report
         if g >= 3:
-            urep = engine.u_action_red(g)
+            urep = engine.u_action_red(g, deadline=deadline)
             cks = urep["checks"]
             rep.add("u-red-surjective-low", {"g": g}, True,
                     cks["surjective_at_and_below_middle"])

@@ -4,17 +4,24 @@ The full-matrix route below is the reference: it eliminates each slice
 matrix whole, as the engine did before it summed over representative
 blocks.  The same holds for the nontorsion sector: whole prefix chain
 matrices, the phi image of the whole model basis, and the action one
-class at a time.
+class at a time.  The phi series, F and the action are also checked
+against their composition from j_infinity, gamma_action and region
+projections on GradedElements, which the engine used before it cached
+the images of single terms.
 """
 
+import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from hfsigma import engine
-from hfsigma.cfk import GradedElement, block_masks, block_multiplicity, slice_map
+from hfsigma.cfk import (B_PLUS, GradedElement, J_GEQ0, block_masks,
+                         block_multiplicity, corner, gamma_action, j_infinity,
+                         slice_map)
 from hfsigma.errors import DomainError
-from hfsigma.exterior import blades_of_grade
+from hfsigma.exterior import blade_grade, blades_of_grade
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                             rank, smith_normal_form)
 from hfsigma.rings import GF, QQ, ZZ
@@ -209,3 +216,76 @@ def test_nontorsion_ranks_build_no_whole_chain_matrix(monkeypatch):
     engine._chain_cached.cache_clear()
     engine.hf_plus_nontorsion(5, 1)
     assert types and None not in types
+
+
+def composed_phi_series(xi, kk):
+    """Alternating sum of (pr_{i>=0} U^|k| pr_{j>=0} J)^n, composed on
+    GradedElements."""
+    out = GradedElement(xi.genus)
+    term, sign = xi, 1
+    while not term.is_zero():
+        out = out + term.scale(sign)
+        term = j_infinity(term).project(J_GEQ0).u_power(kk).project(B_PLUS)
+        sign = -sign
+    return out
+
+
+def composed_F(y, g, kk):
+    """F = v + h into the corner j >= -|k|, composed on GradedElements."""
+    return (y.project(corner(-kk))
+            + j_infinity(y).u_power(kk).project(corner(-kk)))
+
+
+def composed_act(g, kk, gamma, xi):
+    """(standard part, corrections) of the action of one class on a model
+    element, composed on GradedElements."""
+    n = xi.degrees()[0]
+    y = gamma_action(gamma, composed_phi_series(xi, kk), truncate=True)
+    assert composed_F(y, g, kk).is_zero()
+    std = gamma_action(gamma, xi, truncate=True)
+    corr = y.project(engine._TriangleRegion(kk)) - std
+    buckets = {}
+    for (i, m), v in corr.terms.items():
+        buckets.setdefault(2 * i + blade_grade(m) - g, {})[(i, m)] = v
+    corrections = []
+    for deg in sorted(buckets, reverse=True):
+        ell = Fraction(n - 1 - deg, 2 * kk)
+        assert ell.denominator == 1 and ell > 0
+        value = GradedElement(g, buckets[deg])
+        (power,) = {blade_grade(m) for (_i, m) in value.terms}
+        (uexp,) = {-i for (i, _m) in value.terms}
+        corrections.append(engine.CorrectionTerm(int(ell), value, power, uexp, deg))
+    return std, corrections
+
+
+def test_phi_series_and_F_match_the_composed_maps():
+    for g, k in nontorsion_cases():
+        for key in engine.XModel(g, g - 1 - k).basis():
+            xi = GradedElement(g, {key: 1})
+            ph = engine.phi_series(xi, k)
+            assert ph == composed_phi_series(xi, k), (g, k, key)
+            assert engine.apply_F(xi, g, k) == composed_F(xi, g, k), (g, k, key)
+            assert engine.apply_F(ph, g, k).is_zero(), (g, k, key)
+
+
+def test_F_matches_the_composed_map_on_random_elements():
+    rng = random.Random(10)
+    for g, k in nontorsion_cases():
+        for _ in range(20):
+            y = GradedElement(g, {(rng.randrange(g + 2), rng.randrange(4 ** g)):
+                                  rng.randint(-3, 3) for _ in range(rng.randint(1, 8))})
+            assert engine.apply_F(y, g, k) == composed_F(y, g, k), (g, k, y)
+
+
+def test_action_matches_the_composed_maps():
+    found = 0
+    for g, k in nontorsion_cases():
+        for key in engine.XModel(g, g - 1 - k).basis():
+            xi = GradedElement(g, {key: 1})
+            want = [composed_act(g, k, gi, xi) for gi in range(1, 2 * g + 1)]
+            assert [engine.h1_action(g, k, gi, key)
+                    for gi in range(1, 2 * g + 1)] == want, (g, k, key)
+            assert list(engine.h1_corrections(g, k, key)) == [
+                (gi, corrs) for gi, (_std, corrs) in enumerate(want, 1)], (g, k, key)
+            found += sum(len(corrs) for _std, corrs in want)
+    assert found  # g = 5, k = 1 has corrections (3|k| <= g - 2)

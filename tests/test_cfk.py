@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -117,6 +117,25 @@ def test_flip_equivariance():
             for gi in range(1, 2 * g + 1):
                 assert (j_infinity(gamma_action(gi, x, truncate=False))
                         == gamma_action(gi, j_infinity(x), truncate=False))
+
+
+def test_gamma_action_is_contraction_plus_wedge():
+    # gamma . (m U^-i) = (e |_ m) U^-i + (e ^ m) U^-(i-1), from the exterior
+    # algebra's closed forms for the two products
+    for g in (1, 2, 3):
+        for mask in range(4 ** g):
+            for gi in range(1, 2 * g + 1):
+                e = 1 << (gi - 1)
+                for i, truncate in product((0, 1, 2), (True, False)):
+                    want = {}
+                    hit = contract_blades(e, mask)
+                    if hit is not None:
+                        want[(i, hit[1])] = hit[0]
+                    hit = wedge_blades(e, mask)
+                    if hit is not None and (i >= 1 or not truncate):
+                        want[(i - 1, hit[1])] = hit[0]
+                    x = GradedElement(g, {(i, mask): 1})
+                    assert gamma_action(gi, x, truncate).terms == want, (g, mask, gi, i)
 
 
 def test_j_plus_projects():

@@ -95,6 +95,19 @@ def test_slice_and_snf_pipeline(tmp_path):
     assert "time budget exhausted" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_snf_malformed_input_exits_2(tmp_path):
+    envelope = tmp_path / "m.json"
+    proc = run_cli("slice", "-g", "3", "--op", "F", "--degree", "0",
+                   "--out", str(envelope))
+    assert proc.returncode == 0
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("not json")
+    for path in (envelope, garbage):
+        proc = run_cli("snf", "--input", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_slice_time_budget_exits_1():
     proc = run_cli("slice", "-g", "6", "--op", "F", "--degree", "0",
                    "--time-budget", "0")
@@ -238,7 +251,7 @@ def test_verify_unknown_suite_exits_2():
         assert f"'{name}'" in proc.stderr
 
 
-# Runs hf in-process, then reports on stderr which package modules it loaded.
+# Runs hf in-process, then reports on stderr which modules it loaded.
 LOADED_PROBE = """
 import sys
 from hfsigma.cli import main
@@ -246,7 +259,7 @@ try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-sys.stderr.write(" ".join(sorted(m for m in sys.modules if m.startswith("hfsigma"))))
+sys.stderr.write(" ".join(sorted(sys.modules)))
 """
 ENGINE_MODULES = {"hfsigma.engine", "hfsigma.cfk", "hfsigma.linalg",
                   "hfsigma.exterior", "hfsigma.lefschetz", "hfsigma.verify"}
@@ -267,6 +280,16 @@ def test_help_and_cache_hits_load_only_the_cli(tmp_path):
         mods, out = loaded("hat", "-g", "2", "--out", out_form, env_extra=env)
         assert "rank 9" in out or '"free_rank": 9' in out
         assert not mods & ENGINE_MODULES, out_form
+
+
+def test_commands_load_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at every start
+    for argv in (("nontorsion", "-g", "3", "--spinc", "1"),
+                 ("verify", "--suite", "star", "--max-genus", "2")):
+        proc = run_cli(*argv, python_args=("-c", LOADED_PROBE))
+        mods = set(proc.stderr.split())
+        assert "hfsigma.engine" in mods, argv
+        assert not mods & {"dataclasses", "inspect"}, argv
 
 
 def test_cache_key_covers_source(tmp_path):

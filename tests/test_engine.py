@@ -70,6 +70,14 @@ def test_budget_covers_nontorsion():
         engine.phi_image_rank(3, 1, deadline=Deadline(-1))
 
 
+class CountingDeadline:
+    def __init__(self):
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
 def test_phi_series_ticks():
     from hfsigma.cfk import GradedElement
     xi = GradedElement(3, {(0, 0): 1})
@@ -77,6 +85,25 @@ def test_phi_series_ticks():
         engine.phi_series(xi, 1, deadline=Deadline(-1))
     with pytest.raises(BudgetExceeded):
         list(engine.h1_corrections(3, 1, (0, 0), deadline=Deadline(-1)))
+    # once per term, the zero term that ends the series included
+    for g, key, terms in ((3, (0, 0), 1), (5, (3, 0), 2)):
+        counter = CountingDeadline()
+        ph = engine.phi_series(GradedElement(g, {key: 1}), 1, deadline=counter)
+        assert len(ph.degrees()) == terms and counter.ticks == terms + 1
+
+
+def test_budget_covers_u_action():
+    from hfsigma.cfk import B_PLUS, u_chain_map, u_slice_map
+    with pytest.raises(BudgetExceeded):
+        engine.u_action_red(4, deadline=Deadline(-1))
+    for r in (None, 0):
+        with pytest.raises(BudgetExceeded):
+            u_chain_map(4, B_PLUS, 2, 2, r=r, deadline=Deadline(-1))
+        with pytest.raises(BudgetExceeded):
+            u_slice_map(4, B_PLUS, 2, r=r, deadline=Deadline(-1))
+    counter = CountingDeadline()
+    sm = u_chain_map(4, B_PLUS, 2, 2, deadline=counter)
+    assert counter.ticks == sm.matrix.cols
 
 
 def test_chain_matrix_matches_per_entry_assembly():
@@ -261,3 +288,12 @@ def test_table_json():
     assert data["flavor"] == "hat" and data["ring"] == "Z"
     degs = [e["deg"] for e in data["entries"]]
     assert degs == sorted(degs, key=Fraction)
+
+
+def test_table_defaults_and_equality():
+    t = engine.FloerTable(2, 0, ZZ, "hat")
+    assert (t.entries, t.towers) == ({}, [])
+    assert t.metadata == {"basis_order": engine.BASIS_ORDER}
+    assert t == engine.FloerTable(2, 0, ZZ, "hat", {}, [], {})
+    assert t != engine.FloerTable(2, 0, QQ, "hat")
+    assert engine.hf_hat(2) == engine.hf_hat(2)

@@ -1,7 +1,7 @@
 import pytest
 
 from hfsigma import verify
-from hfsigma.errors import DomainError
+from hfsigma.errors import Deadline, DomainError
 
 
 @pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "all"])
@@ -37,3 +37,13 @@ def test_report_shows_failures():
     rep.add("always-wrong", {"g": 1}, 1, 2)
     assert not rep.ok
     assert any(line.startswith("[FAIL] always-wrong") for line in rep.lines())
+
+
+def test_report_equality_ignores_the_deadline():
+    a = verify.VerificationReport("demo")
+    b = verify.VerificationReport("demo", deadline=Deadline(3600))
+    assert a == b and a.checks == [] and a.wall_time == 0.0
+    a.add("one", {"g": 1}, 1, 1)
+    assert a != b
+    b.add("one", {"g": 1}, 1, 1)
+    assert a == b and a.checks[0] == verify.VerificationCheck("one", {"g": 1}, 1, 1)
