@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import DomainError, GenusMismatch
+from .errors import DomainError, GenusMismatch, tick
 from .exterior import (blade_grade, blades_of_grade, complete_pairs,
                        pair_mask, star_blade)
 from .linalg import SparseExactMatrix
@@ -60,7 +60,7 @@ class Region:
 
     __slots__ = ("kind", "s")
 
-    KINDS = ("full", "b", "j_geq", "corner", "hook", "row_i0", "min_zero")
+    KINDS = ("full", "b", "j_geq", "corner", "row_i0", "min_zero")
 
     def __init__(self, kind, s=0):
         if kind not in self.KINDS:
@@ -78,8 +78,6 @@ class Region:
             return j >= s
         if k == "corner":
             return i >= 0 and j >= s
-        if k == "hook":
-            return i >= 0 or j >= s
         if k == "row_i0":
             return i == 0
         # min_zero: min(i, j - s) == 0
@@ -102,10 +100,6 @@ J_GEQ0 = Region("j_geq", 0)
 
 def corner(s=0):
     return Region("corner", s)
-
-
-def hook(s=0):
-    return Region("hook", s)
 
 
 def row_i0():
@@ -448,19 +442,18 @@ def _bases(g, op, d, s=0, r=None, basis=slice_basis):
     return src, UnionBasis([basis(g, tgt_region, dd, r) for dd in degs])
 
 
-def _accumulate(g, op, s, src, tgt, p=None, deadline=None, flip=_flip_blade):
+def _accumulate(g, op, s, src, tgt, p=None, flip=_flip_blade):
     """The op's nonzero entries from the source basis to the target basis,
     as {row * src.size + col: value}, in one pass over plain ints (mod p
     when p is given).  An entry whose sum reaches zero is dropped and,
     should it become nonzero again, reinserted at the end: the field
     eliminators pivot on a column's first row, so the order is part of the
-    result.  The deadline, if any, is checked once per source column."""
+    result.  Ticks once per source column."""
     ncols = src.size
     get = tgt.index.get
     ent = {}
     for c, (i, mask) in enumerate(src.elements):
-        if deadline is not None:
-            deadline.tick()
+        tick()
         for di, m2, w in _op_terms(g, op, s, mask, flip):
             r = get((i + di, m2))
             if r is None:
@@ -476,7 +469,7 @@ def _accumulate(g, op, s, src, tgt, p=None, deadline=None, flip=_flip_blade):
     return ent
 
 
-def slice_map(g, op, d, ring=ZZ, s=0, deadline=None, r=None):
+def slice_map(g, op, d, ring=ZZ, s=0, r=None):
     """Matrix of one structure map on the degree-d slice, or on its
     representative type-r weight block when r is given.
 
@@ -493,12 +486,11 @@ def slice_map(g, op, d, ring=ZZ, s=0, deadline=None, r=None):
     With r, source and target hold only the masks of weight
     (1^r, 0^(g-r)), and the matrix is the op restricted to them.  Each of
     the block_multiplicity(g, r) type-r blocks of the whole matrix has its
-    Smith form and ranks (module docstring).  The deadline, if any, is
-    checked once per source column.
+    Smith form and ranks (module docstring).  Ticks once per source column.
     """
     src, tgt = _bases(g, op, d, s, r)
     ncols = src.size
-    ent = _accumulate(g, op, s, src, tgt, ring.p, deadline)
+    ent = _accumulate(g, op, s, src, tgt, ring.p)
     mat = SparseExactMatrix.from_int_entries(
         tgt.size, ncols, {divmod(k, ncols): v for k, v in ent.items()}, ring)
     return SliceMap(mat, src, tgt, op, s)
@@ -507,7 +499,7 @@ def slice_map(g, op, d, ring=ZZ, s=0, deadline=None, r=None):
 _DIGEST_CHUNK = 4096  # entries serialized per sha256 update
 
 
-def slice_digest(g, op, d, s=0, deadline=None):
+def slice_digest(g, op, d, s=0):
     """Fingerprint of the whole integer matrix slice_map(g, op, d, ZZ, s):
     the first 16 hex digits of the sha256 of its canonical JSON,
     {"cols":C,"entries":[[r,c,"v"],...],"ring":"Z","rows":R} with the
@@ -516,12 +508,11 @@ def slice_digest(g, op, d, s=0, deadline=None):
     The bytes reach sha256 in chunks, and the bases and flips are built
     outside the slice_basis and _flip_blade caches: a fingerprint visits
     each whole mask once, so caching them would only keep 4^g-sized state
-    alive.  The deadline, if any, is checked once per source column.
+    alive.  Ticks once per source column.
     """
     src, tgt = _bases(g, op, d, s, basis=SliceBasis)
     ncols = src.size
-    ent = _accumulate(g, op, s, src, tgt, deadline=deadline,
-                      flip=_flip_blade.__wrapped__)
+    ent = _accumulate(g, op, s, src, tgt, flip=_flip_blade.__wrapped__)
     keys = sorted(ent)
     h = hashlib.sha256(b'{"cols":%d,"entries":[' % ncols)
     for lo in range(0, len(keys), _DIGEST_CHUNK):
@@ -532,17 +523,16 @@ def slice_digest(g, op, d, s=0, deadline=None):
     return h.hexdigest()[:16]
 
 
-def u_chain_map(g, region, d_hi, steps, ring=ZZ, r=None, deadline=None):
+def u_chain_map(g, region, d_hi, steps, ring=ZZ, r=None):
     """Matrix of U^steps from the degree-d_hi slice down to d_hi - 2*steps,
-    or from its representative type-r weight block when r is given.  The
-    deadline, if any, is checked once per source column."""
+    or from its representative type-r weight block when r is given.  Ticks
+    once per source column."""
     src = slice_basis(g, region, d_hi, r)
     tgt = slice_basis(g, region, d_hi - 2 * steps, r)
     get = tgt.index.get
     ent = {}
     for c, (i, mask) in enumerate(src.elements):
-        if deadline is not None:
-            deadline.tick()
+        tick()
         row = get((i - steps, mask))
         if row is not None:
             ent[(row, c)] = 1
@@ -550,6 +540,6 @@ def u_chain_map(g, region, d_hi, steps, ring=ZZ, r=None, deadline=None):
     return SliceMap(mat, src, tgt, "U" if steps == 1 else f"U^{steps}")
 
 
-def u_slice_map(g, region, d, ring=ZZ, r=None, deadline=None):
+def u_slice_map(g, region, d, ring=ZZ, r=None):
     """Matrix of U: degree-d slice -> degree-(d-2) slice of the same region."""
-    return u_chain_map(g, region, d, 1, ring, r, deadline)
+    return u_chain_map(g, region, d, 1, ring, r)

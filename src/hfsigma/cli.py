@@ -7,9 +7,11 @@ HF_CACHE_DIR result cache.  Exit codes: 0 success, 1 verification failure,
 an exhausted time budget or an output pipe closed by its reader (nothing
 more is written, and no traceback), 2 usage error.
 
---time-budget SECONDS holds in hat, plus, infinity, nontorsion, action, eg,
-beta, slice, snf and verify; --extended only lifts the genus cap on the heavy
-integer runs.
+--time-budget SECONDS is one Deadline, entered once at the start of the
+command; the loops of every layer check it (errors.tick), so it holds in
+hat, plus, infinity, nontorsion, action, eg, beta, slice, snf and verify,
+and each `verify --jobs N` worker re-enters it.  --extended only lifts the
+genus cap on the heavy integer runs.
 
 Output is deterministic for a fixed configuration: JSON is emitted with
 sorted keys, and the one timestamp field sits outside the hashed payload.
@@ -28,7 +30,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import (BudgetExceeded, Deadline, DomainError,
                      ExtendedScaleRequired, GenusMismatch,
-                     UnsupportedOperation)
+                     UnsupportedOperation, active)
 from .rings import ZZ, group_notation, parse_ring
 
 HARD_GENUS_CAP = 10
@@ -69,10 +71,6 @@ def _check_scale(args, heavy_integer_run):
             f"pass --extended (and optionally --time-budget SECONDS)")
 
 
-def _deadline(args):
-    return Deadline(args.time_budget, f"(budget {args.time_budget}s)")
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -89,9 +87,6 @@ def _render_table_entries(entries_json):
 
 def _emit(args, payload, title):
     """Render the result payload per --out; returns the output text."""
-    if isinstance(payload, dict) and "flavor" in payload:
-        from .schemas import validate
-        validate(payload, "table")
     out = args.out
     envelope = {
         "command": args.command,
@@ -194,12 +189,25 @@ def _cache_key(args):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_load(path):
+def _check(payload, schema):
+    """Validate the payload against the named schema, if one is given."""
+    if schema:
+        from .schemas import validate
+        validate(payload, schema)
+
+
+def _cache_load(path, schema):
+    """The stored payload, or None for a miss: no readable JSON object, or
+    one that fails the schema (SchemaError is a ValueError)."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError):  # missing, unreadable or corrupt: a miss
-        return None
+            hit = json.load(fh)
+        if isinstance(hit, dict):
+            _check(hit, schema)
+            return hit
+    except (OSError, ValueError):
+        pass
+    return None
 
 
 def _cache_store(path, payload):
@@ -212,18 +220,19 @@ def _cache_store(path, payload):
     os.replace(tmp, path)
 
 
-def _cached(args, compute):
+def _cached(args, compute, schema):
     """compute(), or the result stored for this command, configuration and
-    source in the cache directory, when one is set."""
+    source in the cache directory, when one is set; a miss is recomputed,
+    validated against the payload schema (if any) and stored over the file."""
     cdir = _cache_dir(args)
-    if not cdir:
-        return compute()
-    path = os.path.join(cdir, _cache_key(args) + ".json")
-    hit = _cache_load(path)
+    path = os.path.join(cdir, _cache_key(args) + ".json") if cdir else None
+    hit = _cache_load(path, schema) if path else None
     if hit is not None:
         return hit
     payload = compute()
-    _cache_store(path, payload)
+    _check(payload, schema)
+    if path:
+        _cache_store(path, payload)
     return payload
 
 
@@ -235,13 +244,12 @@ def cmd_hat(args):
     _check_scale(args, heavy_integer_run=args.genus > DESK_GENUS_CAP)
     ring = parse_ring(args.ring)
     window = _window_to_d_range(args.degrees, args.genus, None)
-    dl = _deadline(args)
 
     def compute():
         from . import engine
-        return engine.hf_hat(args.genus, ring, window, dl).to_json()
+        return engine.hf_hat(args.genus, ring, window).to_json()
 
-    payload = _cached(args, compute)
+    payload = _cached(args, compute, "table")
     text = _emit(args, payload, f"hat table, genus {args.genus}, ring {ring.tag}")
     print(text)
     return 0
@@ -251,16 +259,15 @@ def cmd_plus(args):
     ring = parse_ring(args.ring)
     _check_scale(args, heavy_integer_run=(ring == ZZ and args.genus > DESK_GENUS_CAP))
     window = _window_to_d_range(args.degrees, args.genus, None)
-    dl = _deadline(args)
 
     def compute():
         from . import engine
-        full = engine.hf_plus_torsion(args.genus, ring, window, dl).to_json()
+        full = engine.hf_plus_torsion(args.genus, ring, window).to_json()
         if args.reduced:
-            full["reduced"] = engine.hf_plus_reduced(args.genus, ring, window, dl).to_json()
+            full["reduced"] = engine.hf_plus_reduced(args.genus, ring, window).to_json()
         return full
 
-    payload = _cached(args, compute)
+    payload = _cached(args, compute, "table")
     text = _emit(args, payload,
                  f"plus table (torsion spin-c), genus {args.genus}, ring {ring.tag}")
     print(text)
@@ -272,13 +279,12 @@ def cmd_plus(args):
 def cmd_infinity(args):
     ring = parse_ring(args.ring)
     _check_scale(args, heavy_integer_run=(ring == ZZ and args.genus > DESK_GENUS_CAP))
-    dl = _deadline(args)
 
     def compute():
         from . import engine
-        return engine.hf_infinity(args.genus, ring, deadline=dl).to_json()
+        return engine.hf_infinity(args.genus, ring).to_json()
 
-    payload = _cached(args, compute)
+    payload = _cached(args, compute, "table")
     text = _emit(args, payload,
                  f"infinity table, genus {args.genus}, ring {ring.tag} "
                  f"(periodic: one entry per parity)")
@@ -292,17 +298,14 @@ def cmd_nontorsion(args):
         raise DomainError("nontorsion wants --spinc k with k != 0; "
                           "use `hf plus` for the torsion structure")
 
-    dl = _deadline(args)
-
     def compute():
         from . import engine
-        table, model = engine.hf_plus_nontorsion(args.genus, args.spinc,
-                                                 deadline=dl)
+        table, model = engine.hf_plus_nontorsion(args.genus, args.spinc)
         data = table.to_json()
         data["model"] = model.to_json()
         return data
 
-    payload = _cached(args, compute)
+    payload = _cached(args, compute, "table")
     text = _emit(args, payload,
                  f"plus table, genus {args.genus}, spin-c {args.spinc}")
     print(text)
@@ -315,12 +318,11 @@ def cmd_action(args):
     if not args.spinc:
         raise DomainError("the action is provided for --spinc k != 0 only")
     g, k = args.genus, args.spinc
-    dl = _deadline(args)
     model = engine.XModel(g, g - 1 - abs(k))
     found = []
     for key in model.basis():
         n = model.degree_of(key)
-        for gi, corrs in engine.h1_corrections(g, k, key, dl):
+        for gi, corrs in engine.h1_corrections(g, k, key):
             for ct in corrs:
                 found.append({
                     "gamma": gi, "xi_u_coord": key[0], "xi_blade_mask": key[1],
@@ -340,21 +342,20 @@ def cmd_action(args):
 def cmd_eg(args):
     _check_scale(args, heavy_integer_run=args.genus > DESK_GENUS_CAP)
     ring = parse_ring(args.ring)
-    dl = _deadline(args)
 
     def compute():
         from . import engine
-        eg = engine.eg_cohomology(args.genus, ring, deadline=dl)
+        eg = engine.eg_cohomology(args.genus, ring)
         entries = [{"deg": str(j), "group": grp.to_json()}
                    for j, grp in sorted(eg.items())]
-        cmpres = engine.contraction_cokernel_comparison(args.genus, deadline=dl)
+        cmpres = engine.contraction_cokernel_comparison(args.genus)
         comparison = {str(par): {"one_minus_exp": lhs.to_json(),
                                  "wedge_sum": rhs.to_json(),
                                  "equal": lhs == rhs}
                       for par, (lhs, rhs) in cmpres.items()}
         return {"entries": entries, "contraction_comparison": comparison}
 
-    payload = _cached(args, compute)
+    payload = _cached(args, compute, None)  # no schema for eg
     text = _emit(args, payload,
                  f"circle-bundle cohomology, genus {args.genus}, ring {ring.tag}")
     print(text)
@@ -365,7 +366,7 @@ def cmd_beta(args):
     from . import engine
     _check_scale(args, heavy_integer_run=False)
     g = args.genus
-    dims = engine.beta_quotient_dims(g, _deadline(args))
+    dims = engine.beta_quotient_dims(g)
     payload = {"genus": g,
                "quotient_dims": {str(s): v for s, v in sorted(dims.items())},
                "total": sum(dims.values())}
@@ -384,7 +385,7 @@ def cmd_slice(args):
     if s > 0:
         s = -s  # built for the negative side; conjugation-symmetric
     d = int(args.degree)
-    sm = slice_map(args.genus, args.op, d, ring, s, deadline=_deadline(args))
+    sm = slice_map(args.genus, args.op, d, ring, s)
     payload = sm.matrix.to_json()
     payload["op"] = args.op
     payload["degree"] = d
@@ -405,7 +406,7 @@ def cmd_snf(args):
                           f"(rows, cols, ring, entries): {exc!r}") from None
     if m.ring != ZZ:
         raise DomainError("snf wants an integer matrix")
-    factors = smith_normal_form(m, deadline=_deadline(args))
+    factors = smith_normal_form(m)
     payload = {"invariant_factors": factors,
                "cokernel": cokernel_over(m.rows, factors, ZZ).to_json(),
                "rank": len(factors)}
@@ -420,20 +421,18 @@ def cmd_verify(args):
     if max_genus > 5 and not args.extended:
         raise ExtendedScaleRequired("verification beyond genus 5 needs --extended")
     suites = [args.suite] if args.suite != "all" else list(verify._SUITE_FUNCS)
-    dl = _deadline(args)
-    reports = []
     if args.jobs and args.jobs > 1 and len(suites) > 1:
         import concurrent.futures as cf
         try:
             with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
                 reports = list(ex.map(_suite_worker,
-                                      [(s, max_genus, dl) for s in suites]))
+                                      [(s, max_genus, active()) for s in suites]))
         except BudgetExceeded:
             raise
         except (OSError, RuntimeError):
-            reports = [verify.run_suite(s, max_genus, dl) for s in suites]
+            reports = [verify.run_suite(s, max_genus) for s in suites]
     else:
-        reports = [verify.run_suite(s, max_genus, dl) for s in suites]
+        reports = [verify.run_suite(s, max_genus) for s in suites]
     ok = True
     payload = {"suites": []}
     for rep in reports:
@@ -449,11 +448,12 @@ def cmd_verify(args):
 
 
 def _suite_worker(job):
-    """One suite in a worker process, against the parent's deadline (the
+    """One suite in a worker process, inside the parent's deadline (the
     monotonic clock is shared by the processes of one machine)."""
     from . import verify
     name, max_genus, deadline = job
-    return verify.run_suite(name, max_genus, deadline)
+    with deadline:
+        return verify.run_suite(name, max_genus)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +551,8 @@ def main(argv=None):
 def _run(argv):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with Deadline(args.time_budget, f"(budget {args.time_budget}s)"):
+            return args.func(args)
     except (DomainError, GenusMismatch, UnsupportedOperation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,10 +18,8 @@ from math import comb
 from .cfk import (B_PLUS, GradedElement, block_masks, block_multiplicity,
                   corner, slice_basis, slice_digest, slice_map, u_chain_map,
                   u_slice_map, _flip_blade, _gamma_terms)
-from .errors import DomainError, UnsupportedOperation
+from .errors import DomainError, UnsupportedOperation, tick
 from .exterior import Multivector, blade_grade, blades_of_grade, eta
-from .lefschetz import (coprimitive_dim, primitive_dim, raising_matrix,
-                        self_dual_rank)
 from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                      cokernel_over, factor_rank, integer_kernel_lattice,
                      kernel_basis, lattice_quotient, rank, smith_normal_form)
@@ -100,13 +98,13 @@ def half(n):
 _KERNELS = {}  # (g, d, r) -> kernel lattice of the type-r block of F_d
 
 
-def _kernel_cols(g, d, r, deadline=None):
+def _kernel_cols(g, d, r):
     """Integer kernel lattice of the representative type-r block of F_d,
     computed once; fresh column dicts on every call."""
     key = (g, d, r)
     if key not in _KERNELS:
-        m = slice_map(g, "F", d, deadline=deadline, r=r).matrix
-        lattice = integer_kernel_lattice(m, deadline=deadline)
+        m = slice_map(g, "F", d, r=r).matrix
+        lattice = integer_kernel_lattice(m)
         _KERNELS[key] = tuple(tuple(sorted(c.items())) for c in lattice)
     return [dict(items) for items in _KERNELS[key]]
 
@@ -114,7 +112,7 @@ def _kernel_cols(g, d, r, deadline=None):
 _BLOCKS = {}  # (g, op, d, r) -> (rows, cols, invariant factors)
 
 
-def _block_data(g, op, d, r, deadline=None):
+def _block_data(g, op, d, r):
     """(rows, cols, invariant factors) of the representative type-r block,
     from one Smith form computed once.  By universal coefficients it serves
     every ring: the rank over Q is the number of invariant factors, the
@@ -122,20 +120,18 @@ def _block_data(g, op, d, r, deadline=None):
     the cokernel over Z (linalg.factor_rank, linalg.cokernel_over)."""
     key = (g, op, d, r)
     if key not in _BLOCKS:
-        m = slice_map(g, op, d, deadline=deadline, r=r).matrix
-        _BLOCKS[key] = (m.rows, m.cols, tuple(smith_normal_form(m, deadline=deadline)))
+        m = slice_map(g, op, d, r=r).matrix
+        _BLOCKS[key] = (m.rows, m.cols, tuple(smith_normal_form(m)))
     return _BLOCKS[key]
 
 
-def _block_sum(g, block_group, deadline=None):
+def _block_sum(g, block_group):
     """Direct sum over r = 0..g of block_multiplicity(g, r) copies of
     block_group(r), the group of the representative type-r weight block
-    (cfk module docstring).  The deadline is checked once per block, cached
-    or not."""
+    (cfk module docstring).  Ticks once per block, cached or not."""
     free, torsion = 0, []
     for r in range(g + 1):
-        if deadline is not None:
-            deadline.tick()
+        tick()
         grp = block_group(r)
         mult = block_multiplicity(g, r)
         free += mult * grp.free_rank
@@ -143,25 +139,25 @@ def _block_sum(g, block_group, deadline=None):
     return GroupPresentation(free, torsion)
 
 
-def _cone_group(g, op, d, ring, deadline=None):
+def _cone_group(g, op, d, ring):
     """Ker(op_d) (+) Coker(op_{d+1}) over the ring, as a presentation,
     summed over the weight blocks.  Each block enters through its integer
     Smith form alone (universal coefficients): its kernel over the ring has
     rank cols - factor_rank, and its cokernel is cokernel_over the ring."""
     def block_group(r):
-        _, cols, lo = _block_data(g, op, d, r, deadline)
-        rows, _, hi = _block_data(g, op, d + 1, r, deadline)
+        _, cols, lo = _block_data(g, op, d, r)
+        rows, _, hi = _block_data(g, op, d + 1, r)
         cok = cokernel_over(rows, hi, ring)
         return GroupPresentation(cols - factor_rank(lo, ring) + cok.free_rank,
                                  cok.invariant_factors)
-    return _block_sum(g, block_group, deadline)
+    return _block_sum(g, block_group)
 
 
 # ---------------------------------------------------------------------------
 # hat flavor
 # ---------------------------------------------------------------------------
 
-def hf_hat(g, ring=ZZ, window=None, deadline=None):
+def hf_hat(g, ring=ZZ, window=None):
     """The finitely generated flavor in the torsion spin-c structure.
 
     Nonzero only in degrees |d| <= g - 1/2; free of rank C(2g, g-|d|-1/2)
@@ -172,13 +168,14 @@ def hf_hat(g, ring=ZZ, window=None, deadline=None):
         window = (-g - 1, g + 1)
     table = FloerTable(g, 0, ring, "hat")
     for d in range(window[0], window[1] + 1):
-        table.entries[half(d)] = _cone_group(g, "F_hat", d, ring, deadline=deadline)
-    table.metadata["matrix_hash_d0"] = slice_digest(g, "F_hat", 0, deadline=deadline)
+        table.entries[half(d)] = _cone_group(g, "F_hat", d, ring)
+    table.metadata["matrix_hash_d0"] = slice_digest(g, "F_hat", 0)
     return table
 
 
 def hf_hat_closed_form_rank(g, degree):
     """Rank predicted by the closed form, degree a half-integer Fraction."""
+    from .lefschetz import self_dual_rank
     ai = abs(Fraction(degree))
     if ai * 2 % 2 == 0:
         return 0
@@ -210,15 +207,15 @@ def sign_choice_cokernels(g):
 # infinity flavor
 # ---------------------------------------------------------------------------
 
-def hf_infinity(g, ring=ZZ, deadline=None):
+def hf_infinity(g, ring=ZZ):
     """The fully U-inverted flavor, computed at the stable degrees g, g+1
     (one per parity); entries repeat with period 2 in the degree.
     """
     table = FloerTable(g, 0, ring, "infinity")
     for d in (g, g + 1):
-        table.entries[half(d)] = _cone_group(g, "one_plus_J", d, ring, deadline)
+        table.entries[half(d)] = _cone_group(g, "one_plus_J", d, ring)
         hashes = table.metadata.setdefault("matrix_hashes", {})
-        hashes[_deg_str(d)] = slice_digest(g, "one_plus_J", d, deadline=deadline)
+        hashes[_deg_str(d)] = slice_digest(g, "one_plus_J", d)
     table.metadata["periodic"] = True
     table.metadata["parity_degrees"] = [_deg_str(half(g)), _deg_str(half(g + 1))]
     return table
@@ -232,14 +229,14 @@ def default_plus_window(g):
     return (-g - 2, g + 2)
 
 
-def hf_plus_torsion(g, ring=ZZ, window=None, deadline=None):
+def hf_plus_torsion(g, ring=ZZ, window=None):
     """The plus flavor at the torsion spin-c structure, per half-integer
     degree over the window; degrees past g - 1/2 repeat the infinity table."""
     if window is None:
         window = default_plus_window(g)
     table = FloerTable(g, 0, ring, "plus")
     for d in range(window[0], window[1] + 1):
-        table.entries[half(d)] = _cone_group(g, "F", d, ring, deadline=deadline)
+        table.entries[half(d)] = _cone_group(g, "F", d, ring)
     table.towers = theorem_towers(g)
     table.metadata["stable_from"] = _deg_str(half(g - 1))
     return table
@@ -249,6 +246,7 @@ def theorem_towers(g):
     """U-tower summands of the plus flavor over the rationals: one for each
     primitive degree j (starting at j - g + 1/2) and each coprimitive degree
     (starting at j - g - 1/2), with computed dimensions."""
+    from .lefschetz import coprimitive_dim, primitive_dim
     towers = []
     for j in range(0, g + 1):
         r = primitive_dim(g, j)
@@ -271,7 +269,7 @@ def _stable_hi(g, d):
     return hi
 
 
-def _reduced_group(g, d, ring, deadline=None):
+def _reduced_group(g, d, ring):
     """Reduced part of the degree d+1/2 group: the quotient of Ker F_d by
     the image S of U^N on Ker F_hi, plus the quotient of Coker F_{d+1} by
     the image of a high U-power.
@@ -290,44 +288,44 @@ def _reduced_group(g, d, ring, deadline=None):
     steps = (hi - d) // 2
 
     def block_group(r):
-        un = u_chain_map(g, B_PLUS, hi, steps, r=r, deadline=deadline).matrix
-        f1 = slice_map(g, "F", d + 1, deadline=deadline, r=r).matrix
-        un1 = u_chain_map(g, corner(0), hi + 1, steps, r=r, deadline=deadline).matrix
+        un = u_chain_map(g, B_PLUS, hi, steps, r=r).matrix
+        f1 = slice_map(g, "F", d + 1, r=r).matrix
+        un1 = u_chain_map(g, corner(0), hi + 1, steps, r=r).matrix
         stack = SparseExactMatrix.hstack(f1, un1)
-        red_c = cokernel_over(stack.rows, smith_normal_form(stack, deadline=deadline), ring)
-        _, cols, factors = _block_data(g, "F", d, r, deadline)
+        red_c = cokernel_over(stack.rows, smith_normal_form(stack), ring)
+        _, cols, factors = _block_data(g, "F", d, r)
         k_rank = cols - factor_rank(factors, ring)
         if ring.p is not None:
-            f_hi = slice_map(g, "F", hi, deadline=deadline, r=r).matrix
-            img = [c for c in un.mul_columns(kernel_basis(f_hi, ring, deadline=deadline)) if c]
-            red_k = GroupPresentation(k_rank - _span_rank(img, un.rows, ring, deadline))
+            f_hi = slice_map(g, "F", hi, r=r).matrix
+            img = [c for c in un.mul_columns(kernel_basis(f_hi, ring)) if c]
+            red_k = GroupPresentation(k_rank - _span_rank(img, un.rows, ring))
         else:
-            img = [v for v in un.mul_columns(_kernel_cols(g, hi, r, deadline)) if v]
-            if any(slice_map(g, "F", d, deadline=deadline, r=r).matrix.mul_columns(img)):
+            img = [v for v in un.mul_columns(_kernel_cols(g, hi, r)) if v]
+            if any(slice_map(g, "F", d, r=r).matrix.mul_columns(img)):
                 raise AssertionError("U^N carried the kernel at hi outside Ker F_d")
-            red_k = lattice_quotient(k_rank, img, un.rows, deadline=deadline)
+            red_k = lattice_quotient(k_rank, img, un.rows)
             if ring == QQ:
                 red_k = GroupPresentation(red_k.free_rank)
         return red_k.direct_sum(red_c)
 
-    return _block_sum(g, block_group, deadline)
+    return _block_sum(g, block_group)
 
 
-def _span_rank(cols, nrows, ring, deadline=None):
+def _span_rank(cols, nrows, ring):
     """Rank over the ring of the span of integer columns."""
     if not cols:
         return 0
-    return rank(SparseExactMatrix.from_columns(nrows, cols), ring, deadline=deadline)
+    return rank(SparseExactMatrix.from_columns(nrows, cols), ring)
 
 
-def hf_plus_reduced(g, ring=ZZ, window=None, deadline=None):
+def hf_plus_reduced(g, ring=ZZ, window=None):
     """Reduced part of the plus flavor: the quotient by the image of every
     sufficiently high U-power, degree by degree."""
     if window is None:
         window = default_plus_window(g)
     table = FloerTable(g, 0, ring, "plus_red")
     for d in range(window[0], window[1] + 1):
-        table.entries[half(d)] = _reduced_group(g, d, ring, deadline)
+        table.entries[half(d)] = _reduced_group(g, d, ring)
     return table
 
 
@@ -518,16 +516,15 @@ def _gamma_images(gamma_star_index):
     return _Images(partial(_gamma_terms, gamma_star_index))
 
 
-def phi_series(xi, kk, max_iter=200, deadline=None):
-    """The kernel embedding: alternating sum of (pr_{i>=0} U^|k| J+)^n.  The
-    deadline, if any, is checked once per term."""
+def phi_series(xi, kk, max_iter=200):
+    """The kernel embedding: alternating sum of (pr_{i>=0} U^|k| J+)^n.
+    Ticks once per term."""
     step = _nontorsion_images(xi.genus, kk)[0]
     out = {}
     term = xi.terms
     sign = 1
     for _ in range(max_iter):
-        if deadline is not None:
-            deadline.tick()
+        tick()
         if not term:
             return GradedElement(xi.genus, out)
         for key, c in term.items():
@@ -546,7 +543,7 @@ def apply_F(y, g, kk):
     return GradedElement(g, _apply(_nontorsion_images(g, kk)[1], y.terms))
 
 
-def hf_plus_nontorsion(g, k, deadline=None):
+def hf_plus_nontorsion(g, k):
     """Plus flavor for spin-c structures with nonzero first Chern class.
 
     Zero once |k| >= g; otherwise free with the per-degree ranks of
@@ -580,13 +577,13 @@ def hf_plus_nontorsion(g, k, deadline=None):
 
             def block_kernel(r):
                 m, _, _ = _chain_cached(g, kk, prefix, r)
-                return GroupPresentation(m.cols - rank(m, QQ, deadline=deadline))
-            kr = _block_sum(g, block_kernel, deadline).free_rank
+                return GroupPresentation(m.cols - rank(m, QQ))
+            kr = _block_sum(g, block_kernel).free_rank
             per_degree[top] = kr - prev
             prev = kr
     for n, v in sorted(per_degree.items()):
         table.entries[n] = GroupPresentation(v)
-    phi_rank = phi_image_rank(g, kk, deadline)
+    phi_rank = phi_image_rank(g, kk)
     direct = sum(per_degree.values())
     if phi_rank != direct or direct != model.total_rank():
         raise AssertionError(
@@ -605,7 +602,7 @@ def _chain_cached(g, kk, degrees, r=None):
     return chain_matrix(g, kk, list(degrees), r)
 
 
-def phi_image_rank(g, kk, deadline=None):
+def phi_image_rank(g, kk):
     """Rank over Q of the phi image of every basis element of the model.
 
     phi is built from J, U and region projections, so it preserves the
@@ -619,12 +616,12 @@ def phi_image_rank(g, kk, deadline=None):
         keys = {}
         cols = []
         for key in model.basis(r):
-            ph = phi_series(GradedElement(g, {key: 1}), kk, deadline=deadline).terms
+            ph = phi_series(GradedElement(g, {key: 1}), kk).terms
             if _apply(fmap, ph):
                 raise AssertionError("phi image escaped the kernel")
             cols.append({keys.setdefault(t, len(keys)): v for t, v in ph.items()})
-        return GroupPresentation(_span_rank(cols, len(keys), QQ, deadline))
-    return _block_sum(g, block_image, deadline).free_rank
+        return GroupPresentation(_span_rank(cols, len(keys), QQ))
+    return _block_sum(g, block_image).free_rank
 
 
 def f_restriction_surjective(g, kk, d_lo=None, d_hi=None):
@@ -717,11 +714,11 @@ def h1_action(g, k, gamma_star_index, xi):
     return GradedElement(g, std), corrections
 
 
-def h1_corrections(g, k, xi, deadline=None):
+def h1_corrections(g, k, xi):
     """Yield (gamma, corrections of h1_action(g, k, gamma, xi)) for
     gamma = 1..2g, from one phi series of xi."""
     kk, xi, n = _model_element(g, k, xi)
-    ph = phi_series(xi, kk, deadline=deadline).terms
+    ph = phi_series(xi, kk).terms
     for gamma in range(1, 2 * g + 1):
         yield gamma, _act(g, kk, gamma, xi, n, ph)[1]
 
@@ -799,24 +796,23 @@ def unexpected_u_kernel_dim(g):
     return 2 ** (g - 1) - comb(2 * g, g) // 2 + comb(2 * g, g - 2)
 
 
-def _quotient_map_dims(T, v1_cols, w1_cols, w2_cols, deadline=None):
+def _quotient_map_dims(T, v1_cols, w1_cols, w2_cols):
     """For T: V1 -> V2 with subspaces W1, W2 (T W1 <= W2), all spanned by
     integer columns: dimensions over Q of V1/W1, of the kernel and of the
     image of the induced quotient map."""
-    rw1 = _span_rank(w1_cols, T.cols, QQ, deadline)
-    rw2 = _span_rank(w2_cols, T.rows, QQ, deadline)
-    dim_v1 = _span_rank(v1_cols, T.cols, QQ, deadline)
-    r_all = _span_rank(T.mul_columns(v1_cols) + w2_cols, T.rows, QQ, deadline)
+    rw1 = _span_rank(w1_cols, T.cols, QQ)
+    rw2 = _span_rank(w2_cols, T.rows, QQ)
+    dim_v1 = _span_rank(v1_cols, T.cols, QQ)
+    r_all = _span_rank(T.mul_columns(v1_cols) + w2_cols, T.rows, QQ)
     dim_red = dim_v1 - rw1
     ker = dim_v1 + rw2 - r_all - rw1
     img = r_all - rw2
     return dim_red, ker, img
 
 
-def u_action_red(g, window=None, deadline=None):
+def u_action_red(g, window=None):
     """The U endomorphism of the reduced plus flavor, degree by degree,
-    summed over the weight blocks like the reduced part itself.  The
-    deadline, if any, reaches every slice map, U-power map and rank.
+    summed over the weight blocks like the reduced part itself.
 
     Reports, for each half-integer degree delta in the window: the reduced
     dimension, the kernel dimension of U: red_delta -> red_(delta-2), and
@@ -836,16 +832,15 @@ def u_action_red(g, window=None, deadline=None):
     def kdata(d, r):
         hi = _stable_hi(g, d)
         steps = (hi - d) // 2
-        un = u_chain_map(g, B_PLUS, hi, steps, r=r, deadline=deadline).matrix
-        return (_kernel_cols(g, d, r, deadline),
-                un.mul_columns(_kernel_cols(g, hi, r, deadline)))
+        un = u_chain_map(g, B_PLUS, hi, steps, r=r).matrix
+        return _kernel_cols(g, d, r), un.mul_columns(_kernel_cols(g, hi, r))
 
     @lru_cache(maxsize=None)
     def cdata(d1, r):
         hi1 = _stable_hi(g, d1)
         steps = (hi1 - d1) // 2
-        f1 = slice_map(g, "F", d1, deadline=deadline, r=r).matrix
-        un1 = u_chain_map(g, corner(0), hi1, steps, r=r, deadline=deadline).matrix
+        f1 = slice_map(g, "F", d1, r=r).matrix
+        un1 = u_chain_map(g, corner(0), hi1, steps, r=r).matrix
         v = [{i: 1} for i in range(f1.rows)]
         return v, f1.col_dicts() + un1.col_dicts()
 
@@ -855,12 +850,12 @@ def u_action_red(g, window=None, deadline=None):
         for r in range(g + 1):
             klo, w1k = kdata(d, r)
             _, w2k = kdata(d - 2, r)
-            u_b = u_slice_map(g, B_PLUS, d, r=r, deadline=deadline).matrix
+            u_b = u_slice_map(g, B_PLUS, d, r=r).matrix
             vc, w1c = cdata(d + 1, r)
             _, w2c = cdata(d - 1, r)
-            u_c = u_slice_map(g, corner(0), d + 1, r=r, deadline=deadline).matrix
-            for key, k, c in zip(row, _quotient_map_dims(u_b, klo, w1k, w2k, deadline),
-                                 _quotient_map_dims(u_c, vc, w1c, w2c, deadline)):
+            u_c = u_slice_map(g, corner(0), d + 1, r=r).matrix
+            for key, k, c in zip(row, _quotient_map_dims(u_b, klo, w1k, w2k),
+                                 _quotient_map_dims(u_c, vc, w1c, w2c)):
                 row[key] += block_multiplicity(g, r) * (k + c)
         per_degree[half(d)] = row
     checks = {}
@@ -889,16 +884,17 @@ def u_action_red(g, window=None, deadline=None):
 # circle-bundle cohomology cross-checks
 # ---------------------------------------------------------------------------
 
-def eg_cohomology(g, ring=ZZ, deadline=None):
+def eg_cohomology(g, ring=ZZ):
     """Cohomology of the circle bundle over the Jacobian torus with Euler
     class the intersection form, via its Gysin sequence: degree j gives
     Coker(wedge: j-2 -> j) (+) Ker(wedge: j-1 -> j+1).  One Smith form per
     wedge matrix (lefschetz.raising_matrix), shared by degrees j and j-1 and
     read over the ring by universal coefficients."""
+    from .lefschetz import raising_matrix
     wedge = {}
     for i in range(-2, 2 * g + 1):
         m = raising_matrix(g, i)
-        wedge[i] = (m.rows, m.cols, smith_normal_form(m, deadline=deadline))
+        wedge[i] = (m.rows, m.cols, smith_normal_form(m))
     out = {}
     for j in range(0, 2 * g + 2):
         rows, _, factors = wedge[j - 2]
@@ -912,6 +908,7 @@ def eg_cohomology(g, ring=ZZ, deadline=None):
 def eg_rank_prediction(g, j):
     """Rational rank of the bundle cohomology: primitive dimension up to the
     middle, coprimitive above."""
+    from .lefschetz import coprimitive_dim, primitive_dim
     if j <= g:
         return primitive_dim(g, j)
     return coprimitive_dim(g, j - 1)
@@ -933,16 +930,17 @@ def _one_minus_exp_contraction_matrix(g, parity):
     return mat
 
 
-def contraction_cokernel_comparison(g, deadline=None):
+def contraction_cokernel_comparison(g):
     """Per parity: presentation of the cokernel of contraction by
     1 - exp(-omega) next to the direct sum of the per-degree cokernels of
     wedging with omega (the two agree for every genus computed here)."""
+    from .lefschetz import raising_matrix
     out = {}
     for parity in (0, 1):
-        lhs = cokernel(_one_minus_exp_contraction_matrix(g, parity), deadline=deadline)
+        lhs = cokernel(_one_minus_exp_contraction_matrix(g, parity))
         rhs = GroupPresentation(0, [])
         for j in range(parity, 2 * g + 1, 2):
-            rhs = rhs.direct_sum(cokernel(raising_matrix(g, j - 2), deadline=deadline))
+            rhs = rhs.direct_sum(cokernel(raising_matrix(g, j - 2)))
         out[parity] = (lhs, rhs)
     return out
 
@@ -996,10 +994,9 @@ def _combinations_sorted(n, k):
     return combinations(range(n), k)
 
 
-def beta_quotient_dims(g, deadline=None):
+def beta_quotient_dims(g):
     """dim over Q of Ker(beta_s)/Im(beta_(s+3)) for each s, with the
-    composition check beta_s . beta_(s+3) = 0.  The deadline, if any, is
-    passed to every rank."""
+    composition check beta_s . beta_(s+3) = 0."""
     n = 2 * g + 1
     mats = {s: triple_cup_beta(g, s) for s in range(0, n + 4)}
     out = {}
@@ -1008,6 +1005,6 @@ def beta_quotient_dims(g, deadline=None):
         m3 = mats[s + 3]
         if any(m.mul_columns(m3.col_dicts())):
             raise AssertionError(f"beta_{s} . beta_{s+3} != 0")
-        ker = m.cols - rank(m, QQ, deadline=deadline) if m.rows else m.cols
-        out[s] = ker - rank(m3, QQ, deadline=deadline)
+        ker = m.cols - rank(m, QQ) if m.rows else m.cols
+        out[s] = ker - rank(m3, QQ)
     return out

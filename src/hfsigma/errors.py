@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the ambient time budget."""
+
+from contextvars import ContextVar
+from time import monotonic
 
 
 class GenusMismatch(ValueError):
@@ -24,17 +27,39 @@ class BudgetExceeded(RuntimeError):
     """A computation ran past its time budget."""
 
 
-class Deadline:
-    """Wall-clock budget checked from inner loops via tick()."""
+_ACTIVE = ContextVar("deadline", default=None)
+active = _ACTIVE.get  # the innermost entered Deadline, or None
 
-    __slots__ = ("t_end", "label")
+
+class Deadline:
+    """Wall-clock budget: `with Deadline(seconds):` makes it the active one,
+    which tick() checks, and restores the one before when the block ends."""
+
+    __slots__ = ("t_end", "label", "_outer")
 
     def __init__(self, seconds, label=""):
-        import time
-        self.t_end = time.monotonic() + seconds
+        self.t_end = monotonic() + seconds
         self.label = label
 
+    def __enter__(self):
+        # the outer Deadline, not a contextvars.Token: verify --jobs pickles
+        # the active deadline into its workers, and a Token cannot be pickled
+        self._outer = _ACTIVE.get()
+        _ACTIVE.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _ACTIVE.set(self._outer)
+
     def tick(self):
-        import time
-        if time.monotonic() > self.t_end:
+        if monotonic() > self.t_end:
             raise BudgetExceeded(f"time budget exhausted {self.label}".strip())
+
+
+def tick():
+    """Raise BudgetExceeded if the active deadline has passed, else nothing
+    ("ticks once per ..." in the docstrings of the loops that call it).
+    Generators tick while iterated: iterate them inside the `with` block."""
+    dl = _ACTIVE.get()
+    if dl is not None:
+        dl.tick()

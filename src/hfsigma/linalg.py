@@ -34,7 +34,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, UnsupportedOperation
+from .errors import DomainError, UnsupportedOperation, tick
 from .rings import QQ, ZZ, group_notation, parse_ring
 
 
@@ -183,9 +183,6 @@ class SparseExactMatrix:
         m.entries = {k: x for k, v in self.entries.items() if (x := coerce(v))}
         return m
 
-    def column(self, c):
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
     def col_dicts(self):
         cols = [dict() for _ in range(self.cols)]
         for (r, c), v in self.entries.items():
@@ -260,7 +257,7 @@ class SparseExactMatrix:
 # elimination over fields
 # ---------------------------------------------------------------------------
 
-def _field_eliminate(m, ring, want_kernel=False, deadline=None):
+def _field_eliminate(m, ring, want_kernel=False):
     """Sparse Gaussian elimination over the field (Q or F_p) of a matrix
     over Z or over that field.
 
@@ -268,7 +265,7 @@ def _field_eliminate(m, ring, want_kernel=False, deadline=None):
     column (lowest index among equal lengths) to limit fill; the pivot row is
     the first row of that column.  A lazy heap of (length, column) finds it,
     and a row -> columns index lists the columns the pivot row is cleared
-    from.
+    from.  Ticks once per pivot.
     """
     p = ring.p
 
@@ -299,8 +296,7 @@ def _field_eliminate(m, ring, want_kernel=False, deadline=None):
         length, pc = heapq.heappop(heap)
         if done[pc] or len(cols[pc]) != length:
             continue  # stale entry
-        if deadline is not None:
-            deadline.tick()
+        tick()
         pcol = cols[pc]
         pr = next(iter(pcol))
         rank += 1
@@ -354,19 +350,18 @@ def _over(m, ring):
     return (m if m.ring in (ZZ, ring) else m.convert(ring)), ring
 
 
-def rank(m, ring=None, deadline=None):
+def rank(m, ring=None):
     """Exact rank of m over the given ring (default: the matrix's own ring;
-    Z matrices are ranked over Q).  The deadline, if any, is checked once
-    per pivot."""
+    Z matrices are ranked over Q)."""
     m, ring = _over(m, ring)
-    return _field_eliminate(m, QQ if ring == ZZ else ring, deadline=deadline)[0]
+    return _field_eliminate(m, QQ if ring == ZZ else ring)[0]
 
 
 def kernel_rank(m, ring=None):
     return m.cols - rank(m, ring)
 
 
-def kernel_basis(m, ring=None, deadline=None):
+def kernel_basis(m, ring=None):
     """Kernel basis over a field, as a list of sparse columns.
 
     Over Z this is deliberately not provided here; the engine works with
@@ -376,7 +371,7 @@ def kernel_basis(m, ring=None, deadline=None):
     if not ring.is_field:
         raise UnsupportedOperation("kernel_basis is only provided over fields; "
                                    "Z matrices expose kernel_rank only")
-    return _field_eliminate(m, ring, want_kernel=True, deadline=deadline)[1]
+    return _field_eliminate(m, ring, want_kernel=True)[1]
 
 
 def solve_columns(basis_columns, rhs_columns, nrows):
@@ -386,7 +381,7 @@ def solve_columns(basis_columns, rhs_columns, nrows):
     one coordinate dict per rhs, raising if a rhs is outside the span.
     Gauss-Jordan on rows of the augmented system [B | X]; a column -> rows
     index finds the rows holding each basis column, and the pivot is the
-    shortest of them.
+    shortest of them.  Ticks once per pivot column.
     """
     k = len(basis_columns)
     rows = {}
@@ -404,6 +399,7 @@ def solve_columns(basis_columns, rhs_columns, nrows):
     pivot_row_of = {}
     used = set()
     for c in range(k):
+        tick()
         free = holders[c] - used
         if not free:
             raise DomainError("basis columns are dependent")
@@ -448,14 +444,15 @@ def solve_columns(basis_columns, rhs_columns, nrows):
 # Smith normal form over Z
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(m, deadline=None):
+def smith_normal_form(m):
     """Invariant factors of an integer matrix (nonzero diagonal of the SNF).
 
     Sparse phase: eliminate on +-1 pivots, which keeps everything integral
     and unimodular.  A lazy heap of rows keyed by length yields the shortest
     row holding a unit; its unit in the shortest column is the pivot.  Only
-    rows a pivot touched are pushed again.  Residual phase:
-    general gcd pivoting until diagonal, then chain normalization.
+    rows a pivot touched are pushed again.  Residual phase: general gcd
+    pivoting until diagonal, then chain normalization.  Ticks once per unit
+    pivot, per pass of a gcd pivot's shrinking loop and per line it clears.
     """
     if m.ring != ZZ:
         raise DomainError("smith_normal_form wants a Z matrix")
@@ -465,10 +462,6 @@ def smith_normal_form(m, deadline=None):
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, {})[r] = v
     factors = []
-
-    def check_deadline():
-        if deadline is not None:
-            deadline.tick()
 
     def remove(r, c):
         rows[r].pop(c, None)
@@ -506,7 +499,7 @@ def smith_normal_form(m, deadline=None):
         units = [c for c, v in rd.items() if v == 1 or v == -1]
         if not units:
             continue  # pushed again once a pivot changes the row
-        check_deadline()
+        tick()
         pc = min(units, key=lambda c: len(cols[c]))
         pv = rd[pc]
         touched = [r for r in cols[pc] if r != pr]
@@ -524,7 +517,6 @@ def smith_normal_form(m, deadline=None):
 
     # --- phase 2: gcd pivoting on the residual
     while rows:
-        check_deadline()
         # least |v|, then least row + column length, first in iteration order
         a = min(min(map(abs, rd.values())) for rd in rows.values())
         pr, pc = min(((r, c) for r, rd in rows.items() for c, v in rd.items()
@@ -532,6 +524,7 @@ def smith_normal_form(m, deadline=None):
                      key=lambda t: len(rows[t[0]]) + len(cols[t[1]]))
         # shrink the pivot until it divides its whole row and column
         while True:
+            tick()
             pv = rows[pr][pc]
             off = None
             for r, v in cols[pc].items():
@@ -558,9 +551,11 @@ def smith_normal_form(m, deadline=None):
         pv = rows[pr][pc]
         for r in list(cols[pc].keys()):
             if r != pr:
+                tick()
                 add_row(r, pr, -cols[pc][r] // pv)
         for c in list(rows[pr].keys()):
             if c != pc:
+                tick()
                 add_col(c, pc, -rows[pr][c] // pv)
         remove(pr, pc)
         factors.append(abs(pv))
@@ -583,20 +578,20 @@ def cokernel_over(rows, factors, ring):
                              factors if ring == ZZ else ())
 
 
-def cokernel(m, deadline=None):
+def cokernel(m):
     """Presentation of Z^rows / column span of m."""
     if m.ring != ZZ:
         raise DomainError("cokernel wants a Z matrix")
-    return cokernel_over(m.rows, smith_normal_form(m, deadline=deadline), ZZ)
+    return cokernel_over(m.rows, smith_normal_form(m), ZZ)
 
 
-def integer_kernel_lattice(m, deadline=None):
+def integer_kernel_lattice(m):
     """Z-basis of the kernel lattice {x : m x = 0}, as sparse columns.
 
     Column-echelon reduction of m stacked over the identity: columns whose
     top block vanishes carry a basis of the (saturated) kernel in the bottom
-    block.  All column operations are unimodular.  The deadline, if any, is
-    checked once per pivot row.
+    block.  All column operations are unimodular.  Ticks once per pivot
+    row.
     """
     if m.ring != ZZ:
         raise DomainError("integer_kernel_lattice wants a Z matrix")
@@ -615,8 +610,7 @@ def integer_kernel_lattice(m, deadline=None):
         carriers = sorted(index[prow])
         if not carriers:
             continue
-        if deadline is not None:
-            deadline.tick()
+        tick()
         while len(carriers) > 1:
             carriers.sort(key=lambda c: abs(top[c][prow]))
             c0 = carriers[0]
@@ -652,7 +646,7 @@ def integer_kernel_lattice(m, deadline=None):
     return [bot[c] for c in range(ncols) if not pivot[c]]
 
 
-def lattice_quotient(lattice_rank, generators, rows, deadline=None):
+def lattice_quotient(lattice_rank, generators, rows):
     """Presentation of L / S, for a saturated lattice L in Z^rows of the given
     rank and the subgroup S spanned by the generators (sparse columns).
 
@@ -662,8 +656,7 @@ def lattice_quotient(lattice_rank, generators, rows, deadline=None):
     torsion of Z^rows / S and free rank lattice_rank - rank S, both read
     off one Smith form of the generators.  No basis of L is needed.
     """
-    factors = smith_normal_form(SparseExactMatrix.from_columns(rows, generators),
-                                deadline=deadline)
+    factors = smith_normal_form(SparseExactMatrix.from_columns(rows, generators))
     if len(factors) > lattice_rank:
         raise DomainError("the generators span more than the lattice")
     return GroupPresentation(lattice_rank - len(factors), factors)

@@ -15,7 +15,7 @@ from math import comb
 
 from . import engine
 from .cfk import GradedElement, gamma_action, j_infinity, slice_map
-from .errors import DomainError
+from .errors import DomainError, tick
 from .exterior import (Multivector, all_blades, blade_grade, contract_blades,
                        eta, omega, random_multivector, star_blade,
                        wedge_blades)
@@ -125,15 +125,14 @@ class VerificationCheck:
 
 
 class VerificationReport:
-    """A suite's checks; the deadline takes no part in equality."""
+    """A suite's checks."""
 
-    __slots__ = ("suite", "checks", "wall_time", "deadline")
+    __slots__ = ("suite", "checks", "wall_time")
 
-    def __init__(self, suite, checks=None, wall_time=0.0, deadline=None):
+    def __init__(self, suite, checks=None, wall_time=0.0):
         self.suite = suite
         self.checks = [] if checks is None else checks
         self.wall_time = wall_time
-        self.deadline = deadline
 
     def _key(self):
         return (self.suite, self.checks, self.wall_time)
@@ -147,9 +146,8 @@ class VerificationReport:
         return "VerificationReport(%r, %r, %r)" % self._key()
 
     def add(self, check_id, params, expected, computed):
-        """Record a check; the deadline, if any, is checked once per check."""
-        if self.deadline is not None:
-            self.deadline.tick()
+        """Record a check; ticks once per check."""
+        tick()
         self.checks.append(VerificationCheck(check_id, params, expected, computed))
 
     @property
@@ -187,10 +185,10 @@ def _known_table(name):
 # exterior-algebra suites
 # ---------------------------------------------------------------------------
 
-def suite_sl2(max_genus=5, deadline=None):
+def suite_sl2(max_genus=5):
     """Commutation relations of the raising/lowering/weight triple, the
     contraction commutator, and the Leibniz rule."""
-    rep = VerificationReport("sl2", deadline=deadline)
+    rep = VerificationReport("sl2")
     for g in range(1, max_genus + 1):
         w = omega(g)
         bad_comm = 0
@@ -224,10 +222,10 @@ def suite_sl2(max_genus=5, deadline=None):
     return rep
 
 
-def suite_star(max_genus=5, deadline=None):
+def suite_star(max_genus=5):
     """Star involution sign, its eigenvalues on the Lefschetz summands, and
     the wedge/contract exchange identities."""
-    rep = VerificationReport("star", deadline=deadline)
+    rep = VerificationReport("star")
     for g in range(1, max_genus + 1):
         bad = sum(1 for m in all_blades(g)
                   if Multivector.from_blade(g, m).star().star()
@@ -262,10 +260,10 @@ def suite_star(max_genus=5, deadline=None):
     return rep
 
 
-def suite_swap(max_genus=5, deadline=None):
+def suite_swap(max_genus=5):
     """Contraction of the divided powers: the swap identity and the
     primitive special case."""
-    rep = VerificationReport("swap", deadline=deadline)
+    rep = VerificationReport("swap")
     for g in range(1, max_genus + 1):
         rng = _rng("swap", g)
         bad = 0
@@ -298,10 +296,10 @@ def suite_swap(max_genus=5, deadline=None):
     return rep
 
 
-def suite_jmap(max_genus=5, deadline=None):
+def suite_jmap(max_genus=5):
     """Flip-map identities: the alternate exponential form, the support
     lemma, equivariance, degree preservation, and its mod-2 reduction."""
-    rep = VerificationReport("jmap", deadline=deadline)
+    rep = VerificationReport("jmap")
     for g in range(1, max_genus + 1):
         rng = _rng("jmap", g)
 
@@ -386,12 +384,12 @@ def suite_jmap(max_genus=5, deadline=None):
     return rep
 
 
-def suite_hat(max_genus=5, deadline=None):
+def suite_hat(max_genus=5):
     """Hat tables against the closed form; duality; freeness; the sign
     determination; the star-fixed lattice."""
-    rep = VerificationReport("hat", deadline=deadline)
+    rep = VerificationReport("hat")
     for g in range(1, max_genus + 1):
-        table = engine.hf_hat(g, deadline=deadline)
+        table = engine.hf_hat(g)
         params = {"g": g, "hash": table.metadata.get("matrix_hash_d0")}
         bad_rank = sum(1 for d, grp in table.entries.items()
                        if grp.free_rank != engine.hf_hat_closed_form_rank(g, d))
@@ -417,13 +415,13 @@ def suite_hat(max_genus=5, deadline=None):
     return rep
 
 
-def suite_plus(max_genus=5, deadline=None):
+def suite_plus(max_genus=5):
     """Torsion-structure plus tables: reduced ranks against the triangle
     model, support window, freeness, stabilization, kernel and cokernel
     identifications."""
-    rep = VerificationReport("plus", deadline=deadline)
+    rep = VerificationReport("plus")
     for g in range(1, max_genus + 1):
-        red = engine.hf_plus_reduced(g, deadline=deadline)
+        red = engine.hf_plus_reduced(g)
         dims = engine.x_model_dims(g, g - 3)
         bad = sum(1 for d, grp in red.entries.items()
                   if grp.free_rank != dims.get(d - Fraction(5, 2), 0))
@@ -437,8 +435,8 @@ def suite_plus(max_genus=5, deadline=None):
             rep.add("reduced-support", {"g": g},
                     [Fraction(5 - 2 * g, 2), Fraction(2 * g - 7, 2)],
                     [min(support), max(support)])
-        plus = engine.hf_plus_torsion(g, deadline=deadline)
-        inf = engine.hf_infinity(g, ZZ, deadline=deadline)
+        plus = engine.hf_plus_torsion(g)
+        inf = engine.hf_infinity(g, ZZ)
         bad = 0
         for d in plus.entries:
             if d >= Fraction(2 * g - 1, 2):
@@ -470,14 +468,14 @@ def suite_plus(max_genus=5, deadline=None):
         rep.add("cokernel-is-coprimitives", {"g": g}, 0, bad)
         known = _known_table("plus_known.json")
         if str(g) in known:
-            tq = engine.hf_plus_torsion(g, QQ, deadline=deadline)
+            tq = engine.hf_plus_torsion(g, QQ)
             bad = sum(1 for dstr, r in known[str(g)].items()
                       if Fraction(dstr) in tq.entries
                       and tq.entries[Fraction(dstr)].free_rank != r)
             rep.add("plus-known-data-regression", {"g": g}, 0, bad)
         # U-action report
         if g >= 3:
-            urep = engine.u_action_red(g, deadline=deadline)
+            urep = engine.u_action_red(g)
             cks = urep["checks"]
             rep.add("u-red-surjective-low", {"g": g}, True,
                     cks["surjective_at_and_below_middle"])
@@ -488,17 +486,17 @@ def suite_plus(max_genus=5, deadline=None):
     return rep
 
 
-def suite_infinity(max_genus=5, deadline=None):
+def suite_infinity(max_genus=5):
     """Fully inverted flavor: rational and mod-2 ranks, integral torsion."""
-    rep = VerificationReport("infinity", deadline=deadline)
+    rep = VerificationReport("infinity")
     for g in range(1, max_genus + 1):
-        ti = engine.hf_infinity(g, QQ, deadline=deadline)
+        ti = engine.hf_infinity(g, QQ)
         rep.add("infty-rank-Q", {"g": g}, {comb(2 * g + 1, g)},
                 {grp.free_rank for grp in ti.entries.values()})
         tf = engine.hf_infinity(g, GF(2))
         rep.add("infty-rank-F2", {"g": g}, {2 ** (2 * g - 1) + 2 ** (g - 1)},
                 {grp.free_rank for grp in tf.entries.values()})
-        tz = engine.hf_infinity(g, ZZ, deadline=deadline)
+        tz = engine.hf_infinity(g, ZZ)
         factors = tz.all_invariant_factors()
         params = {"g": g, "hash": tz.metadata.get("matrix_hashes")}
         if g >= 3:
@@ -512,12 +510,12 @@ def suite_infinity(max_genus=5, deadline=None):
     return rep
 
 
-def suite_mod2(max_genus=5, deadline=None):
+def suite_mod2(max_genus=5):
     """Plus flavor mod 2 equals the hat table tensored up the U-tower."""
-    rep = VerificationReport("mod2", deadline=deadline)
+    rep = VerificationReport("mod2")
     for g in range(1, max_genus + 1):
         t2 = engine.hf_plus_torsion(g, GF(2))
-        hatz = engine.hf_hat(g, deadline=deadline)
+        hatz = engine.hf_hat(g)
         low = Fraction(-2 * g - 1, 2)
         bad = 0
         for d, grp in t2.entries.items():
@@ -532,13 +530,13 @@ def suite_mod2(max_genus=5, deadline=None):
     return rep
 
 
-def suite_action(max_genus=5, genus_corrections=5, deadline=None):
+def suite_action(max_genus=5, genus_corrections=5):
     """Nontorsion tables, the phi cross-check, and the corrected homology
     action with its location and vanishing constraints."""
-    rep = VerificationReport("action", deadline=deadline)
+    rep = VerificationReport("action")
     for g in range(2, max_genus + 1):
         for k in range(1, g):
-            table, model = engine.hf_plus_nontorsion(g, k, deadline=deadline)
+            table, model = engine.hf_plus_nontorsion(g, k)
             dims = model.dims()
             bad = sum(1 for n, grp in table.entries.items()
                       if grp.free_rank != dims.get(n, 0))
@@ -547,10 +545,10 @@ def suite_action(max_genus=5, genus_corrections=5, deadline=None):
             rep.add("nontorsion-model-ranks", {"g": g, "k": k}, 0, bad)
             rep.add("nontorsion-phi-cross-check", {"g": g, "k": k}, True,
                     table.metadata.get("phi_rank_checked", False))
-            tneg, _ = engine.hf_plus_nontorsion(g, -k, deadline=deadline)
+            tneg, _ = engine.hf_plus_nontorsion(g, -k)
             rep.add("conjugation-symmetry", {"g": g, "k": k}, True,
                     tneg.entries == table.entries)
-        tz, _ = engine.hf_plus_nontorsion(g, g, deadline=deadline)
+        tz, _ = engine.hf_plus_nontorsion(g, g)
         rep.add("vanishing-beyond-adjunction", {"g": g, "k": g}, {}, tz.entries)
         rep.add("F-corner-restriction-surjective", {"g": g, "k": 1}, True,
                 engine.f_restriction_surjective(g, 1))
@@ -564,7 +562,7 @@ def suite_action(max_genus=5, genus_corrections=5, deadline=None):
             pairs = 0
             for key in model.basis():
                 n = model.degree_of(key)
-                for gi, corrs in engine.h1_corrections(g, k, key, deadline):
+                for gi, corrs in engine.h1_corrections(g, k, key):
                     pairs += 1
                     for ct in corrs:
                         nonzero += 1
@@ -583,37 +581,37 @@ def suite_action(max_genus=5, genus_corrections=5, deadline=None):
     return rep
 
 
-def suite_eg(max_genus=5, deadline=None):
+def suite_eg(max_genus=5):
     """Circle-bundle cohomology: rational ranks against (co)primitive
     dimensions, integral torsion, and the two contraction cokernels."""
-    rep = VerificationReport("eg", deadline=deadline)
+    rep = VerificationReport("eg")
     for g in range(1, max_genus + 1):
-        egq = engine.eg_cohomology(g, QQ, deadline=deadline)
+        egq = engine.eg_cohomology(g, QQ)
         bad = sum(1 for j, grp in egq.items()
                   if grp.free_rank != engine.eg_rank_prediction(g, j))
         rep.add("eg-rational-dims", {"g": g}, 0, bad)
-        cmpres = engine.contraction_cokernel_comparison(g, deadline=deadline)
+        cmpres = engine.contraction_cokernel_comparison(g)
         bad = sum(1 for parity, (lhs, rhs) in cmpres.items() if lhs != rhs)
         rep.add("contraction-cokernels-agree", {"g": g}, 0, bad)
         if g >= 3:
-            egz = engine.eg_cohomology(g, ZZ, deadline=deadline)
+            egz = engine.eg_cohomology(g, ZZ)
             rep.add("eg-2-torsion", {"g": g}, True,
                     any(f % 2 == 0 for grp in egz.values()
                         for f in grp.invariant_factors))
     return rep
 
 
-def suite_beta(max_genus=4, deadline=None):
+def suite_beta(max_genus=4):
     """Triple-cup homomorphisms: composition vanishes; graded quotient
     dimensions add up to twice the per-degree inverted-flavor rank."""
-    rep = VerificationReport("beta", deadline=deadline)
+    rep = VerificationReport("beta")
     for g in range(1, max_genus + 1):
         # raises if the composition is nonzero
-        dims = engine.beta_quotient_dims(g, deadline=deadline)
+        dims = engine.beta_quotient_dims(g)
         rep.add("beta-composition-zero", {"g": g}, True, True)
         rep.add("beta-quotient-total", {"g": g}, 2 * comb(2 * g + 1, g),
                 sum(dims.values()))
-        inf = engine.hf_infinity(g, QQ, deadline=deadline)
+        inf = engine.hf_infinity(g, QQ)
         per_degree = {grp.free_rank for grp in inf.entries.values()}
         rep.add("beta-matches-infinity", {"g": g},
                 {sum(dims.values()) // 2}, per_degree)
@@ -635,17 +633,15 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name, max_genus=5, deadline=None):
-    """Run one suite (or every suite for "all") at the given genus cap.  The
-    deadline, if any, is checked once per suite and once per recorded check,
-    and passed to the engine's budgeted entry points."""
-    if deadline is not None:
-        deadline.tick()
+def run_suite(name, max_genus=5):
+    """Run one suite (or every suite for "all") at the given genus cap.
+    Ticks once per suite and once per recorded check."""
+    tick()
     if name == "all":
         t0 = time.time()
         combined = VerificationReport("all")
         for n in _SUITE_FUNCS:
-            sub = run_suite(n, max_genus, deadline)
+            sub = run_suite(n, max_genus)
             combined.checks.extend(sub.checks)
         combined.wall_time = time.time() - t0
         return combined
@@ -653,9 +649,6 @@ def run_suite(name, max_genus=5, deadline=None):
         raise DomainError(f"unknown suite {name!r}; choose from {SUITES}")
     t0 = time.time()
     fn = _SUITE_FUNCS[name]
-    if name == "beta":
-        rep = fn(min(max_genus, 4), deadline=deadline)
-    else:
-        rep = fn(max_genus, deadline=deadline)
+    rep = fn(min(max_genus, 4) if name == "beta" else max_genus)
     rep.wall_time = time.time() - t0
     return rep

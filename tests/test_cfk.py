@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from hfsigma.cfk import (B_PLUS, OPS, GradedElement, J_GEQ0, Region,
-                         _flip_blade, corner, gamma_action, hook, j_infinity,
+                         _flip_blade, corner, gamma_action, j_infinity,
                          j_plus, min_zero, row_i0, slice_basis, slice_digest,
                          slice_map, u_chain_map, u_slice_map)
 from hfsigma.errors import BudgetExceeded, Deadline, DomainError
@@ -40,7 +40,7 @@ def test_slice_basis_examples():
 def test_slice_basis_against_oracle():
     for g in (1, 2, 3):
         for d in range(-g - 3, g + 4):
-            for region in (B_PLUS, corner(0), corner(-2), hook(0), row_i0(),
+            for region in (B_PLUS, corner(0), corner(-2), row_i0(),
                            min_zero(0), min_zero(-1)):
                 assert slice_basis(g, region, d).size == slice_dims_oracle(g, region, d)
 
@@ -296,8 +296,9 @@ def test_one_pass_assembly_matches_per_entry_order():
                                 _ref_u_entries(um, steps, ring)
 
 
-class _CountingDeadline:
+class _CountingDeadline(Deadline):
     def __init__(self):
+        super().__init__(3600)
         self.ticks = 0
 
     def tick(self):
@@ -305,17 +306,31 @@ class _CountingDeadline:
 
 
 def test_slice_construction_checks_the_deadline():
-    with pytest.raises(BudgetExceeded):
-        slice_map(3, "F", 1, deadline=Deadline(-1))
-    with pytest.raises(BudgetExceeded):
-        slice_map(3, "one_plus_J", 4, r=1, deadline=Deadline(-1))
-    with pytest.raises(BudgetExceeded):
-        slice_digest(3, "F", 1, deadline=Deadline(-1))
-    assert slice_map(3, "F", 1, deadline=Deadline(60)).matrix == slice_map(3, "F", 1).matrix
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        slice_map(3, "F", 1)
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        slice_map(3, "one_plus_J", 4, r=1)
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        slice_digest(3, "F", 1)
+    with Deadline(60):
+        budgeted = slice_map(3, "F", 1).matrix
+    assert budgeted == slice_map(3, "F", 1).matrix
     for build in (slice_map, slice_digest):  # one tick per source column
-        counter = _CountingDeadline()
-        build(3, "F", 1, deadline=counter)
+        with _CountingDeadline() as counter:
+            build(3, "F", 1)
         assert counter.ticks == slice_basis(3, B_PLUS, 1).size
+
+
+def test_leaving_a_deadline_restores_the_outer_one():
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        slice_map(3, "F", 1)
+    assert slice_map(3, "F", 1).matrix.cols == slice_basis(3, B_PLUS, 1).size
+    with _CountingDeadline() as outer:
+        with pytest.raises(BudgetExceeded), Deadline(-1):
+            slice_map(3, "F", 1)
+        assert outer.ticks == 0
+        slice_map(3, "F", 1)
+        assert outer.ticks == slice_basis(3, B_PLUS, 1).size
 
 
 def _to_json_digest(g, op, d, s=0):

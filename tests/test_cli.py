@@ -201,6 +201,31 @@ def test_truncated_cache_file_is_a_miss(tmp_path):
     assert path.read_text() == text  # recomputed and rewritten
 
 
+@pytest.mark.parametrize("stored", ("[]", "42", '{"flavor": 1}', "{}"))
+def test_wrong_shaped_cache_file_is_a_miss(tmp_path, stored):
+    cold = _payload(run_cli("hat", "--genus", "2", "--out", "json"))
+    cache = tmp_path / "cache"
+    env = {"HF_CACHE_DIR": str(cache)}
+    run_cli("hat", "--genus", "2", "--out", "json", env_extra=env)
+    (path,) = cache.glob("*.json")
+    text = path.read_text()
+    path.write_text(stored)
+    assert _payload(run_cli("hat", "--genus", "2", "--out", "json", env_extra=env)) == cold
+    assert path.read_text() == text  # recomputed and rewritten
+
+
+def test_verify_jobs_2_matches_jobs_1():
+    # the workers re-enter the parent's deadline, pickled with their jobs
+    def suites(jobs):
+        proc = run_cli("verify", "--suite", "all", "--max-genus", "2",
+                       "--jobs", jobs, "--out", "json")
+        data = json.loads(_payload(proc))
+        for rep in data["result"]["suites"]:
+            rep.pop("wall_time")
+        return data
+    assert suites("2") == suites("1")
+
+
 def test_eg_time_budget_exits_1():
     proc = run_cli("eg", "--genus", "3", "--extended", "--time-budget", "0")
     assert proc.returncode == 1

@@ -44,34 +44,35 @@ def test_infinity_ranks():
 
 def test_infinity_budget_covers_field_ranks():
     for ring in (ZZ, QQ, GF(3)):
-        with pytest.raises(BudgetExceeded):
-            engine.hf_infinity(3, ring, deadline=Deadline(-1))
+        with pytest.raises(BudgetExceeded), Deadline(-1):
+            engine.hf_infinity(3, ring)
 
 
 def test_budget_covers_hat_and_plus():
     for ring in (ZZ, GF(3)):
         for flavor in (engine.hf_hat, engine.hf_plus_torsion, engine.hf_plus_reduced):
-            with pytest.raises(BudgetExceeded):
-                flavor(3, ring, deadline=Deadline(-1))
+            with pytest.raises(BudgetExceeded), Deadline(-1):
+                flavor(3, ring)
 
 
 def test_budget_holds_against_cached_blocks():
     for ring in (ZZ, GF(3)):
         for flavor in (engine.hf_hat, engine.hf_plus_torsion, engine.hf_infinity):
             flavor(3, ring)
-            with pytest.raises(BudgetExceeded):
-                flavor(3, ring, deadline=Deadline(-1))
+            with pytest.raises(BudgetExceeded), Deadline(-1):
+                flavor(3, ring)
 
 
 def test_budget_covers_nontorsion():
-    with pytest.raises(BudgetExceeded):
-        engine.hf_plus_nontorsion(3, 1, deadline=Deadline(-1))
-    with pytest.raises(BudgetExceeded):
-        engine.phi_image_rank(3, 1, deadline=Deadline(-1))
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        engine.hf_plus_nontorsion(3, 1)
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        engine.phi_image_rank(3, 1)
 
 
-class CountingDeadline:
+class CountingDeadline(Deadline):
     def __init__(self):
+        super().__init__(3600)
         self.ticks = 0
 
     def tick(self):
@@ -81,28 +82,30 @@ class CountingDeadline:
 def test_phi_series_ticks():
     from hfsigma.cfk import GradedElement
     xi = GradedElement(3, {(0, 0): 1})
-    with pytest.raises(BudgetExceeded):
-        engine.phi_series(xi, 1, deadline=Deadline(-1))
-    with pytest.raises(BudgetExceeded):
-        list(engine.h1_corrections(3, 1, (0, 0), deadline=Deadline(-1)))
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        engine.phi_series(xi, 1)
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        list(engine.h1_corrections(3, 1, (0, 0)))
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        engine.h1_action(3, 1, 1, (0, 0))
     # once per term, the zero term that ends the series included
     for g, key, terms in ((3, (0, 0), 1), (5, (3, 0), 2)):
-        counter = CountingDeadline()
-        ph = engine.phi_series(GradedElement(g, {key: 1}), 1, deadline=counter)
+        with CountingDeadline() as counter:
+            ph = engine.phi_series(GradedElement(g, {key: 1}), 1)
         assert len(ph.degrees()) == terms and counter.ticks == terms + 1
 
 
 def test_budget_covers_u_action():
     from hfsigma.cfk import B_PLUS, u_chain_map, u_slice_map
-    with pytest.raises(BudgetExceeded):
-        engine.u_action_red(4, deadline=Deadline(-1))
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        engine.u_action_red(4)
     for r in (None, 0):
-        with pytest.raises(BudgetExceeded):
-            u_chain_map(4, B_PLUS, 2, 2, r=r, deadline=Deadline(-1))
-        with pytest.raises(BudgetExceeded):
-            u_slice_map(4, B_PLUS, 2, r=r, deadline=Deadline(-1))
-    counter = CountingDeadline()
-    sm = u_chain_map(4, B_PLUS, 2, 2, deadline=counter)
+        with pytest.raises(BudgetExceeded), Deadline(-1):
+            u_chain_map(4, B_PLUS, 2, 2, r=r)
+        with pytest.raises(BudgetExceeded), Deadline(-1):
+            u_slice_map(4, B_PLUS, 2, r=r)
+    with CountingDeadline() as counter:
+        sm = u_chain_map(4, B_PLUS, 2, 2)
     assert counter.ticks == sm.matrix.cols
 
 
@@ -259,7 +262,7 @@ def test_beta():
     import itertools
     m = engine.triple_cup_beta(2, 3)
     src = sorted(sum(1 << b for b in bits) for bits in itertools.combinations(range(5), 3))
-    col = m.column(src.index((1 << 0) | (1 << 1) | (1 << 4)))
+    col = m.col_dicts()[src.index((1 << 0) | (1 << 1) | (1 << 4))]
     assert col == {0: 1}
     for s in range(0, 3):
         assert engine.triple_cup_beta(2, s).nnz() == 0

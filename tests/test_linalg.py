@@ -192,10 +192,34 @@ def test_snf_against_determinantal_divisors(m):
 def test_budget_ticks_in_rank_and_snf():
     m = SparseExactMatrix(2, 2, ZZ, {(0, 0): 2, (1, 1): 3})
     for ring in (QQ, GF(2), GF(3), None):
-        with pytest.raises(BudgetExceeded):
-            rank(m, ring, deadline=Deadline(-1))
-    with pytest.raises(BudgetExceeded):
-        smith_normal_form(m, deadline=Deadline(-1))
+        with pytest.raises(BudgetExceeded), Deadline(-1):
+            rank(m, ring)
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        smith_normal_form(m)
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        solve_columns([{0: 2}, {1: 3}], [{0: 4, 1: 3}], 2)
+
+
+class _CountingDeadline(Deadline):
+    def __init__(self):
+        super().__init__(3600)
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
+def test_snf_ticks_in_the_gcd_pivot_loops():
+    # [2 3] has no unit: the gcd pivot 2 shrinks to 1 in one pass, a second
+    # pass finds that 1 divides its row, and clearing the row takes one
+    # column operation
+    m = SparseExactMatrix(1, 2, ZZ, {(0, 0): 2, (0, 1): 3})
+    with _CountingDeadline() as counter:
+        assert smith_normal_form(m) == [1]
+    assert counter.ticks == 3
+    with _CountingDeadline() as counter:  # one tick per pivot column
+        solve_columns([{0: 2}, {1: 3}], [{0: 4, 1: 3}], 2)
+    assert counter.ticks == 2
 
 
 @PROPERTY

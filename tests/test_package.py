@@ -54,6 +54,15 @@ def test_unknown_attribute_raises():
         exec("from hfsigma import no_such_name", {})
 
 
+def test_engine_import_leaves_lefschetz_unloaded():
+    # nontorsion and action never use it; its users import it themselves
+    code = "import sys, hfsigma.engine; print('hfsigma.lefschetz' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
+
+
 def test_import_loads_no_layer():
     code = ("import sys, hfsigma; "
             "print(sorted(m for m in sys.modules if m.startswith('hfsigma'))); "
