@@ -41,7 +41,7 @@ from math import comb
 
 from .errors import DomainError, GenusMismatch, tick
 from .exterior import (blade_grade, blades_of_grade, complete_pairs,
-                       pair_mask, star_blade)
+                       pair_mask, star_blade, swap_pairs)
 from .linalg import SparseExactMatrix
 from .rings import ZZ
 
@@ -394,7 +394,7 @@ class UnionBasis:
 OPS = ("v", "h", "F", "F_hat", "one_plus_J")
 
 
-def _op_terms(g, op, s, mask, flip=_flip_blade):
+def _op_terms(g, op, s, mask):
     """Image terms of a source blade at U-coordinate 0 under the chosen map,
     before the target-region projection: (di, mask', coeff), the term for
     input at i landing at i + di.
@@ -406,7 +406,7 @@ def _op_terms(g, op, s, mask, flip=_flip_blade):
     """
     if op == "v":
         return ((0, mask, 1),)
-    flips = flip(g, mask)
+    flips = _flip_blade(g, mask)
     if op == "one_plus_J":
         return flips + ((0, mask, 1),)
     if s:
@@ -442,7 +442,7 @@ def _bases(g, op, d, s=0, r=None, basis=slice_basis):
     return src, UnionBasis([basis(g, tgt_region, dd, r) for dd in degs])
 
 
-def _accumulate(g, op, s, src, tgt, p=None, flip=_flip_blade):
+def _accumulate(g, op, s, src, tgt, p=None):
     """The op's nonzero entries from the source basis to the target basis,
     as {row * src.size + col: value}, in one pass over plain ints (mod p
     when p is given).  An entry whose sum reaches zero is dropped and,
@@ -454,7 +454,7 @@ def _accumulate(g, op, s, src, tgt, p=None, flip=_flip_blade):
     ent = {}
     for c, (i, mask) in enumerate(src.elements):
         tick()
-        for di, m2, w in _op_terms(g, op, s, mask, flip):
+        for di, m2, w in _op_terms(g, op, s, mask):
             r = get((i + di, m2))
             if r is None:
                 continue
@@ -496,6 +496,33 @@ def slice_map(g, op, d, ring=ZZ, s=0, r=None):
     return SliceMap(mat, src, tgt, op, s)
 
 
+def _flip_sources(g, m2):
+    """Transpose of _flip_blade: the (di, mask, coeff) for which
+    _flip_blade(g, mask) holds (di, m2, coeff), so J of mask * U^-i has
+    coefficient coeff at m2 * U^-(i + di).
+
+    The sources are mask = swap_pairs(full ^ (m2 | P)) for P a union of
+    pairs that are empty in m2 (they are the pairs the eta_n term removed).
+    With q = |m2|, e = #empty pairs of m2 and n = #pairs of P, the weight
+    eps * (-1)^(p + #complete pairs of mask) * (-2)^n, where p = 2g - q - 2n
+    and mask has e - n complete pairs, is eps * (-1)^(q + e) * 2^n, and the
+    shift is p - g + n = g - q - n.
+    """
+    full = (1 << (2 * g)) - 1
+    empty = complete_pairs(full ^ m2)
+    base = swap_pairs(full ^ m2)
+    q = blade_grade(m2)
+    sign = epsilon(g) * (-1 if (q + blade_grade(empty)) & 1 else 1)
+    out = []
+    sub = empty
+    while True:
+        n = blade_grade(sub)
+        out.append((g - q - n, base ^ sub ^ sub << 1, sign << n))
+        if not sub:
+            return tuple(out)
+        sub = (sub - 1) & empty
+
+
 _DIGEST_CHUNK = 4096  # entries serialized per sha256 update
 
 
@@ -505,20 +532,36 @@ def slice_digest(g, op, d, s=0):
     {"cols":C,"entries":[[r,c,"v"],...],"ring":"Z","rows":R} with the
     entries in (r, c) order.
 
-    The bytes reach sha256 in chunks, and the bases and flips are built
-    outside the slice_basis and _flip_blade caches: a fingerprint visits
-    each whole mask once, so caching them would only keep 4^g-sized state
-    alive.  Ticks once per source column.
+    Row-major: the target basis is walked in order, and each row's entries
+    are collected from the sources of its blade (_flip_sources, plus the
+    identity term for every op but h), summed, sorted by column and
+    streamed to sha256 in chunks.  Memory is O(basis): the bases are built
+    outside the slice_basis cache and no flip is cached, so nothing that
+    grows with the number of nonzeros is kept.  Ticks once per target row.
     """
     src, tgt = _bases(g, op, d, s, basis=SliceBasis)
-    ncols = src.size
-    ent = _accumulate(g, op, s, src, tgt, flip=_flip_blade.__wrapped__)
-    keys = sorted(ent)
-    h = hashlib.sha256(b'{"cols":%d,"entries":[' % ncols)
-    for lo in range(0, len(keys), _DIGEST_CHUNK):
-        h.update((("," if lo else "") + ",".join(
-            '[%d,%d,"%d"]' % (*divmod(k, ncols), ent[k])
-            for k in keys[lo:lo + _DIGEST_CHUNK])).encode())
+    get = src.index.get
+    shift = 0 if op == "one_plus_J" else s
+    h = hashlib.sha256(b'{"cols":%d,"entries":[' % src.size)
+    chunk, sep = [], ""
+    for r, (i, m2) in enumerate(tgt.elements):
+        tick()
+        row = {}
+        if op != "h":
+            c = get((i, m2))
+            if c is not None:
+                row[c] = 1
+        if op != "v":
+            for di, mask, w in _flip_sources(g, m2):
+                c = get((i - di - shift, mask))
+                if c is not None:
+                    row[c] = row.get(c, 0) + w
+        chunk.extend('[%d,%d,"%d"]' % (r, c, row[c]) for c in sorted(row) if row[c])
+        if len(chunk) >= _DIGEST_CHUNK:
+            h.update((sep + ",".join(chunk)).encode())
+            chunk, sep = [], ","
+    if chunk:
+        h.update((sep + ",".join(chunk)).encode())
     h.update(b'],"ring":"Z","rows":%d}' % tgt.size)
     return h.hexdigest()[:16]
 

@@ -466,7 +466,9 @@ def build_parser():
         description="Exact Floer homology tables for a surface times a circle.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, genus_required=True):
+    def common(genus_required):
+        # the shared flags, declared once and inherited through parents=
+        sp = argparse.ArgumentParser(add_help=False)
         sp.add_argument("--genus", "-g", type=int, required=genus_required)
         sp.add_argument("--spinc", type=int, default=None,
                         help="spin-c label k (first Chern class dual to 2k circles)")
@@ -481,51 +483,50 @@ def build_parser():
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--cache-dir", default=None,
                         help="result cache directory (default $HF_CACHE_DIR)")
+        return sp
 
-    sp = sub.add_parser("hat", help="finitely generated flavor, torsion spin-c")
-    common(sp)
+    shared, genus_optional = [common(True)], [common(False)]
+
+    sp = sub.add_parser("hat", parents=shared,
+                        help="finitely generated flavor, torsion spin-c")
     sp.set_defaults(func=cmd_hat)
 
-    sp = sub.add_parser("plus", help="plus flavor, torsion spin-c")
-    common(sp)
+    sp = sub.add_parser("plus", parents=shared, help="plus flavor, torsion spin-c")
     sp.add_argument("--reduced", action="store_true",
                     help="also emit the reduced part")
     sp.set_defaults(func=cmd_plus)
 
-    sp = sub.add_parser("infinity", help="fully U-inverted flavor")
-    common(sp)
+    sp = sub.add_parser("infinity", parents=shared, help="fully U-inverted flavor")
     sp.set_defaults(func=cmd_infinity)
 
-    sp = sub.add_parser("nontorsion", help="plus flavor, nonzero spin-c")
-    common(sp)
+    sp = sub.add_parser("nontorsion", parents=shared,
+                        help="plus flavor, nonzero spin-c")
     sp.set_defaults(func=cmd_nontorsion)
 
-    sp = sub.add_parser("action", help="homology action with corrections")
-    common(sp)
+    sp = sub.add_parser("action", parents=shared,
+                        help="homology action with corrections")
     sp.set_defaults(func=cmd_action)
 
-    sp = sub.add_parser("eg", help="circle-bundle cohomology cross-check")
-    common(sp)
+    sp = sub.add_parser("eg", parents=shared,
+                        help="circle-bundle cohomology cross-check")
     sp.set_defaults(func=cmd_eg)
 
-    sp = sub.add_parser("beta", help="triple-cup quotient dimensions")
-    common(sp)
+    sp = sub.add_parser("beta", parents=shared, help="triple-cup quotient dimensions")
     sp.set_defaults(func=cmd_beta)
 
-    sp = sub.add_parser("slice", help="export one slice matrix")
-    common(sp)
+    sp = sub.add_parser("slice", parents=shared, help="export one slice matrix")
     sp.add_argument("--op", required=True,
                     choices=["v", "h", "F", "F_hat", "one_plus_J"])
     sp.add_argument("--degree", required=True)
     sp.set_defaults(func=cmd_slice)
 
-    sp = sub.add_parser("snf", help="Smith normal form of a matrix JSON file")
-    common(sp, genus_required=False)
+    sp = sub.add_parser("snf", parents=genus_optional,
+                        help="Smith normal form of a matrix JSON file")
     sp.add_argument("--input", required=True)
     sp.set_defaults(func=cmd_snf)
 
-    sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp, genus_required=False)
+    sp = sub.add_parser("verify", parents=genus_optional,
+                        help="run a verification suite")
     sp.add_argument("--suite", default="all",
                     help="a suite name or all; an unknown name lists the suites")
     sp.add_argument("--max-genus", type=int, default=None)

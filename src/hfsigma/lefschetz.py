@@ -93,20 +93,6 @@ def coprimitive_dim(g, j):
     return primitive_dim(g, 2 * g - j)
 
 
-@lru_cache(maxsize=None)
-def coprimitive_basis(g, j):
-    """Spanning set of ker(omega ^ .) in grade j over Q: the image of the
-    primitive basis of grade 2g-j under omega^(j-g) wedging."""
-    if j < g or j > 2 * g:
-        return ()
-    l = j - g
-    wl = eta(l, g, QQ).scale(_factorial(l))
-    out = []
-    for b in primitive_basis(g, 2 * g - j):
-        out.append(wl.wedge(b))
-    return tuple(out)
-
-
 def _factorial(n):
     out = 1
     for i in range(2, n + 1):
@@ -206,17 +192,3 @@ def self_dual_lattice(g):
 
 def self_dual_rank(g):
     return 2 ** (g - 1) + comb(2 * g, g) // 2
-
-
-def lefschetz_power_rank(g, l):
-    """Rank over Q of omega^l wedging from grade g-l to grade g+l."""
-    src = blades_of_grade(g, g - l)
-    tgt = blades_of_grade(g, g + l)
-    tgt_index = {m: i for i, m in enumerate(tgt)}
-    wl = eta(l, g, QQ).scale(_factorial(l))
-    mat = SparseExactMatrix(len(tgt), len(src), QQ)
-    for c, mask in enumerate(src):
-        img = wl.wedge(Multivector.from_blade(g, mask, 1, QQ))
-        for m2, v in img.coeffs.items():
-            mat[tgt_index[m2], c] = v
-    return rank(mat)

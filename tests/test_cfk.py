@@ -1,15 +1,16 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
 from hfsigma.cfk import (B_PLUS, OPS, GradedElement, J_GEQ0, Region,
-                         _flip_blade, corner, gamma_action, j_infinity,
-                         j_plus, min_zero, row_i0, slice_basis, slice_digest,
-                         slice_map, u_chain_map, u_slice_map)
+                         _flip_blade, _flip_sources, corner, gamma_action,
+                         j_infinity, j_plus, min_zero, row_i0, slice_basis,
+                         slice_digest, slice_map, u_chain_map, u_slice_map)
 from hfsigma.errors import BudgetExceeded, Deadline, DomainError
 from hfsigma.exterior import (Multivector, blade_grade, eta,
                               random_multivector, star_blade, contract_blades,
@@ -315,10 +316,12 @@ def test_slice_construction_checks_the_deadline():
     with Deadline(60):
         budgeted = slice_map(3, "F", 1).matrix
     assert budgeted == slice_map(3, "F", 1).matrix
-    for build in (slice_map, slice_digest):  # one tick per source column
-        with _CountingDeadline() as counter:
-            build(3, "F", 1)
-        assert counter.ticks == slice_basis(3, B_PLUS, 1).size
+    with _CountingDeadline() as counter:  # one tick per source column
+        slice_map(3, "F", 1)
+    assert counter.ticks == slice_basis(3, B_PLUS, 1).size
+    with _CountingDeadline() as counter:  # one tick per target row
+        slice_digest(3, "F", 1)
+    assert counter.ticks == slice_basis(3, corner(0), 1).size
 
 
 def test_leaving_a_deadline_restores_the_outer_one():
@@ -353,6 +356,28 @@ def test_slice_digest_matches_the_to_json_route():
 def test_slice_digest_pins_the_g7_infinity_hashes():
     assert slice_digest(7, "one_plus_J", 7) == "e24003df07d3de2e"
     assert slice_digest(7, "one_plus_J", 8) == "2f0d7fce7a269960"
+
+
+def test_flip_sources_is_the_transpose_of_flip_blade():
+    for g in range(1, 6):
+        forward, backward = set(), set()
+        for mask in range(1 << (2 * g)):
+            forward.update((mask, di, m2, w) for di, m2, w in _flip_blade(g, mask))
+            sources = _flip_sources(g, mask)
+            backward.update((m, di, mask, w) for di, m, w in sources)
+            assert len(set(sources)) == len(sources)
+        assert forward == backward, g
+
+
+def test_slice_digest_memory_stays_at_basis_size():
+    slice_digest(2, "one_plus_J", 2)  # imports and first-call state
+    tracemalloc.start()
+    try:
+        slice_digest(7, "one_plus_J", 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
 
 
 def test_slice_digest_leaves_the_caches_alone():

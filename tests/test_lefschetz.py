@@ -1,16 +1,16 @@
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from hfsigma.errors import DomainError
-from hfsigma.exterior import Multivector, all_blades, blade_grade, eta, omega, random_multivector
-from hfsigma.lefschetz import (coprimitive_basis, coprimitive_dim,
-                               lefschetz_power_rank, op_H, op_L, op_lambda,
+from hfsigma.exterior import (Multivector, all_blades, blade_grade,
+                              blades_of_grade, eta, omega, random_multivector)
+from hfsigma.lefschetz import (coprimitive_dim, op_H, op_L, op_lambda,
                                primitive_basis, primitive_decomposition,
                                primitive_dim, raising_matrix,
                                self_dual_lattice, self_dual_rank)
-from hfsigma.linalg import rank
+from hfsigma.linalg import SparseExactMatrix, rank
 from hfsigma.rings import QQ
 
 
@@ -88,6 +88,29 @@ def test_decomposition_special_cases():
     assert primitive_decomposition(b) == [(0, b)]
     with pytest.raises(DomainError):
         primitive_decomposition(w + Multivector.unit(g, QQ))
+
+
+def lefschetz_power_rank(g, l):
+    # rank over Q of omega^l wedging from grade g-l to grade g+l
+    src = blades_of_grade(g, g - l)
+    tgt = blades_of_grade(g, g + l)
+    tgt_index = {m: i for i, m in enumerate(tgt)}
+    wl = eta(l, g, QQ).scale(factorial(l))
+    mat = SparseExactMatrix(len(tgt), len(src), QQ)
+    for c, mask in enumerate(src):
+        img = wl.wedge(Multivector.from_blade(g, mask, 1, QQ))
+        for m2, v in img.coeffs.items():
+            mat[tgt_index[m2], c] = v
+    return rank(mat)
+
+
+def coprimitive_basis(g, j):
+    # spanning set of ker(omega ^ .) in grade j over Q: the image of the
+    # primitive basis of grade 2g-j under omega^(j-g) wedging
+    if j < g or j > 2 * g:
+        return ()
+    wl = eta(j - g, g, QQ).scale(factorial(j - g))
+    return tuple(wl.wedge(b) for b in primitive_basis(g, 2 * g - j))
 
 
 def test_lefschetz_powers_bijective():
