@@ -60,7 +60,7 @@ class Region:
 
     __slots__ = ("kind", "s")
 
-    KINDS = ("full", "b", "j_geq", "corner", "row_i0", "min_zero")
+    KINDS = ("b", "j_geq", "corner", "row_i0", "min_zero")
 
     def __init__(self, kind, s=0):
         if kind not in self.KINDS:
@@ -70,8 +70,6 @@ class Region:
 
     def contains(self, i, j):
         k, s = self.kind, self.s
-        if k == "full":
-            return True
         if k == "b":
             return i >= 0
         if k == "j_geq":
@@ -93,7 +91,6 @@ class Region:
         return hash((self.kind, self.s))
 
 
-FULL = Region("full")
 B_PLUS = Region("b")
 J_GEQ0 = Region("j_geq", 0)
 
@@ -295,16 +292,6 @@ def j_infinity(x):
     return GradedElement(g, out)
 
 
-def j_plus(x):
-    """The flip on the i >= 0 quotient, landing in the j >= 0 quotient.
-
-    Well defined because the full flip carries {i < 0} into {j < 0}; the
-    projection must be applied before any later U-shift re-enters the
-    retained region.
-    """
-    return j_infinity(x.project(B_PLUS)).project(J_GEQ0)
-
-
 def gamma_action(gamma_star_index, x, truncate=True):
     """H_1 action of the class dual to e_{gamma_star_index} on a plane element:
 
@@ -365,8 +352,9 @@ class SliceMap:
 
 
 class UnionBasis:
-    """Concatenation of slice bases of distinct degrees (target of h/F when
-    s != 0, where the two summands land on different antidiagonals)."""
+    """Concatenation of slice bases of distinct degrees: the target of h/F
+    when s != 0, where the two summands land on different antidiagonals,
+    and both sides of the nontorsion chain matrices."""
 
     __slots__ = ("genus", "slices", "index", "elements")
 
@@ -377,8 +365,6 @@ class UnionBasis:
         self.elements = []
         for sl in slices:
             for key in sl.elements:
-                if key in self.index:
-                    continue
                 self.index[key] = len(self.elements)
                 self.elements.append(key)
 
@@ -410,7 +396,7 @@ def _op_terms(g, op, s, mask):
     if op == "one_plus_J":
         return flips + ((0, mask, 1),)
     if s:
-        flips = tuple((di + s, m2, w) for di, m2, w in flips)
+        flips = tuple([(di + s, m2, w) for di, m2, w in flips])
     return flips if op == "h" else ((0, mask, 1),) + flips
 
 
@@ -444,12 +430,11 @@ def _bases(g, op, d, s=0, r=None, basis=slice_basis):
 
 def _accumulate(g, op, s, src, tgt, p=None):
     """The op's nonzero entries from the source basis to the target basis,
-    as {row * src.size + col: value}, in one pass over plain ints (mod p
-    when p is given).  An entry whose sum reaches zero is dropped and,
-    should it become nonzero again, reinserted at the end: the field
-    eliminators pivot on a column's first row, so the order is part of the
-    result.  Ticks once per source column."""
-    ncols = src.size
+    as {(row, col): value}, in one pass over plain ints (mod p when p is
+    given).  An entry whose sum reaches zero is dropped and, should it
+    become nonzero again, reinserted at the end: the field eliminators
+    pivot on a column's first row, so the order is part of the result.
+    Ticks once per source column."""
     get = tgt.index.get
     ent = {}
     for c, (i, mask) in enumerate(src.elements):
@@ -458,7 +443,7 @@ def _accumulate(g, op, s, src, tgt, p=None):
             r = get((i + di, m2))
             if r is None:
                 continue
-            key = r * ncols + c
+            key = r, c
             v = ent.get(key, 0) + w
             if p is not None:
                 v %= p
@@ -489,10 +474,8 @@ def slice_map(g, op, d, ring=ZZ, s=0, r=None):
     Smith form and ranks (module docstring).  Ticks once per source column.
     """
     src, tgt = _bases(g, op, d, s, r)
-    ncols = src.size
-    ent = _accumulate(g, op, s, src, tgt, ring.p)
     mat = SparseExactMatrix.from_int_entries(
-        tgt.size, ncols, {divmod(k, ncols): v for k, v in ent.items()}, ring)
+        tgt.size, src.size, _accumulate(g, op, s, src, tgt, ring.p), ring)
     return SliceMap(mat, src, tgt, op, s)
 
 

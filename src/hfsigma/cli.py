@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Commands: hat | plus | infinity | nontorsion | action | eg | beta | slice |
-snf | verify, with shared flags --genus, --spinc, --ring, --degrees,
---out {table,json,tsv}, --extended, --time-budget, --jobs, and the
-HF_CACHE_DIR result cache.  Exit codes: 0 success, 1 verification failure,
-an exhausted time budget or an output pipe closed by its reader (nothing
-more is written, and no traceback), 2 usage error.
+snf | verify, with shared flags --genus, --ring, --out {table,json,tsv},
+--extended and --time-budget; a command takes --spinc, --degrees, --jobs
+or --cache-dir (the HF_CACHE_DIR result cache) only if it reads it.  Exit
+codes: 0 success, 1 verification failure, an exhausted time budget or an
+output pipe closed by its reader (nothing more is written, and no
+traceback), 2 usage error.
 
 --time-budget SECONDS is one Deadline, entered once at the start of the
 command; the loops of every layer check it (errors.tick), so it holds in
@@ -57,6 +58,12 @@ def _window_to_d_range(window, g, default):
     if d_hi < d_lo:
         raise DomainError("empty degree window")
     return (d_lo, d_hi)
+
+
+def _integers_only(args):
+    if parse_ring(args.ring) != ZZ:
+        raise DomainError(f"{args.command} is computed over Z only; "
+                          f"--ring {args.ring} is not supported")
 
 
 def _check_scale(args, heavy_integer_run):
@@ -159,6 +166,8 @@ def _config_dict(args):
         v = getattr(args, k, None)
         if v is not None:
             out[k] = v
+    if "degrees" in out:  # a pair of Fractions, recorded as text
+        out["degrees"] = [str(x) for x in out["degrees"]]
     return out
 
 
@@ -294,6 +303,7 @@ def cmd_infinity(args):
 
 def cmd_nontorsion(args):
     _check_scale(args, heavy_integer_run=args.genus > DESK_GENUS_CAP)
+    _integers_only(args)
     if not args.spinc:
         raise DomainError("nontorsion wants --spinc k with k != 0; "
                           "use `hf plus` for the torsion structure")
@@ -315,6 +325,7 @@ def cmd_nontorsion(args):
 def cmd_action(args):
     from . import engine
     _check_scale(args, heavy_integer_run=False)
+    _integers_only(args)
     if not args.spinc:
         raise DomainError("the action is provided for --spinc k != 0 only")
     g, k = args.genus, args.spinc
@@ -466,66 +477,75 @@ def build_parser():
         description="Exact Floer homology tables for a surface times a circle.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(genus_required):
-        # the shared flags, declared once and inherited through parents=
-        sp = argparse.ArgumentParser(add_help=False)
+    # each flag is declared once, on a small parent parser, and inherited
+    # through parents= by the commands that read it
+    def parent():
+        return argparse.ArgumentParser(add_help=False)
+
+    def base(genus_required):
+        sp = parent()
         sp.add_argument("--genus", "-g", type=int, required=genus_required)
-        sp.add_argument("--spinc", type=int, default=None,
-                        help="spin-c label k (first Chern class dual to 2k circles)")
         sp.add_argument("--ring", default="Z", help="Z, Q, F2 or Fp:<p>")
-        sp.add_argument("--degrees", type=_parse_window, default=None,
-                        metavar="MIN..MAX")
         sp.add_argument("--out", default=None,
                         help="table, json, tsv, or a path for JSON output")
         sp.add_argument("--extended", action="store_true",
                         help="lift the genus cap on heavy integer runs")
         sp.add_argument("--time-budget", type=float, default=3600.0)
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--cache-dir", default=None,
-                        help="result cache directory (default $HF_CACHE_DIR)")
         return sp
 
-    shared, genus_optional = [common(True)], [common(False)]
+    shared, genus_optional = base(True), base(False)
+    spinc, degrees, cache, jobs = parent(), parent(), parent(), parent()
+    spinc.add_argument("--spinc", type=int, default=None,
+                       help="spin-c label k (first Chern class dual to 2k circles)")
+    degrees.add_argument("--degrees", type=_parse_window, default=None,
+                         metavar="MIN..MAX")
+    cache.add_argument("--cache-dir", default=None,
+                       help="result cache directory (default $HF_CACHE_DIR)")
+    jobs.add_argument("--jobs", type=int, default=1)
 
-    sp = sub.add_parser("hat", parents=shared,
+    sp = sub.add_parser("hat", parents=[shared, degrees, cache],
                         help="finitely generated flavor, torsion spin-c")
     sp.set_defaults(func=cmd_hat)
 
-    sp = sub.add_parser("plus", parents=shared, help="plus flavor, torsion spin-c")
+    sp = sub.add_parser("plus", parents=[shared, degrees, cache],
+                        help="plus flavor, torsion spin-c")
     sp.add_argument("--reduced", action="store_true",
                     help="also emit the reduced part")
     sp.set_defaults(func=cmd_plus)
 
-    sp = sub.add_parser("infinity", parents=shared, help="fully U-inverted flavor")
+    sp = sub.add_parser("infinity", parents=[shared, cache],
+                        help="fully U-inverted flavor")
     sp.set_defaults(func=cmd_infinity)
 
-    sp = sub.add_parser("nontorsion", parents=shared,
+    sp = sub.add_parser("nontorsion", parents=[shared, spinc, cache],
                         help="plus flavor, nonzero spin-c")
     sp.set_defaults(func=cmd_nontorsion)
 
-    sp = sub.add_parser("action", parents=shared,
+    sp = sub.add_parser("action", parents=[shared, spinc],
                         help="homology action with corrections")
     sp.set_defaults(func=cmd_action)
 
-    sp = sub.add_parser("eg", parents=shared,
+    sp = sub.add_parser("eg", parents=[shared, cache],
                         help="circle-bundle cohomology cross-check")
     sp.set_defaults(func=cmd_eg)
 
-    sp = sub.add_parser("beta", parents=shared, help="triple-cup quotient dimensions")
+    sp = sub.add_parser("beta", parents=[shared, spinc],
+                        help="triple-cup quotient dimensions")
     sp.set_defaults(func=cmd_beta)
 
-    sp = sub.add_parser("slice", parents=shared, help="export one slice matrix")
+    sp = sub.add_parser("slice", parents=[shared, spinc],
+                        help="export one slice matrix")
     sp.add_argument("--op", required=True,
                     choices=["v", "h", "F", "F_hat", "one_plus_J"])
     sp.add_argument("--degree", required=True)
     sp.set_defaults(func=cmd_slice)
 
-    sp = sub.add_parser("snf", parents=genus_optional,
+    sp = sub.add_parser("snf", parents=[genus_optional],
                         help="Smith normal form of a matrix JSON file")
     sp.add_argument("--input", required=True)
     sp.set_defaults(func=cmd_snf)
 
-    sp = sub.add_parser("verify", parents=genus_optional,
+    sp = sub.add_parser("verify", parents=[genus_optional, jobs],
                         help="run a verification suite")
     sp.add_argument("--suite", default="all",
                     help="a suite name or all; an unknown name lists the suites")

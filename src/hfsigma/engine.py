@@ -15,9 +15,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
 
-from .cfk import (B_PLUS, GradedElement, block_masks, block_multiplicity,
-                  corner, slice_basis, slice_digest, slice_map, u_chain_map,
-                  u_slice_map, _flip_blade, _gamma_terms)
+from .cfk import (B_PLUS, GradedElement, SliceMap, UnionBasis, block_masks,
+                  block_multiplicity, corner, slice_basis, slice_digest,
+                  slice_map, u_chain_map, u_slice_map, _accumulate,
+                  _gamma_terms, _op_terms)
 from .errors import DomainError, UnsupportedOperation, tick
 from .exterior import Multivector, blade_grade, blades_of_grade, eta
 from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
@@ -411,42 +412,18 @@ class _TriangleRegion:
 
 
 def chain_matrix(g, kk, degrees, r=None):
-    """Matrix of F = v + h over the listed source degrees of one residue
+    """SliceMap of F = v + h over the listed source degrees of one residue
     class mod 2|k|, or of its representative type-r weight block when r is
     given; h drops the antidiagonal by 2|k|, so rows span the corner slices
-    of the source degrees and one step below.
-
-    Returns (matrix, column key list, row offset map).  The v term of a
-    column lands in the degree-d row block and its h terms in the degree
-    d - 2|k| block at distinct masks, so no two terms share an entry and
-    every entry is written once.
-    """
-    s = -kk
+    of the source degrees and one step below.  Both sides are unions of
+    slices in ascending degree.  Ticks once per column."""
     degrees = sorted(degrees)
-    rowdegs = sorted(set(degrees) | {d - 2 * kk for d in degrees})
-    rowbases = {d: slice_basis(g, corner(s), d, r) for d in rowdegs}
-    rowoff = {}
-    nrows = 0
-    for d in rowdegs:
-        rowoff[d] = nrows
-        nrows += rowbases[d].size
-    ent = {}
-    colkeys = []
-    for d in degrees:
-        get, off = rowbases[d].index.get, rowoff[d]
-        get2, off2 = rowbases[d - 2 * kk].index.get, rowoff[d - 2 * kk]
-        for (i, mask) in slice_basis(g, B_PLUS, d, r).elements:
-            c = len(colkeys)
-            idx = get((i, mask))
-            if idx is not None:
-                ent[(off + idx, c)] = 1
-            for di, m2, w in _flip_blade(g, mask):
-                idx2 = get2((i + di - kk, m2))
-                if idx2 is not None:
-                    ent[(off2 + idx2, c)] = w
-            colkeys.append((d, i, mask))
-    m = SparseExactMatrix.from_int_entries(nrows, len(colkeys), ent)
-    return m, colkeys, rowoff
+    src = UnionBasis([slice_basis(g, B_PLUS, d, r) for d in degrees])
+    tgt = UnionBasis([slice_basis(g, corner(-kk), d, r)
+                      for d in sorted(set(degrees) | {d - 2 * kk for d in degrees})])
+    mat = SparseExactMatrix.from_int_entries(
+        tgt.size, src.size, _accumulate(g, "F", -kk, src, tgt))
+    return SliceMap(mat, src, tgt, "F", -kk)
 
 
 # Every map the nontorsion sector iterates is linear and acts term by term on
@@ -487,26 +464,16 @@ def _apply(image, terms):
 
 @lru_cache(maxsize=None)
 def _nontorsion_images(g, kk):
-    """(phi step, F) term images for genus g and |k| = kk."""
-    def step(i, mask):
-        out = []
-        for di, m2, w in _flip_blade(g, mask):
-            i2 = i + di  # J, then keep j >= 0, shift by U^|k|, keep i >= 0
-            if i2 + blade_grade(m2) - g >= 0 and i2 >= kk:
-                out.append(((i2 - kk, m2), w))
-        return tuple(out)
-
-    def fmap(i, mask):
-        out = []
-        if i >= 0 and i + blade_grade(mask) - g >= -kk:
-            out.append(((i, mask), 1))
-        for di, m2, w in _flip_blade(g, mask):
-            i2 = i + di - kk
-            if i2 >= 0 and i2 + blade_grade(m2) - g >= -kk:
-                out.append(((i2, m2), w))
-        return tuple(out)
-
-    return _Images(step), _Images(fmap)
+    """(phi step, F) term images for genus g and |k| = kk: the cfk._op_terms
+    of h and of F at s = -|k|, kept in the corner {i >= 0, j >= -|k|}.  For
+    the phi step that is pr_{i>=0} U^|k| pr_{j>=0} J, since U^|k| carries
+    j >= 0 onto j >= -|k|."""
+    def images(op):
+        def build(i, mask):
+            return tuple(((i2, m2), w) for di, m2, w in _op_terms(g, op, -kk, mask)
+                         if (i2 := i + di) >= 0 and i2 + blade_grade(m2) - g >= -kk)
+        return _Images(build)
+    return images("h"), images("F")
 
 
 @lru_cache(maxsize=None)
@@ -576,7 +543,7 @@ def hf_plus_nontorsion(g, k):
             prefix = tuple(degs[:top_idx + 1])
 
             def block_kernel(r):
-                m, _, _ = _chain_cached(g, kk, prefix, r)
+                m = _chain_cached(g, kk, prefix, r).matrix
                 return GroupPresentation(m.cols - rank(m, QQ))
             kr = _block_sum(g, block_kernel).free_rank
             per_degree[top] = kr - prev
@@ -628,40 +595,16 @@ def f_restriction_surjective(g, kk, d_lo=None, d_hi=None):
     """Check that F restricted to the corner part of the source hits every
     row of the corner target inside the window (extra source degrees above
     the window feed the top rows)."""
-    s = -kk
     if d_lo is None:
         d_lo = -g
     if d_hi is None:
         d_hi = g
-    coldegs = list(range(d_lo, d_hi + 2 * kk + 1))
-    rowdegs = list(range(d_lo, d_hi + 1))
-    rowbases = {d: slice_basis(g, corner(s), d) for d in rowdegs}
-    rowoff = {}
-    nrows = 0
-    for d in rowdegs:
-        rowoff[d] = nrows
-        nrows += rowbases[d].size
-    cols = []
-    for d in coldegs:
-        sb = slice_basis(g, corner(s), d)  # source restricted to the corner
-        for (i, mask) in sb.elements:
-            col = {}
-            tb = rowbases.get(d)
-            if tb is not None:
-                idx = tb.index.get((i, mask))
-                if idx is not None:
-                    col[rowoff[d] + idx] = 1
-            tb2 = rowbases.get(d - 2 * kk)
-            if tb2 is not None:
-                for di, m2, w in _flip_blade(g, mask):
-                    idx2 = tb2.index.get((i + di - kk, m2))
-                    if idx2 is not None:
-                        r = rowoff[d - 2 * kk] + idx2
-                        col[r] = col.get(r, 0) + w
-            if col:
-                cols.append(col)
-    m = SparseExactMatrix.from_columns(nrows, cols, ZZ)
-    return rank(m, QQ) == nrows
+    src = UnionBasis([slice_basis(g, corner(-kk), d)
+                      for d in range(d_lo, d_hi + 2 * kk + 1)])
+    tgt = UnionBasis(src.slices[:d_hi - d_lo + 1])
+    m = SparseExactMatrix.from_int_entries(
+        tgt.size, src.size, _accumulate(g, "F", -kk, src, tgt))
+    return rank(m, QQ) == tgt.size
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from itertools import product
 import pytest
 
 from hfsigma import engine
-from hfsigma.cfk import (B_PLUS, GradedElement, J_GEQ0, block_masks,
-                         block_multiplicity, corner, gamma_action, j_infinity,
-                         slice_map)
+from hfsigma.cfk import (B_PLUS, GradedElement, J_GEQ0, _flip_blade,
+                         block_masks, block_multiplicity, corner, gamma_action,
+                         j_infinity, slice_map)
 from hfsigma.errors import DomainError
 from hfsigma.exterior import blade_grade, blades_of_grade
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
@@ -154,7 +154,7 @@ def full_nontorsion_ranks(g, kk):
         degs = [n for n in range(-g, top_degree + 1) if (n - res) % (2 * kk) == 0]
         prev = 0
         for top_idx, top in enumerate(degs):
-            m, _, _ = engine.chain_matrix(g, kk, degs[:top_idx + 1])
+            m = engine.chain_matrix(g, kk, degs[:top_idx + 1]).matrix
             kr = m.cols - rank(m, QQ)
             per_degree[top] = kr - prev
             prev = kr
@@ -266,6 +266,46 @@ def test_phi_series_and_F_match_the_composed_maps():
             assert ph == composed_phi_series(xi, k), (g, k, key)
             assert engine.apply_F(xi, g, k) == composed_F(xi, g, k), (g, k, key)
             assert engine.apply_F(ph, g, k).is_zero(), (g, k, key)
+
+
+def hand_written_images(g, kk):
+    """The phi step and F as single-term maps written out on _flip_blade,
+    the form the engine had before both came from cfk._op_terms."""
+    def step(i, mask):
+        out = []
+        for di, m2, w in _flip_blade(g, mask):
+            i2 = i + di  # J, then keep j >= 0, shift by U^|k|, keep i >= 0
+            if i2 + blade_grade(m2) - g >= 0 and i2 >= kk:
+                out.append(((i2 - kk, m2), w))
+        return tuple(out)
+
+    def fmap(i, mask):
+        out = []
+        if i >= 0 and i + blade_grade(mask) - g >= -kk:
+            out.append(((i, mask), 1))
+        for di, m2, w in _flip_blade(g, mask):
+            i2 = i + di - kk
+            if i2 >= 0 and i2 + blade_grade(m2) - g >= -kk:
+                out.append(((i2, m2), w))
+        return tuple(out)
+
+    return step, fmap
+
+
+def test_term_images_match_the_hand_written_maps():
+    # every model key and every term of its phi series and, at g <= 4,
+    # every term with -1 <= i <= g + 1; images compared in order
+    for g, k in nontorsion_cases():
+        images = engine._nontorsion_images(g, k)
+        refs = hand_written_images(g, k)
+        terms = set()
+        for key in engine.XModel(g, g - 1 - k).basis():
+            terms |= {key, *engine.phi_series(GradedElement(g, {key: 1}), k).terms}
+        if g <= 4:
+            terms |= set(product(range(-1, g + 2), range(4 ** g)))
+        for t in terms:
+            for image, ref in zip(images, refs):
+                assert image[t] == ref(*t), (g, k, t)
 
 
 def test_F_matches_the_composed_map_on_random_elements():

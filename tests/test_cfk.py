@@ -7,10 +7,10 @@ from math import comb
 
 import pytest
 
-from hfsigma.cfk import (B_PLUS, OPS, GradedElement, J_GEQ0, Region,
-                         _flip_blade, _flip_sources, corner, gamma_action,
-                         j_infinity, j_plus, min_zero, row_i0, slice_basis,
-                         slice_digest, slice_map, u_chain_map, u_slice_map)
+from hfsigma.cfk import (B_PLUS, OPS, GradedElement, Region, _flip_blade,
+                         _flip_sources, corner, gamma_action, j_infinity,
+                         min_zero, row_i0, slice_basis, slice_digest,
+                         slice_map, u_chain_map, u_slice_map)
 from hfsigma.errors import BudgetExceeded, Deadline, DomainError
 from hfsigma.exterior import (Multivector, blade_grade, eta,
                               random_multivector, star_blade, contract_blades,
@@ -137,13 +137,6 @@ def test_gamma_action_is_contraction_plus_wedge():
                         want[(i - 1, hit[1])] = hit[0]
                     x = GradedElement(g, {(i, mask): 1})
                     assert gamma_action(gi, x, truncate).terms == want, (g, mask, gi, i)
-
-
-def test_j_plus_projects():
-    # the flip of the i >= 0 quotient lands in the j >= 0 quotient
-    x = GradedElement(3, {(2, 0): 1})  # scalar at (2, -3)
-    assert all(j >= 0 for (_i, j) in j_plus(x).positions())
-    assert j_plus(GradedElement(3, {(-1, 0): 1})).is_zero()
 
 
 def test_v_is_inclusion_projection():

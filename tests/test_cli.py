@@ -255,6 +255,48 @@ def test_missing_spinc_exits_2(command):
     assert "--spinc" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_degree_window_in_json_output():
+    proc = run_cli("hat", "-g", "2", "--degrees=-1/2..3/2", "--out", "json")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["config"]["degrees"] == ["-1/2", "3/2"]
+    assert [e["deg"] for e in data["result"]["entries"]] == ["-1/2", "1/2", "3/2"]
+
+
+def test_degree_window_cache_miss_then_hit(tmp_path):
+    cache = tmp_path / "cache"
+    env = {"HF_CACHE_DIR": str(cache)}
+    miss = run_cli("hat", "-g", "2", "--degrees", "0..1", env_extra=env)
+    assert miss.returncode == 0, miss.stderr
+    (path,) = cache.glob("*.json")
+    stored = path.read_text()
+    hit = run_cli("hat", "-g", "2", "--degrees", "0..1", env_extra=env)
+    assert hit.returncode == 0, hit.stderr
+    assert hit.stdout == miss.stdout and path.read_text() == stored
+
+
+@pytest.mark.parametrize("argv", (
+    ("hat", "-g", "3", "--spinc", "2"),
+    ("infinity", "-g", "2", "--degrees", "0..1"),
+    ("nontorsion", "-g", "3", "--spinc", "1", "--degrees", "0..1"),
+    ("verify", "--suite", "sl2", "--spinc", "1"),
+    ("plus", "-g", "2", "--jobs", "2"),
+    ("action", "-g", "3", "--spinc", "1", "--cache-dir", "cache"),
+    ("slice", "-g", "2", "--op", "F", "--degree", "0", "--cache-dir", "cache"),
+))
+def test_flags_a_command_does_not_read_exit_2(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ("nontorsion", "action"))
+def test_nontorsion_over_other_rings_exits_2(command):
+    proc = run_cli(command, "-g", "3", "--spinc", "1", "--ring", "F2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_action_builds_the_model_without_the_table(monkeypatch, capsys):
     from hfsigma import cli, engine
 

@@ -115,7 +115,13 @@ def test_chain_matrix_matches_per_entry_assembly():
     for g in (2, 3, 4):
         for kk in (1, 2):
             degs = list(range(-g, g, 2 * kk))
-            m, colkeys, rowoff = engine.chain_matrix(g, kk, degs)
+            sm = engine.chain_matrix(g, kk, degs)
+            m = sm.matrix
+            colkeys = [(sl.degree, i, mask) for sl in sm.source.slices
+                       for (i, mask) in sl.elements]
+            rowoff, off = {}, 0
+            for sl in sm.target.slices:
+                rowoff[sl.degree], off = off, off + sl.size
             ref = SparseExactMatrix(m.rows, m.cols, ZZ)
             for c, (d, i, mask) in enumerate(colkeys):
                 terms = [(d, (i, mask), 1)] + [(d - 2 * kk, (i + di - kk, m2), w)
@@ -127,6 +133,14 @@ def test_chain_matrix_matches_per_entry_assembly():
             assert [(d, i, mask) for d in degs
                     for (i, mask) in slice_basis(g, B_PLUS, d).elements] == colkeys
             assert list(m.entries.items()) == list(ref.entries.items())
+
+
+def test_chain_matrix_ticks_once_per_column():
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        engine.chain_matrix(3, 1, [-3, -1, 1])
+    with CountingDeadline() as counter:
+        m = engine.chain_matrix(3, 1, [-3, -1, 1]).matrix
+    assert m.cols and counter.ticks == m.cols
 
 
 def test_infinity_torsion_g3():
@@ -274,6 +288,53 @@ def test_beta():
 def test_f_restriction_surjective():
     assert engine.f_restriction_surjective(2, 1)
     assert engine.f_restriction_surjective(3, 2)
+
+
+def reference_f_restriction(g, kk, d_lo, d_hi):
+    """Row count and nonzero columns of F from the corner slices over d_lo
+    .. d_hi + 2|k| to those over d_lo .. d_hi, each column assembled on its
+    own from _flip_blade."""
+    from hfsigma.cfk import _flip_blade, corner, slice_basis
+    rowbases = {d: slice_basis(g, corner(-kk), d) for d in range(d_lo, d_hi + 1)}
+    rowoff = {}
+    nrows = 0
+    for d, tb in rowbases.items():
+        rowoff[d] = nrows
+        nrows += tb.size
+    cols = []
+    for d in range(d_lo, d_hi + 2 * kk + 1):
+        for (i, mask) in slice_basis(g, corner(-kk), d).elements:
+            col = {}
+            tb = rowbases.get(d)
+            if tb is not None:
+                idx = tb.index.get((i, mask))
+                if idx is not None:
+                    col[rowoff[d] + idx] = 1
+            tb2 = rowbases.get(d - 2 * kk)
+            if tb2 is not None:
+                for di, m2, w in _flip_blade(g, mask):
+                    idx2 = tb2.index.get((i + di - kk, m2))
+                    if idx2 is not None:
+                        r = rowoff[d - 2 * kk] + idx2
+                        col[r] = col.get(r, 0) + w
+            if col:
+                cols.append(col)
+    return nrows, cols
+
+
+def test_f_restriction_matches_the_column_reference(monkeypatch):
+    from hfsigma.linalg import SparseExactMatrix, rank
+    seen = []
+    monkeypatch.setattr(engine, "rank", lambda m, ring: seen.append(m) or rank(m, ring))
+    for g in range(2, 5):
+        for kk in range(1, g):
+            for lo, hi in ((-g, g), (0, g - 1)):
+                nrows, cols = reference_f_restriction(g, kk, lo, hi)
+                ref = SparseExactMatrix.from_columns(nrows, cols, ZZ)
+                got = engine.f_restriction_surjective(g, kk, lo, hi)
+                assert got == (rank(ref, QQ) == nrows), (g, kk, lo, hi)
+                m = seen.pop()
+                assert m.rows == nrows and [c for c in m.col_dicts() if c] == cols
 
 
 def test_correction_location_g8_picture():
