@@ -599,6 +599,8 @@ def f_restriction_surjective(g, kk, d_lo=None, d_hi=None):
         d_lo = -g
     if d_hi is None:
         d_hi = g
+    if d_hi < d_lo:
+        return True  # an empty window has no target rows
     src = UnionBasis([slice_basis(g, corner(-kk), d)
                       for d in range(d_lo, d_hi + 2 * kk + 1)])
     tgt = UnionBasis(src.slices[:d_hi - d_lo + 1])

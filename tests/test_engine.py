@@ -288,6 +288,7 @@ def test_beta():
 def test_f_restriction_surjective():
     assert engine.f_restriction_surjective(2, 1)
     assert engine.f_restriction_surjective(3, 2)
+    assert engine.f_restriction_surjective(3, 1, 2, 1)  # empty window
 
 
 def reference_f_restriction(g, kk, d_lo, d_hi):
