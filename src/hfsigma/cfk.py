@@ -428,13 +428,14 @@ def _bases(g, op, d, s=0, r=None, basis=slice_basis):
     return src, UnionBasis([basis(g, tgt_region, dd, r) for dd in degs])
 
 
-def _accumulate(g, op, s, src, tgt, p=None):
-    """The op's nonzero entries from the source basis to the target basis,
-    as {(row, col): value}, in one pass over plain ints (mod p when p is
-    given).  An entry whose sum reaches zero is dropped and, should it
-    become nonzero again, reinserted at the end: the field eliminators
-    pivot on a column's first row, so the order is part of the result.
-    Ticks once per source column."""
+def _accumulate(g, op, s, src, tgt, ring=ZZ):
+    """Matrix of the op from the source basis to the target basis over the
+    ring, its entries summed in one pass over plain ints (mod p over F_p).
+    An entry whose sum reaches zero is dropped and, should it become
+    nonzero again, reinserted at the end: the field eliminators pivot on a
+    column's first row, so the order is part of the result.  Ticks once
+    per source column."""
+    p = ring.p
     get = tgt.index.get
     ent = {}
     for c, (i, mask) in enumerate(src.elements):
@@ -451,7 +452,7 @@ def _accumulate(g, op, s, src, tgt, p=None):
                 ent[key] = v
             else:
                 ent.pop(key, None)
-    return ent
+    return SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
 
 
 def slice_map(g, op, d, ring=ZZ, s=0, r=None):
@@ -474,9 +475,7 @@ def slice_map(g, op, d, ring=ZZ, s=0, r=None):
     Smith form and ranks (module docstring).  Ticks once per source column.
     """
     src, tgt = _bases(g, op, d, s, r)
-    mat = SparseExactMatrix.from_int_entries(
-        tgt.size, src.size, _accumulate(g, op, s, src, tgt, ring.p), ring)
-    return SliceMap(mat, src, tgt, op, s)
+    return SliceMap(_accumulate(g, op, s, src, tgt, ring), src, tgt, op, s)
 
 
 def _flip_sources(g, m2):

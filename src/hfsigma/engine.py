@@ -421,9 +421,7 @@ def chain_matrix(g, kk, degrees, r=None):
     src = UnionBasis([slice_basis(g, B_PLUS, d, r) for d in degrees])
     tgt = UnionBasis([slice_basis(g, corner(-kk), d, r)
                       for d in sorted(set(degrees) | {d - 2 * kk for d in degrees})])
-    mat = SparseExactMatrix.from_int_entries(
-        tgt.size, src.size, _accumulate(g, "F", -kk, src, tgt))
-    return SliceMap(mat, src, tgt, "F", -kk)
+    return SliceMap(_accumulate(g, "F", -kk, src, tgt), src, tgt, "F", -kk)
 
 
 # Every map the nontorsion sector iterates is linear and acts term by term on
@@ -604,9 +602,7 @@ def f_restriction_surjective(g, kk, d_lo=None, d_hi=None):
     src = UnionBasis([slice_basis(g, corner(-kk), d)
                       for d in range(d_lo, d_hi + 2 * kk + 1)])
     tgt = UnionBasis(src.slices[:d_hi - d_lo + 1])
-    m = SparseExactMatrix.from_int_entries(
-        tgt.size, src.size, _accumulate(g, "F", -kk, src, tgt))
-    return rank(m, QQ) == tgt.size
+    return rank(_accumulate(g, "F", -kk, src, tgt), QQ) == tgt.size
 
 
 # ---------------------------------------------------------------------------
