@@ -60,7 +60,7 @@ class Region:
 
     __slots__ = ("kind", "s")
 
-    KINDS = ("b", "j_geq", "corner", "row_i0", "min_zero")
+    KINDS = ("b", "corner", "row_i0", "min_zero")
 
     def __init__(self, kind, s=0):
         if kind not in self.KINDS:
@@ -72,8 +72,6 @@ class Region:
         k, s = self.kind, self.s
         if k == "b":
             return i >= 0
-        if k == "j_geq":
-            return j >= s
         if k == "corner":
             return i >= 0 and j >= s
         if k == "row_i0":
@@ -92,7 +90,6 @@ class Region:
 
 
 B_PLUS = Region("b")
-J_GEQ0 = Region("j_geq", 0)
 
 
 def corner(s=0):

@@ -49,9 +49,9 @@ def _parse_window(text):
     return _parse_degree(lo), _parse_degree(hi)
 
 
-def _window_to_d_range(window, g, default):
+def _window_to_d_range(window):
     if window is None:
-        return default
+        return None
     lo, hi = window
     d_lo = int(lo - Fraction(1, 2)) if (2 * lo) % 2 else int(lo)
     d_hi = int(hi - Fraction(1, 2)) if (2 * hi) % 2 else int(hi)
@@ -250,9 +250,9 @@ def _cached(args, compute, schema):
 # ---------------------------------------------------------------------------
 
 def cmd_hat(args):
-    _check_scale(args, heavy_integer_run=args.genus > DESK_GENUS_CAP)
+    _check_scale(args, heavy_integer_run=True)
     ring = parse_ring(args.ring)
-    window = _window_to_d_range(args.degrees, args.genus, None)
+    window = _window_to_d_range(args.degrees)
 
     def compute():
         from . import engine
@@ -266,8 +266,8 @@ def cmd_hat(args):
 
 def cmd_plus(args):
     ring = parse_ring(args.ring)
-    _check_scale(args, heavy_integer_run=(ring == ZZ and args.genus > DESK_GENUS_CAP))
-    window = _window_to_d_range(args.degrees, args.genus, None)
+    _check_scale(args, heavy_integer_run=(ring == ZZ))
+    window = _window_to_d_range(args.degrees)
 
     def compute():
         from . import engine
@@ -287,7 +287,7 @@ def cmd_plus(args):
 
 def cmd_infinity(args):
     ring = parse_ring(args.ring)
-    _check_scale(args, heavy_integer_run=(ring == ZZ and args.genus > DESK_GENUS_CAP))
+    _check_scale(args, heavy_integer_run=(ring == ZZ))
 
     def compute():
         from . import engine
@@ -302,7 +302,7 @@ def cmd_infinity(args):
 
 
 def cmd_nontorsion(args):
-    _check_scale(args, heavy_integer_run=args.genus > DESK_GENUS_CAP)
+    _check_scale(args, heavy_integer_run=True)
     _integers_only(args)
     if not args.spinc:
         raise DomainError("nontorsion wants --spinc k with k != 0; "
@@ -351,7 +351,7 @@ def cmd_action(args):
 
 
 def cmd_eg(args):
-    _check_scale(args, heavy_integer_run=args.genus > DESK_GENUS_CAP)
+    _check_scale(args, heavy_integer_run=False)
     ring = parse_ring(args.ring)
 
     def compute():

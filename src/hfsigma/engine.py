@@ -114,14 +114,19 @@ _BLOCKS = {}  # (g, op, d, r) -> (rows, cols, invariant factors)
 
 
 def _block_data(g, op, d, r):
-    """(rows, cols, invariant factors) of the representative type-r block,
-    from one Smith form computed once.  By universal coefficients it serves
-    every ring: the rank over Q is the number of invariant factors, the
-    rank over F_p the number prime to p, and the factors are the torsion of
-    the cokernel over Z (linalg.factor_rank, linalg.cokernel_over)."""
+    """(rows, cols, invariant factors) of the representative type-r block
+    of slice map op at degree d (op "omega": lefschetz.raising_matrix from
+    grade d), from one Smith form computed once.  By universal coefficients
+    it serves every ring: the rank over Q is the number of invariant
+    factors, the rank over F_p the number prime to p, and the factors are
+    the torsion of the cokernel over Z (linalg.factor_rank, cokernel_over)."""
     key = (g, op, d, r)
     if key not in _BLOCKS:
-        m = slice_map(g, op, d, r=r).matrix
+        if op == "omega":
+            from .lefschetz import raising_matrix
+            m = raising_matrix(g, d, r=r)
+        else:
+            m = slice_map(g, op, d, r=r).matrix
         _BLOCKS[key] = (m.rows, m.cols, tuple(smith_normal_form(m)))
     return _BLOCKS[key]
 
@@ -140,17 +145,18 @@ def _block_sum(g, block_group):
     return GroupPresentation(free, torsion)
 
 
-def _cone_group(g, op, d, ring):
-    """Ker(op_d) (+) Coker(op_{d+1}) over the ring, as a presentation,
-    summed over the weight blocks.  Each block enters through its integer
-    Smith form alone (universal coefficients): its kernel over the ring has
-    rank cols - factor_rank, and its cokernel is cokernel_over the ring."""
+def _cone_group(g, ker, cok, ring):
+    """Ker(ker) (+) Coker(cok) over the ring, as a presentation, summed over
+    the weight blocks; ker and cok are (op, d) keys of _block_data.  Each
+    block enters through its integer Smith form alone (universal
+    coefficients): its kernel over the ring has rank cols - factor_rank,
+    and its cokernel is cokernel_over the ring."""
     def block_group(r):
-        _, cols, lo = _block_data(g, op, d, r)
-        rows, _, hi = _block_data(g, op, d + 1, r)
-        cok = cokernel_over(rows, hi, ring)
-        return GroupPresentation(cols - factor_rank(lo, ring) + cok.free_rank,
-                                 cok.invariant_factors)
+        _, cols, lo = _block_data(g, *ker, r)
+        rows, _, hi = _block_data(g, *cok, r)
+        cok_r = cokernel_over(rows, hi, ring)
+        return GroupPresentation(cols - factor_rank(lo, ring) + cok_r.free_rank,
+                                 cok_r.invariant_factors)
     return _block_sum(g, block_group)
 
 
@@ -169,7 +175,7 @@ def hf_hat(g, ring=ZZ, window=None):
         window = (-g - 1, g + 1)
     table = FloerTable(g, 0, ring, "hat")
     for d in range(window[0], window[1] + 1):
-        table.entries[half(d)] = _cone_group(g, "F_hat", d, ring)
+        table.entries[half(d)] = _cone_group(g, ("F_hat", d), ("F_hat", d + 1), ring)
     table.metadata["matrix_hash_d0"] = slice_digest(g, "F_hat", 0)
     return table
 
@@ -214,7 +220,8 @@ def hf_infinity(g, ring=ZZ):
     """
     table = FloerTable(g, 0, ring, "infinity")
     for d in (g, g + 1):
-        table.entries[half(d)] = _cone_group(g, "one_plus_J", d, ring)
+        table.entries[half(d)] = _cone_group(
+            g, ("one_plus_J", d), ("one_plus_J", d + 1), ring)
         hashes = table.metadata.setdefault("matrix_hashes", {})
         hashes[_deg_str(d)] = slice_digest(g, "one_plus_J", d)
     table.metadata["periodic"] = True
@@ -237,7 +244,7 @@ def hf_plus_torsion(g, ring=ZZ, window=None):
         window = default_plus_window(g)
     table = FloerTable(g, 0, ring, "plus")
     for d in range(window[0], window[1] + 1):
-        table.entries[half(d)] = _cone_group(g, "F", d, ring)
+        table.entries[half(d)] = _cone_group(g, ("F", d), ("F", d + 1), ring)
     table.towers = theorem_towers(g)
     table.metadata["stable_from"] = _deg_str(half(g - 1))
     return table
@@ -828,22 +835,14 @@ def u_action_red(g, window=None):
 def eg_cohomology(g, ring=ZZ):
     """Cohomology of the circle bundle over the Jacobian torus with Euler
     class the intersection form, via its Gysin sequence: degree j gives
-    Coker(wedge: j-2 -> j) (+) Ker(wedge: j-1 -> j+1).  One Smith form per
-    wedge matrix (lefschetz.raising_matrix), shared by degrees j and j-1 and
-    read over the ring by universal coefficients."""
-    from .lefschetz import raising_matrix
-    wedge = {}
-    for i in range(-2, 2 * g + 1):
-        m = raising_matrix(g, i)
-        wedge[i] = (m.rows, m.cols, smith_normal_form(m))
-    out = {}
-    for j in range(0, 2 * g + 2):
-        rows, _, factors = wedge[j - 2]
-        _, cols, ker_factors = wedge[j - 1]
-        cok = cokernel_over(rows, factors, ring)
-        krank = cols - factor_rank(ker_factors, ring)
-        out[j] = GroupPresentation(cok.free_rank + krank, cok.invariant_factors)
-    return out
+    Ker(wedge: j-1 -> j+1) (+) Coker(wedge: j-2 -> j).  Wedging with omega
+    adds complete pairs, so it keeps the weight vector and commutes with
+    the signed pair permutations (cfk module docstring): the groups are
+    summed over the weight blocks, each wedge block entering through one
+    Smith form shared by degrees j and j-1, every ring and
+    contraction_cokernel_comparison."""
+    return {j: _cone_group(g, ("omega", j - 1), ("omega", j - 2), ring)
+            for j in range(0, 2 * g + 2)}
 
 
 def eg_rank_prediction(g, j):
@@ -855,34 +854,38 @@ def eg_rank_prediction(g, j):
     return coprimitive_dim(g, j - 1)
 
 
-def _one_minus_exp_contraction_matrix(g, parity):
+def _one_minus_exp_contraction_matrix(g, parity, r):
     """Matrix of contraction by (1 - exp(-omega)) = sum_{n>=1} (-1)^(n+1) eta_n
-    on the even or odd half of the exterior algebra."""
-    src = [m for p in range(parity, 2 * g + 1, 2) for m in blades_of_grade(g, p)]
-    idx = {m: i for i, m in enumerate(src)}
-    mat = SparseExactMatrix(len(src), len(src), ZZ)
+    on the even or odd half of the representative type-r weight block:
+    contraction by eta_n removes complete pairs, so it keeps the weight
+    vector."""
+    from .lefschetz import blade_matrix
+    src = [m for p in range(parity, 2 * g + 1, 2) for m in block_masks(g, r, p)]
     op = Multivector.zero(g)
     for n in range(1, g + 1):
         op = op + eta(n, g).scale((-1) ** (n + 1))
-    for c, mask in enumerate(src):
-        img = op.contract(Multivector.from_blade(g, mask))
-        for m2, v in img.coeffs.items():
-            mat[idx[m2], c] = mat[idx[m2], c] + v
-    return mat
+    return blade_matrix(g, op.contract, src, src, ZZ)
 
 
 def contraction_cokernel_comparison(g):
     """Per parity: presentation of the cokernel of contraction by
     1 - exp(-omega) next to the direct sum of the per-degree cokernels of
-    wedging with omega (the two agree for every genus computed here)."""
-    from .lefschetz import raising_matrix
+    wedging with omega (the two agree for every genus computed here), each
+    summed over the weight blocks.  The wedge side reads the Smith forms
+    that eg_cohomology takes (_block_data)."""
     out = {}
     for parity in (0, 1):
-        lhs = cokernel(_one_minus_exp_contraction_matrix(g, parity))
-        rhs = GroupPresentation(0, [])
-        for j in range(parity, 2 * g + 1, 2):
-            rhs = rhs.direct_sum(cokernel(raising_matrix(g, j - 2)))
-        out[parity] = (lhs, rhs)
+        def contraction(r):
+            return cokernel(_one_minus_exp_contraction_matrix(g, parity, r))
+
+        def wedge_sum(r):
+            grp = GroupPresentation()
+            for j in range(parity, 2 * g + 1, 2):
+                rows, _, factors = _block_data(g, "omega", j - 2, r)
+                grp = grp.direct_sum(cokernel_over(rows, factors, ZZ))
+            return grp
+
+        out[parity] = (_block_sum(g, contraction), _block_sum(g, wedge_sum))
     return out
 
 

@@ -9,11 +9,12 @@ primitive splitting over Z, only over fields of characteristic 0).
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
+from .cfk import block_masks
 from .errors import DomainError
 from .exterior import Multivector, blades_of_grade, eta, omega
-from .linalg import SparseExactMatrix, kernel_basis, rank
+from .linalg import SparseExactMatrix, kernel_basis, solve_columns
 from .rings import QQ, ZZ
 
 
@@ -35,31 +36,32 @@ def op_H(a):
     return out
 
 
+def blade_matrix(g, op, src, tgt, ring):
+    """Matrix of a linear map op on multivectors, from the blades in src to
+    those in tgt (lists of masks; each image must lie in the span of tgt)."""
+    index = {m: i for i, m in enumerate(tgt)}
+    mat = SparseExactMatrix(len(tgt), len(src), ring)
+    for c, mask in enumerate(src):
+        for m2, v in op(Multivector.from_blade(g, mask, 1, ring)).coeffs.items():
+            mat[index[m2], c] = v
+    return mat
+
+
 def lowering_matrix(g, j, ring=QQ):
     """Matrix of L restricted to grade j, in the ascending blade bases."""
-    src = blades_of_grade(g, j)
-    tgt = blades_of_grade(g, j - 2)
-    tgt_index = {m: i for i, m in enumerate(tgt)}
-    mat = SparseExactMatrix(len(tgt), len(src), ring)
-    for c, mask in enumerate(src):
-        img = op_L(Multivector.from_blade(g, mask, 1, ring))
-        for m2, v in img.coeffs.items():
-            mat[tgt_index[m2], c] = mat[tgt_index[m2], c] + v
-    return mat
+    return blade_matrix(g, op_L, blades_of_grade(g, j), blades_of_grade(g, j - 2), ring)
 
 
-def raising_matrix(g, j, ring=ZZ):
-    """Matrix of wedging with omega: grade j -> grade j+2."""
-    src = blades_of_grade(g, j)
-    tgt = blades_of_grade(g, j + 2)
-    tgt_index = {m: i for i, m in enumerate(tgt)}
-    mat = SparseExactMatrix(len(tgt), len(src), ring)
-    w = omega(g, ring)
-    for c, mask in enumerate(src):
-        img = w.wedge(Multivector.from_blade(g, mask, 1, ring))
-        for m2, v in img.coeffs.items():
-            mat[tgt_index[m2], c] = mat[tgt_index[m2], c] + v
-    return mat
+def raising_matrix(g, j, ring=ZZ, r=None):
+    """Matrix of wedging with omega: grade j -> grade j+2, in the ascending
+    blade bases, or on the representative type-r weight block when r is
+    given (cfk.block_masks; omega adds complete pairs, so it keeps the
+    weight vector)."""
+    if r is None:
+        src, tgt = blades_of_grade(g, j), blades_of_grade(g, j + 2)
+    else:
+        src, tgt = block_masks(g, r, j), block_masks(g, r, j + 2)
+    return blade_matrix(g, op_lambda, src, tgt, ring)
 
 
 @lru_cache(maxsize=None)
@@ -93,13 +95,6 @@ def coprimitive_dim(g, j):
     return primitive_dim(g, 2 * g - j)
 
 
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def primitive_decomposition(a):
     """Split a homogeneous a into its omega^k ^ P^(p-2k) components.
 
@@ -123,7 +118,7 @@ def primitive_decomposition(a):
         basis = primitive_basis(g, q)
         if not basis:
             continue
-        wk = eta(k, g, QQ).scale(_factorial(k))
+        wk = eta(k, g, QQ).scale(factorial(k))
         # target vectors: L^k(omega^k ^ basis_i) and L^k(residual)
         imgs = []
         for b in basis:
@@ -136,7 +131,6 @@ def primitive_decomposition(a):
             rhs = op_L(rhs)
         blades = blades_of_grade(g, q)
         index = {m: i for i, m in enumerate(blades)}
-        from .linalg import solve_columns
         cols = [{index[m]: v for m, v in im.coeffs.items()} for im in imgs]
         target = {index[m]: v for m, v in rhs.coeffs.items()}
         sol, = solve_columns(cols, [target], len(blades))

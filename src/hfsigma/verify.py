@@ -22,7 +22,7 @@ from .exterior import (Multivector, all_blades, blade_grade, contract_blades,
 from .lefschetz import (coprimitive_dim, op_H, op_L, op_lambda,
                         primitive_basis, primitive_dim, self_dual_lattice,
                         self_dual_rank)
-from .linalg import rank
+from .linalg import GroupPresentation, rank
 from .rings import GF, QQ, ZZ
 
 SUITES = ("sl2", "star", "swap", "jmap", "hat", "plus", "infinity", "mod2",
@@ -83,7 +83,7 @@ _CHECK_SOURCES = {
     "action-has-corrections": "closed-form",
     "eg-rational-dims": "closed-form",
     "contraction-cokernels-agree": "cross-computation",
-    "eg-2-torsion": "closed-form",
+    "infinity-torsion-matches-eg": "cross-computation",
     "beta-composition-zero": "identity",
     "beta-quotient-total": "closed-form",
     "beta-matches-infinity": "cross-computation",
@@ -583,7 +583,9 @@ def suite_action(max_genus=5, genus_corrections=5):
 
 def suite_eg(max_genus=5):
     """Circle-bundle cohomology: rational ranks against (co)primitive
-    dimensions, integral torsion, and the two contraction cokernels."""
+    dimensions, the two contraction cokernels, and the torsion of the
+    inverted flavor against the eg torsion of the matching parity (an
+    observed identity between the one_plus_J and wedge-omega matrices)."""
     rep = VerificationReport("eg")
     for g in range(1, max_genus + 1):
         egq = engine.eg_cohomology(g, QQ)
@@ -593,11 +595,14 @@ def suite_eg(max_genus=5):
         cmpres = engine.contraction_cokernel_comparison(g)
         bad = sum(1 for parity, (lhs, rhs) in cmpres.items() if lhs != rhs)
         rep.add("contraction-cokernels-agree", {"g": g}, 0, bad)
-        if g >= 3:
-            egz = engine.eg_cohomology(g, ZZ)
-            rep.add("eg-2-torsion", {"g": g}, True,
-                    any(f % 2 == 0 for grp in egz.values()
-                        for f in grp.invariant_factors))
+        egz = engine.eg_cohomology(g, ZZ)
+        inf = engine.hf_infinity(g, ZZ)
+        for d in (g, g + 1):
+            eg_torsion = [f for j, grp in egz.items() if (j - d - g - 1) % 2 == 0
+                          for f in grp.invariant_factors]
+            rep.add("infinity-torsion-matches-eg", {"g": g, "d": d},
+                    GroupPresentation(0, eg_torsion),
+                    GroupPresentation(0, inf.entries[engine.half(d)].invariant_factors))
     return rep
 
 

@@ -17,9 +17,9 @@ from itertools import product
 import pytest
 
 from hfsigma import engine
-from hfsigma.cfk import (B_PLUS, GradedElement, J_GEQ0, _flip_blade,
-                         block_masks, block_multiplicity, corner, gamma_action,
-                         j_infinity, slice_map)
+from hfsigma.cfk import (B_PLUS, GradedElement, _flip_blade, block_masks,
+                         block_multiplicity, corner, gamma_action, j_infinity,
+                         slice_map)
 from hfsigma.errors import DomainError
 from hfsigma.exterior import blade_grade, blades_of_grade
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
@@ -216,6 +216,14 @@ def test_nontorsion_ranks_build_no_whole_chain_matrix(monkeypatch):
     engine._chain_cached.cache_clear()
     engine.hf_plus_nontorsion(5, 1)
     assert types and None not in types
+
+
+class J_GEQ0:
+    """The half plane j >= 0, as a region for GradedElement.project."""
+
+    @staticmethod
+    def contains(i, j):
+        return j >= 0
 
 
 def composed_phi_series(xi, kk):

@@ -73,6 +73,13 @@ def test_extended_scale_guard():
     assert "extended-scale required" in proc.stderr
 
 
+def test_eg_needs_no_extended():
+    proc = run_cli("eg", "--genus", "8", "--out", "json")
+    assert proc.returncode == 0, proc.stderr
+    comparison = json.loads(proc.stdout)["result"]["contraction_comparison"]
+    assert [comparison[p]["equal"] for p in ("0", "1")] == [True, True]
+
+
 def test_genus_cap():
     proc = run_cli("hat", "--genus", "11", "--extended")
     assert proc.returncode == 2

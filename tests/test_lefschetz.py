@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from hfsigma.cfk import block_masks
 from hfsigma.errors import DomainError
 from hfsigma.exterior import (Multivector, all_blades, blade_grade,
                               blades_of_grade, eta, omega, random_multivector)
@@ -10,7 +11,8 @@ from hfsigma.lefschetz import (coprimitive_dim, op_H, op_L, op_lambda,
                                primitive_basis, primitive_decomposition,
                                primitive_dim, raising_matrix,
                                self_dual_lattice, self_dual_rank)
-from hfsigma.linalg import SparseExactMatrix, rank
+from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, rank,
+                            smith_normal_form)
 from hfsigma.rings import QQ
 
 
@@ -146,3 +148,48 @@ def test_star_eigenvalue_on_summands():
             for b in primitive_basis(g, g - 2 * k):
                 v = b.wedge(eta(k, g, QQ))
                 assert v.star() == v.scale((-1) ** k)
+
+
+def wilson_factors(n, a):
+    """Wilson's diagonal form (European J. Combin. 11, 1990) of the inclusion
+    matrix of the a-subsets into the (a+1)-subsets of an n-set: with
+    t = min(a, n - a - 1), the entry t + 1 - i appears C(n, i) - C(n, i - 1)
+    times, for i = 0..t."""
+    t = min(a, n - a - 1)
+    return [t + 1 - i for i in range(t + 1)
+            for _ in range(comb(n, i) - (comb(n, i - 1) if i else 0))]
+
+
+def test_wedge_blocks_are_restrictions_of_the_whole_matrix():
+    # wedging with omega keeps the weight vector: a block column of the
+    # whole matrix has all its entries in the block rows
+    for g in range(1, 5):
+        for j in range(-2, 2 * g + 1):
+            whole = raising_matrix(g, j).col_dicts()
+            src, tgt = blades_of_grade(g, j), blades_of_grade(g, j + 2)
+            for r in range(g + 1):
+                block = raising_matrix(g, j, r=r)
+                rows = block_masks(g, r, j + 2)
+                want = [{rows.index(tgt[i]): v for i, v in whole[src.index(m)].items()}
+                        for m in block_masks(g, r, j)]
+                assert block.rows == len(rows)
+                assert block.col_dicts() == want, (g, j, r)
+
+
+def test_wedge_blocks_have_wilsons_diagonal_form():
+    # on a type-r block the wedge map from grade r + 2a is the inclusion
+    # matrix of the a-subsets into the (a+1)-subsets of the g - r
+    # zero-weight pairs; equal diagonal forms mean the same rank and the
+    # same nonunit invariant factors
+    blocks = 0
+    for g in range(1, 8):
+        for r in range(g + 1):
+            n = g - r
+            for a in range(n + 1):
+                m = raising_matrix(g, r + 2 * a, r=r)
+                assert (m.rows, m.cols) == (comb(n, a + 1), comb(n, a))
+                diag, snf = wilson_factors(n, a), smith_normal_form(m)
+                assert len(snf) == len(diag), (g, r, a)
+                assert GroupPresentation(0, snf) == GroupPresentation(0, diag), (g, r, a)
+                blocks += 1
+    assert blocks == 119

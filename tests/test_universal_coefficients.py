@@ -8,15 +8,18 @@ reduced part takes full integer kernel lattices at d and at hi, solves for
 the coordinates of the subgroup and takes a cokernel (F_p kernel bases and
 ranks over F_p), the U-action ranks quotients of whole kernel lattices and
 whole [F | U^N] stacks, and the circle-bundle cohomology takes a rank over
-the ring next to a cokernel.
+the ring next to a cokernel of whole wedge-omega matrices.  The contraction
+comparison is checked against the whole matrix of contraction by
+1 - exp(-omega) on each half of the exterior algebra.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from hfsigma import engine
+from hfsigma import engine, lefschetz
 from hfsigma.cfk import B_PLUS, corner, slice_map, u_chain_map, u_slice_map
+from hfsigma.exterior import Multivector, blades_of_grade, eta
 from hfsigma.lefschetz import raising_matrix
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                             integer_kernel_lattice, kernel_basis, rank,
@@ -118,6 +121,22 @@ def reference_eg(g, ring):
     return out
 
 
+def reference_contraction_matrix(g, parity):
+    """Contraction by (1 - exp(-omega)) = sum_{n>=1} (-1)^(n+1) eta_n on the
+    even or odd half of the whole exterior algebra."""
+    src = [m for p in range(parity, 2 * g + 1, 2) for m in blades_of_grade(g, p)]
+    idx = {m: i for i, m in enumerate(src)}
+    mat = SparseExactMatrix(len(src), len(src), ZZ)
+    op = Multivector.zero(g)
+    for n in range(1, g + 1):
+        op = op + eta(n, g).scale((-1) ** (n + 1))
+    for c, mask in enumerate(src):
+        img = op.contract(Multivector.from_blade(g, mask))
+        for m2, v in img.coeffs.items():
+            mat[idx[m2], c] = mat[idx[m2], c] + v
+    return mat
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.tag)
 def test_reduced_part_matches_the_per_ring_reference(ring):
     for g in range(1, 6 if ring in (ZZ, GF(2)) else 5):
@@ -156,12 +175,40 @@ def test_reduced_part_and_u_action_build_only_weight_blocks(monkeypatch):
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.tag)
 def test_eg_cohomology_matches_the_per_ring_reference(ring):
-    for g in range(1, 5):
+    for g in range(1, 7 if ring == ZZ else 5):
         assert engine.eg_cohomology(g, ring) == reference_eg(g, ring), g
 
 
+def test_contraction_comparison_matches_the_whole_matrices():
+    for g in range(1, 6):
+        for parity, (lhs, rhs) in engine.contraction_cokernel_comparison(g).items():
+            assert lhs == cokernel(reference_contraction_matrix(g, parity)), (g, parity)
+            want = GroupPresentation()
+            for j in range(parity, 2 * g + 1, 2):
+                want = want.direct_sum(cokernel(raising_matrix(g, j - 2)))
+            assert rhs == want, (g, parity)
+
+
+def test_eg_builds_only_weight_blocks(monkeypatch):
+    monkeypatch.setattr(engine, "_BLOCKS", {})
+    calls = []
+
+    def recorded(g, j, ring=ZZ, r=None):
+        calls.append(r)
+        return raising_matrix(g, j, ring, r)
+
+    monkeypatch.setattr(lefschetz, "raising_matrix", recorded)
+    for ring in (ZZ, QQ, GF(3)):
+        engine.eg_cohomology(4, ring)
+    engine.contraction_cokernel_comparison(4)
+    # one call per wedge block: grades -2..2g on each of the g+1 types
+    assert len(calls) == (2 * 4 + 3) * 5 and None not in calls
+
+
 def test_field_tables_reuse_the_integer_smith_forms(monkeypatch):
-    for table in (engine.hf_hat, engine.hf_plus_torsion, engine.hf_infinity):
+    tables = (engine.hf_hat, engine.hf_plus_torsion, engine.hf_infinity,
+              engine.eg_cohomology)
+    for table in tables:
         table(4, ZZ)
     calls = []
 
@@ -174,6 +221,6 @@ def test_field_tables_reuse_the_integer_smith_forms(monkeypatch):
     monkeypatch.setattr(engine, "smith_normal_form", counted(engine.smith_normal_form))
     monkeypatch.setattr(engine, "rank", counted(engine.rank))
     for ring in (QQ, GF(2), GF(3)):
-        for table in (engine.hf_hat, engine.hf_plus_torsion, engine.hf_infinity):
+        for table in tables:
             table(4, ring)
     assert calls == []

@@ -15,6 +15,15 @@ def test_each_suite_passes_small_genus(suite):
     assert rep.ok
 
 
+def test_eg_suite_checks_infinity_torsion_against_eg():
+    rep = verify.run_suite("eg", max_genus=3)
+    cross = [c for c in rep.checks if c.check_id == "infinity-torsion-matches-eg"]
+    assert [c.params for c in cross] == [{"g": g, "d": d} for g in (1, 2, 3)
+                                         for d in (g, g + 1)]
+    assert all(c.ok and c.source == "cross-computation" for c in cross)
+    assert str(cross[-1].computed) == "Z/2"  # g = 3, d = 4
+
+
 def test_run_all_collects_everything():
     rep = verify.run_suite("all", max_genus=2)
     names = {c.check_id for c in rep.checks}
