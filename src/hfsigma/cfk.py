@@ -43,7 +43,6 @@ from .errors import DomainError, GenusMismatch, tick
 from .exterior import (blade_grade, blades_of_grade, complete_pairs,
                        pair_mask, star_blade, swap_pairs)
 from .linalg import SparseExactMatrix
-from .rings import ZZ
 
 
 def epsilon(g):
@@ -425,14 +424,12 @@ def _bases(g, op, d, s=0, r=None, basis=slice_basis):
     return src, UnionBasis([basis(g, tgt_region, dd, r) for dd in degs])
 
 
-def _accumulate(g, op, s, src, tgt, ring=ZZ):
-    """Matrix of the op from the source basis to the target basis over the
-    ring, its entries summed in one pass over plain ints (mod p over F_p).
-    An entry whose sum reaches zero is dropped and, should it become
-    nonzero again, reinserted at the end: the field eliminators pivot on a
-    column's first row, so the order is part of the result.  Ticks once
-    per source column."""
-    p = ring.p
+def _accumulate(g, op, s, src, tgt):
+    """Integer matrix of the op from the source basis to the target basis,
+    its entries summed in one pass over plain ints.  An entry whose sum
+    reaches zero is dropped and, should it become nonzero again, reinserted
+    at the end: the field eliminators pivot on a column's first row, so the
+    order is part of the result.  Ticks once per source column."""
     get = tgt.index.get
     ent = {}
     for c, (i, mask) in enumerate(src.elements):
@@ -443,17 +440,15 @@ def _accumulate(g, op, s, src, tgt, ring=ZZ):
                 continue
             key = r, c
             v = ent.get(key, 0) + w
-            if p is not None:
-                v %= p
             if v:
                 ent[key] = v
             else:
                 ent.pop(key, None)
-    return SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
+    return SparseExactMatrix.from_int_entries(tgt.size, src.size, ent)
 
 
-def slice_map(g, op, d, ring=ZZ, s=0, r=None):
-    """Matrix of one structure map on the degree-d slice, or on its
+def slice_map(g, op, d, s=0, r=None):
+    """Integer matrix of one structure map on the degree-d slice, or on its
     representative type-r weight block when r is given.
 
     Ops and their regions:
@@ -472,7 +467,7 @@ def slice_map(g, op, d, ring=ZZ, s=0, r=None):
     Smith form and ranks (module docstring).  Ticks once per source column.
     """
     src, tgt = _bases(g, op, d, s, r)
-    return SliceMap(_accumulate(g, op, s, src, tgt, ring), src, tgt, op, s)
+    return SliceMap(_accumulate(g, op, s, src, tgt), src, tgt, op, s)
 
 
 def _flip_sources(g, m2):
@@ -506,7 +501,7 @@ _DIGEST_CHUNK = 4096  # entries serialized per sha256 update
 
 
 def slice_digest(g, op, d, s=0):
-    """Fingerprint of the whole integer matrix slice_map(g, op, d, ZZ, s):
+    """Fingerprint of the whole integer matrix slice_map(g, op, d, s):
     the first 16 hex digits of the sha256 of its canonical JSON,
     {"cols":C,"entries":[[r,c,"v"],...],"ring":"Z","rows":R} with the
     entries in (r, c) order.
@@ -545,7 +540,7 @@ def slice_digest(g, op, d, s=0):
     return h.hexdigest()[:16]
 
 
-def u_chain_map(g, region, d_hi, steps, ring=ZZ, r=None):
+def u_chain_map(g, region, d_hi, steps, r=None):
     """Matrix of U^steps from the degree-d_hi slice down to d_hi - 2*steps,
     or from its representative type-r weight block when r is given.  Ticks
     once per source column."""
@@ -558,10 +553,10 @@ def u_chain_map(g, region, d_hi, steps, ring=ZZ, r=None):
         row = get((i - steps, mask))
         if row is not None:
             ent[(row, c)] = 1
-    mat = SparseExactMatrix.from_int_entries(tgt.size, src.size, ent, ring)
+    mat = SparseExactMatrix.from_int_entries(tgt.size, src.size, ent)
     return SliceMap(mat, src, tgt, "U" if steps == 1 else f"U^{steps}")
 
 
-def u_slice_map(g, region, d, ring=ZZ, r=None):
+def u_slice_map(g, region, d, r=None):
     """Matrix of U: degree-d slice -> degree-(d-2) slice of the same region."""
-    return u_chain_map(g, region, d, 1, ring, r)
+    return u_chain_map(g, region, d, 1, r)

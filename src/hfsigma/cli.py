@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import ceil, floor
 
 from . import __version__
 from .errors import (BudgetExceeded, Deadline, DomainError,
@@ -53,8 +54,8 @@ def _window_to_d_range(window):
     if window is None:
         return None
     lo, hi = window
-    d_lo = int(lo - Fraction(1, 2)) if (2 * lo) % 2 else int(lo)
-    d_hi = int(hi - Fraction(1, 2)) if (2 * hi) % 2 else int(hi)
+    d_lo = ceil(lo - Fraction(1, 2))   # the degrees are d + 1/2
+    d_hi = floor(hi - Fraction(1, 2))
     if d_hi < d_lo:
         raise DomainError("empty degree window")
     return (d_lo, d_hi)
@@ -396,8 +397,8 @@ def cmd_slice(args):
     if s > 0:
         s = -s  # built for the negative side; conjugation-symmetric
     d = int(args.degree)
-    sm = slice_map(args.genus, args.op, d, ring, s)
-    payload = sm.matrix.to_json()
+    sm = slice_map(args.genus, args.op, d, s)
+    payload = sm.matrix.to_json(ring)
     payload["op"] = args.op
     payload["degree"] = d
     payload["s"] = s
@@ -412,11 +413,11 @@ def cmd_snf(args):
     try:
         with open(args.input) as fh:
             m = SparseExactMatrix.from_json(json.load(fh))
+    except DomainError:
+        raise
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"{args.input} holds no matrix JSON "
                           f"(rows, cols, ring, entries): {exc!r}") from None
-    if m.ring != ZZ:
-        raise DomainError("snf wants an integer matrix")
     factors = smith_normal_form(m)
     payload = {"invariant_factors": factors,
                "cokernel": cokernel_over(m.rows, factors, ZZ).to_json(),

@@ -20,7 +20,7 @@ from .cfk import (B_PLUS, GradedElement, SliceMap, UnionBasis, block_masks,
                   slice_map, u_chain_map, u_slice_map, _accumulate,
                   _gamma_terms, _op_terms)
 from .errors import DomainError, UnsupportedOperation, tick
-from .exterior import Multivector, blade_grade, blades_of_grade, eta
+from .exterior import blade_grade, blades_of_grade, complete_pairs
 from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                      cokernel_over, factor_rank, integer_kernel_lattice,
                      kernel_basis, lattice_quotient, rank, smith_normal_form)
@@ -201,7 +201,7 @@ def sign_choice_cokernels(g):
     idx = {m: i for i, m in enumerate(blades)}
     out = {}
     for eps in (1, -1):
-        m = SparseExactMatrix(len(blades), len(blades), ZZ)
+        m = SparseExactMatrix(len(blades), len(blades))
         for c, mask in enumerate(blades):
             m[idx[mask], c] = m[idx[mask], c] + 1
             sc, smk = star_blade(mask, g)
@@ -856,15 +856,20 @@ def eg_rank_prediction(g, j):
 
 def _one_minus_exp_contraction_matrix(g, parity, r):
     """Matrix of contraction by (1 - exp(-omega)) = sum_{n>=1} (-1)^(n+1) eta_n
-    on the even or odd half of the representative type-r weight block:
-    contraction by eta_n removes complete pairs, so it keeps the weight
-    vector."""
-    from .lefschetz import blade_matrix
+    on the even or odd half of the representative type-r weight block.
+    Since z_J |_ a = (-1)^|J| (a ^ z_J) for a set J of complete pairs of a
+    (exterior module docstring), every entry is -1, at (a ^ z_J, a) for each
+    nonempty such J.  Contraction removes complete pairs, so it keeps the
+    weight vector."""
     src = [m for p in range(parity, 2 * g + 1, 2) for m in block_masks(g, r, p)]
-    op = Multivector.zero(g)
-    for n in range(1, g + 1):
-        op = op + eta(n, g).scale((-1) ** (n + 1))
-    return blade_matrix(g, op.contract, src, src, ZZ)
+    index = {m: i for i, m in enumerate(src)}
+    ent = {}
+    for c, mask in enumerate(src):
+        pairs = sub = complete_pairs(mask)
+        while sub:
+            ent[index[mask ^ sub ^ sub << 1], c] = -1
+            sub = (sub - 1) & pairs
+    return SparseExactMatrix.from_int_entries(len(src), len(src), ent)
 
 
 def contraction_cokernel_comparison(g):
@@ -904,7 +909,7 @@ def triple_cup_beta(g, s):
     src.sort()
     tgt.sort()
     idx = {m: i for i, m in enumerate(tgt)}
-    mat = SparseExactMatrix(len(tgt), len(src), ZZ)
+    mat = SparseExactMatrix(len(tgt), len(src))
     tbit = 2 * g
     for c, mask in enumerate(src):
         bits = []

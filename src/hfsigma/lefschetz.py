@@ -15,7 +15,7 @@ from .cfk import block_masks
 from .errors import DomainError
 from .exterior import Multivector, blades_of_grade, eta, omega
 from .linalg import SparseExactMatrix, kernel_basis, solve_columns
-from .rings import QQ, ZZ
+from .rings import QQ
 
 
 def op_lambda(a):
@@ -36,23 +36,23 @@ def op_H(a):
     return out
 
 
-def blade_matrix(g, op, src, tgt, ring):
-    """Matrix of a linear map op on multivectors, from the blades in src to
-    those in tgt (lists of masks; each image must lie in the span of tgt)."""
+def blade_matrix(g, op, src, tgt):
+    """Integer matrix of a linear map op on multivectors, from the blades in
+    src to those in tgt (lists of masks; images lie in the span of tgt)."""
     index = {m: i for i, m in enumerate(tgt)}
-    mat = SparseExactMatrix(len(tgt), len(src), ring)
+    mat = SparseExactMatrix(len(tgt), len(src))
     for c, mask in enumerate(src):
-        for m2, v in op(Multivector.from_blade(g, mask, 1, ring)).coeffs.items():
+        for m2, v in op(Multivector.from_blade(g, mask)).coeffs.items():
             mat[index[m2], c] = v
     return mat
 
 
-def lowering_matrix(g, j, ring=QQ):
+def lowering_matrix(g, j):
     """Matrix of L restricted to grade j, in the ascending blade bases."""
-    return blade_matrix(g, op_L, blades_of_grade(g, j), blades_of_grade(g, j - 2), ring)
+    return blade_matrix(g, op_L, blades_of_grade(g, j), blades_of_grade(g, j - 2))
 
 
-def raising_matrix(g, j, ring=ZZ, r=None):
+def raising_matrix(g, j, r=None):
     """Matrix of wedging with omega: grade j -> grade j+2, in the ascending
     blade bases, or on the representative type-r weight block when r is
     given (cfk.block_masks; omega adds complete pairs, so it keeps the
@@ -61,7 +61,7 @@ def raising_matrix(g, j, ring=ZZ, r=None):
         src, tgt = blades_of_grade(g, j), blades_of_grade(g, j + 2)
     else:
         src, tgt = block_masks(g, r, j), block_masks(g, r, j + 2)
-    return blade_matrix(g, op_lambda, src, tgt, ring)
+    return blade_matrix(g, op_lambda, src, tgt)
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +74,7 @@ def primitive_basis(g, j):
         return ()
     src = blades_of_grade(g, j)
     mat = lowering_matrix(g, j)
-    null = kernel_basis(mat)
+    null = kernel_basis(mat, QQ)
     out = []
     for col in null:
         mv = Multivector(g, {src[c]: v for c, v in col.items()}, QQ)

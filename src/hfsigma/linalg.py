@@ -1,11 +1,11 @@
-"""Sparse exact linear algebra over Z, Q and F_p.
+"""Sparse exact linear algebra on integer matrices, read over Z, Q and F_p.
 
-Everything is arbitrary precision: integer matrices use Python ints, rational
-ones Fractions, prime fields ints reduced mod p.  The Smith normal form runs
-a sparse pre-elimination on +-1 pivots before falling back to general gcd
-pivoting on the residual block; the invariant factors of the diagonalized
-matrix are then normalized into a divisibility chain over a coprime base of
-the distinct moduli.
+Every matrix holds Python ints; a ring is named only where it is read.
+Fields eliminate in Fractions (Q) or ints mod p (F_p).  The Smith normal
+form runs a sparse pre-elimination on +-1 pivots before falling back to
+general gcd pivoting on the residual block; the invariant factors of the
+diagonalized matrix are then normalized into a divisibility chain over a
+coprime base of the distinct moduli.
 
 The Smith form of an integer matrix serves every coefficient ring by
 universal coefficients: its rank over Q is the number of invariant factors,
@@ -24,9 +24,9 @@ Pivoting is indexed, so no pivot search rescans the matrix:
 
 A heap entry whose length no longer matches its line is stale and skipped.
 
-Field ranks and kernels read a Z matrix directly, without a converted copy:
-over F_p each entry is reduced on load (entries divisible by p are
-dropped), and Q elimination starts from the integers.
+Field ranks, kernels and to_json read the integer matrix itself over the
+ring they are given: over F_p each entry is reduced on load (entries
+divisible by p are dropped), and Q elimination starts from the integers.
 """
 
 import heapq
@@ -143,14 +143,13 @@ def normalize_divisibility_chain(factors):
 
 
 class SparseExactMatrix:
-    """Sparse matrix with exact entries over a tagged ring."""
+    """Sparse integer matrix; rank, kernels and to_json take the ring."""
 
-    __slots__ = ("rows", "cols", "ring", "entries")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows, cols, ring=ZZ, entries=None):
+    def __init__(self, rows, cols, entries=None):
         self.rows = rows
         self.cols = cols
-        self.ring = ring
         self.entries = {}
         if entries:
             for (r, c), v in entries.items():
@@ -160,28 +159,17 @@ class SparseExactMatrix:
         r, c = key
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise DomainError(f"entry ({r},{c}) out of range")
-        v = self.ring.coerce(v)
+        v = ZZ.coerce(v)
         if v == 0:
             self.entries.pop((r, c), None)
         else:
             self.entries[(r, c)] = v
 
     def __getitem__(self, key):
-        return self.entries.get(key, self.ring.coerce(0))
+        return self.entries.get(key, 0)
 
     def nnz(self):
         return len(self.entries)
-
-    def copy(self):
-        m = SparseExactMatrix(self.rows, self.cols, self.ring)
-        m.entries = dict(self.entries)
-        return m
-
-    def convert(self, ring):
-        coerce = ring.coerce
-        m = SparseExactMatrix(self.rows, self.cols, ring)
-        m.entries = {k: x for k, v in self.entries.items() if (x := coerce(v))}
-        return m
 
     def col_dicts(self):
         cols = [dict() for _ in range(self.cols)]
@@ -204,41 +192,41 @@ class SparseExactMatrix:
         return out
 
     @classmethod
-    def from_columns(cls, rows, columns, ring=ZZ):
-        coerce = ring.coerce
-        m = cls(rows, len(columns), ring)
-        m.entries = {(r, c): x for c, col in enumerate(columns)
-                     for r, v in col.items() if (x := coerce(v))}
-        return m
+    def from_columns(cls, rows, columns):
+        coerce = ZZ.coerce
+        return cls.from_int_entries(rows, len(columns), {
+            (r, c): x for c, col in enumerate(columns)
+            for r, v in col.items() if (x := coerce(v))})
 
     @classmethod
-    def from_int_entries(cls, rows, cols, entries, ring=ZZ):
-        """Adopt a dict of nonzero int entries (reduced mod p over F_p)
-        without a copy; over Q the values become Fractions."""
-        m = cls(rows, cols, ring)
-        m.entries = ({k: Fraction(v) for k, v in entries.items()}
-                     if ring == QQ else entries)
+    def from_int_entries(cls, rows, cols, entries):
+        """Adopt a dict of nonzero int entries without a copy."""
+        m = cls(rows, cols)
+        m.entries = entries
         return m
 
     @classmethod
     def hstack(cls, a, b):
-        if a.rows != b.rows or a.ring != b.ring:
-            raise DomainError("hstack wants equal row counts and rings")
-        m = cls(a.rows, a.cols + b.cols, a.ring)
-        m.entries = dict(a.entries)
-        for (r, c), v in b.entries.items():
-            m.entries[(r, a.cols + c)] = v
-        return m
+        if a.rows != b.rows:
+            raise DomainError("hstack wants equal row counts")
+        entries = dict(a.entries)
+        entries.update(((r, a.cols + c), v) for (r, c), v in b.entries.items())
+        return cls.from_int_entries(a.rows, a.cols + b.cols, entries)
 
-    def to_json(self):
-        ents = sorted(((r, c, str(v)) for (r, c), v in self.entries.items()))
-        return {"rows": self.rows, "cols": self.cols, "ring": self.ring.tag,
-                "entries": [[r, c, s] for r, c, s in ents]}
+    def to_json(self, ring=ZZ):
+        """The matrix read over the ring: the ring's tag, and the entries
+        coerced into it, zeros dropped, in (row, col) order."""
+        coerce = ring.coerce
+        ents = sorted((r, c, x) for (r, c), v in self.entries.items() if (x := coerce(v)))
+        return {"rows": self.rows, "cols": self.cols, "ring": ring.tag,
+                "entries": [[r, c, str(x)] for r, c, x in ents]}
 
     @classmethod
     def from_json(cls, data):
-        ring = parse_ring(data["ring"])
-        m = cls(data["rows"], data["cols"], ring)
+        """Inverse of to_json(); a ring tag other than Z is a DomainError."""
+        if parse_ring(data["ring"]) != ZZ:
+            raise DomainError(f"wanted an integer matrix, got one over {data['ring']}")
+        m = cls(data["rows"], data["cols"])
         for r, c, s in data["entries"]:
             val = Fraction(s) if "/" in s else int(s)
             m[r, c] = m[r, c] + val
@@ -246,11 +234,10 @@ class SparseExactMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, SparseExactMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.ring == other.ring
-                and self.entries == other.entries)
+                and self.cols == other.cols and self.entries == other.entries)
 
     def __repr__(self):
-        return f"<{self.rows}x{self.cols} {self.ring.tag} matrix, {self.nnz()} nnz>"
+        return f"<{self.rows}x{self.cols} integer matrix, {self.nnz()} nnz>"
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +245,8 @@ class SparseExactMatrix:
 # ---------------------------------------------------------------------------
 
 def _field_eliminate(m, ring, want_kernel=False):
-    """Sparse Gaussian elimination over the field (Q or F_p) of a matrix
-    over Z or over that field.
+    """Sparse Gaussian elimination of an integer matrix over the field Q
+    or F_p.
 
     Returns (rank, kernel_columns).  The pivot column is the shortest live
     column (lowest index among equal lengths) to limit fill; the pivot row is
@@ -344,30 +331,21 @@ def _field_eliminate(m, ring, want_kernel=False):
     return rank, kernel
 
 
-def _over(m, ring):
-    """m as a matrix over Z or over the ring, which defaults to m's own."""
-    ring = ring or m.ring
-    return (m if m.ring in (ZZ, ring) else m.convert(ring)), ring
-
-
-def rank(m, ring=None):
-    """Exact rank of m over the given ring (default: the matrix's own ring;
-    Z matrices are ranked over Q)."""
-    m, ring = _over(m, ring)
+def rank(m, ring):
+    """Exact rank of the integer matrix m over the ring (Z: over Q)."""
     return _field_eliminate(m, QQ if ring == ZZ else ring)[0]
 
 
-def kernel_rank(m, ring=None):
+def kernel_rank(m, ring):
     return m.cols - rank(m, ring)
 
 
-def kernel_basis(m, ring=None):
+def kernel_basis(m, ring):
     """Kernel basis over a field, as a list of sparse columns.
 
     Over Z this is deliberately not provided here; the engine works with
     integer kernel lattices via integer_kernel_lattice.
     """
-    m, ring = _over(m, ring)
     if not ring.is_field:
         raise UnsupportedOperation("kernel_basis is only provided over fields; "
                                    "Z matrices expose kernel_rank only")
@@ -454,8 +432,6 @@ def smith_normal_form(m):
     pivoting until diagonal, then chain normalization.  Ticks once per unit
     pivot, per pass of a gcd pivot's shrinking loop and per line it clears.
     """
-    if m.ring != ZZ:
-        raise DomainError("smith_normal_form wants a Z matrix")
     rows = {}
     cols = {}
     for (r, c), v in m.entries.items():
@@ -580,8 +556,6 @@ def cokernel_over(rows, factors, ring):
 
 def cokernel(m):
     """Presentation of Z^rows / column span of m."""
-    if m.ring != ZZ:
-        raise DomainError("cokernel wants a Z matrix")
     return cokernel_over(m.rows, smith_normal_form(m), ZZ)
 
 
@@ -593,8 +567,6 @@ def integer_kernel_lattice(m):
     block.  All column operations are unimodular.  Ticks once per pivot
     row.
     """
-    if m.ring != ZZ:
-        raise DomainError("integer_kernel_lattice wants a Z matrix")
     ncols = m.cols
     top = [dict() for _ in range(ncols)]    # column -> {row: val} in m
     bot = [{c: 1} for c in range(ncols)]    # identity below

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -113,6 +114,43 @@ def test_snf_malformed_input_exits_2(tmp_path):
         proc = run_cli("snf", "--input", str(path))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+# sha256 (first 16 hex digits) of the sorted-key JSON result of
+# `slice -g 4 --op one_plus_J --degree=-2` per ring, as first printed from
+# matrices tagged with the ring; its entries -15, -8, -3, 4 and 8 vanish
+# mod 2, 3 or 5
+SLICE_DIGESTS = {"Z": "f7949912cd54c03e", "Q": "3186e7bb953c5141",
+                 "F2": "4ab27ec56366d4b6", "F3": "f25d8a51562b3e5b",
+                 "Fp:5": "8a5953965c0fdc30"}
+
+
+@pytest.mark.parametrize("ring", sorted(SLICE_DIGESTS))
+def test_slice_over_a_ring_is_the_integer_matrix_read_over_it(ring):
+    args = ("slice", "-g", "4", "--op", "one_plus_J", "--degree=-2", "--out", "json")
+    z = json.loads(run_cli(*args).stdout)["result"]
+    proc = run_cli(*args, "--ring", ring)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)["result"]
+    p = {"Z": 0, "Q": 0, "F2": 2, "F3": 3, "Fp:5": 5}[ring]
+    entries = [[r, c, str(int(v) % p if p else int(v))] for r, c, v in z["entries"]]
+    tag = {"Fp:5": "F5"}.get(ring, ring)
+    assert got == dict(z, ring=tag, entries=[e for e in entries if e[2] != "0"])
+    digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == SLICE_DIGESTS[ring]
+
+
+def test_snf_of_a_matrix_over_a_field_exits_2(tmp_path):
+    out = tmp_path / "m.json"
+    proc = run_cli("slice", "-g", "2", "--op", "F", "--degree", "0", "--ring", "F2",
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    inner = tmp_path / "matrix.json"
+    inner.write_text(json.dumps(json.loads(out.read_text())["result"]))
+    proc = run_cli("snf", "--input", str(inner))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "F2" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_slice_time_budget_exits_1():
@@ -268,6 +306,24 @@ def test_degree_window_in_json_output():
     data = json.loads(proc.stdout)
     assert data["config"]["degrees"] == ["-1/2", "3/2"]
     assert [e["deg"] for e in data["result"]["entries"]] == ["-1/2", "1/2", "3/2"]
+
+
+@pytest.mark.parametrize("argv, degs", (
+    (("hat", "-g", "3", "--degrees", "0..2"), ["1/2", "3/2"]),
+    (("plus", "-g", "3", "--degrees=-3..-2"), ["-5/2"]),
+    (("hat", "-g", "3", "--degrees=-7/3..-4/3"), ["-3/2"]),
+    (("plus", "-g", "3", "--degrees=-7/3..-4/3"), ["-3/2"]),
+))
+def test_degree_window_keeps_only_the_degrees_inside(argv, degs):
+    proc = run_cli(*argv, "--out", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert [e["deg"] for e in json.loads(proc.stdout)["result"]["entries"]] == degs
+
+
+def test_degree_window_without_a_half_integer_exits_2():
+    proc = run_cli("hat", "-g", "3", "--degrees", "1..1")
+    assert proc.returncode == 2
+    assert "empty degree window" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_degree_window_cache_miss_then_hit(tmp_path):

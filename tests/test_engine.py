@@ -122,7 +122,7 @@ def test_chain_matrix_matches_per_entry_assembly():
             rowoff, off = {}, 0
             for sl in sm.target.slices:
                 rowoff[sl.degree], off = off, off + sl.size
-            ref = SparseExactMatrix(m.rows, m.cols, ZZ)
+            ref = SparseExactMatrix(m.rows, m.cols)
             for c, (d, i, mask) in enumerate(colkeys):
                 terms = [(d, (i, mask), 1)] + [(d - 2 * kk, (i + di - kk, m2), w)
                                                for di, m2, w in _flip_blade(g, mask)]
@@ -331,7 +331,7 @@ def test_f_restriction_matches_the_column_reference(monkeypatch):
         for kk in range(1, g):
             for lo, hi in ((-g, g), (0, g - 1)):
                 nrows, cols = reference_f_restriction(g, kk, lo, hi)
-                ref = SparseExactMatrix.from_columns(nrows, cols, ZZ)
+                ref = SparseExactMatrix.from_columns(nrows, cols)
                 got = engine.f_restriction_surjective(g, kk, lo, hi)
                 assert got == (rank(ref, QQ) == nrows), (g, kk, lo, hi)
                 m = seen.pop()

@@ -61,7 +61,7 @@ def test_primitive_basis_pinned():
 def test_primitive_plus_image_dimension():
     for g in range(1, 5):
         for j in range(0, g + 1):
-            rk = rank(raising_matrix(g, j - 2).convert(QQ)) if j >= 2 else 0
+            rk = rank(raising_matrix(g, j - 2), QQ) if j >= 2 else 0
             assert primitive_dim(g, j) + rk == comb(2 * g, j)
 
 
@@ -98,12 +98,12 @@ def lefschetz_power_rank(g, l):
     tgt = blades_of_grade(g, g + l)
     tgt_index = {m: i for i, m in enumerate(tgt)}
     wl = eta(l, g, QQ).scale(factorial(l))
-    mat = SparseExactMatrix(len(tgt), len(src), QQ)
+    mat = SparseExactMatrix(len(tgt), len(src))
     for c, mask in enumerate(src):
         img = wl.wedge(Multivector.from_blade(g, mask, 1, QQ))
         for m2, v in img.coeffs.items():
             mat[tgt_index[m2], c] = v
-    return rank(mat)
+    return rank(mat, QQ)
 
 
 def coprimitive_basis(g, j):

@@ -27,8 +27,9 @@ def test_table_schemas():
 
 def test_matrix_and_multivector_schemas():
     from hfsigma.cfk import slice_map
-    m = slice_map(2, "F", 1, ZZ, 0).matrix
-    assert validate(m.to_json(), "matrix")
+    m = slice_map(2, "F", 1, 0).matrix
+    for ring in (ZZ, QQ, GF(3)):
+        assert validate(m.to_json(ring), "matrix")
     assert validate(omega(3).to_json(), "multivector")
 
 

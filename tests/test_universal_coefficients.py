@@ -10,7 +10,8 @@ ranks over F_p), the U-action ranks quotients of whole kernel lattices and
 whole [F | U^N] stacks, and the circle-bundle cohomology takes a rank over
 the ring next to a cokernel of whole wedge-omega matrices.  The contraction
 comparison is checked against the whole matrix of contraction by
-1 - exp(-omega) on each half of the exterior algebra.
+1 - exp(-omega) on each half of the exterior algebra, and its subset-built
+blocks against the summed eta_n contracted through Multivector.
 """
 
 from fractions import Fraction
@@ -18,7 +19,8 @@ from fractions import Fraction
 import pytest
 
 from hfsigma import engine, lefschetz
-from hfsigma.cfk import B_PLUS, corner, slice_map, u_chain_map, u_slice_map
+from hfsigma.cfk import (B_PLUS, block_masks, corner, slice_map, u_chain_map,
+                         u_slice_map)
 from hfsigma.exterior import Multivector, blades_of_grade, eta
 from hfsigma.lefschetz import raising_matrix
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
@@ -41,15 +43,15 @@ def reference_reduced(g, d, ring):
     if ring.p is not None:
         k_lo = kernel_basis(f_lo, ring)
         img = [c for c in un.mul_columns(kernel_basis(f_hi, ring)) if c]
-        span = rank(SparseExactMatrix.from_columns(f_lo.cols, img, ring)) if img else 0
+        span = rank(SparseExactMatrix.from_columns(f_lo.cols, img), ring) if img else 0
         return GroupPresentation(len(k_lo) - span + f1.rows - rank(stack, ring))
     k_lo = integer_kernel_lattice(f_lo)
     img = [v for v in un.mul_columns(integer_kernel_lattice(f_hi)) if v]
     red_k = GroupPresentation()
     if k_lo:
         coords = solve_columns(k_lo, img, f_lo.cols)
-        # ZZ entries reject a non-integral coordinate
-        pres = SparseExactMatrix(len(k_lo), len(img), ZZ,
+        # integer entries reject a non-integral coordinate
+        pres = SparseExactMatrix(len(k_lo), len(img),
                                  {(i, j): v for j, sol in enumerate(coords)
                                   for i, v in sol.items()})
         red_k = cokernel(pres)
@@ -121,12 +123,15 @@ def reference_eg(g, ring):
     return out
 
 
-def reference_contraction_matrix(g, parity):
+def reference_contraction_matrix(g, parity, r=None):
     """Contraction by (1 - exp(-omega)) = sum_{n>=1} (-1)^(n+1) eta_n on the
-    even or odd half of the whole exterior algebra."""
-    src = [m for p in range(parity, 2 * g + 1, 2) for m in blades_of_grade(g, p)]
+    even or odd half of the whole exterior algebra, or of its representative
+    type-r weight block when r is given, through Multivector.contract."""
+    grade = (lambda p: blades_of_grade(g, p)) if r is None else \
+        (lambda p: block_masks(g, r, p))
+    src = [m for p in range(parity, 2 * g + 1, 2) for m in grade(p)]
     idx = {m: i for i, m in enumerate(src)}
-    mat = SparseExactMatrix(len(src), len(src), ZZ)
+    mat = SparseExactMatrix(len(src), len(src))
     op = Multivector.zero(g)
     for n in range(1, g + 1):
         op = op + eta(n, g).scale((-1) ** (n + 1))
@@ -189,13 +194,23 @@ def test_contraction_comparison_matches_the_whole_matrices():
             assert rhs == want, (g, parity)
 
 
+def test_contraction_blocks_match_the_eta_route():
+    # every entry -1, at (a ^ z_J, a) for each nonempty set J of complete
+    # pairs of a, against the summed eta_n contracted blade by blade
+    for g in range(1, 7):
+        for r in range(g + 1):
+            for parity in (0, 1):
+                assert engine._one_minus_exp_contraction_matrix(g, parity, r) == \
+                    reference_contraction_matrix(g, parity, r), (g, parity, r)
+
+
 def test_eg_builds_only_weight_blocks(monkeypatch):
     monkeypatch.setattr(engine, "_BLOCKS", {})
     calls = []
 
-    def recorded(g, j, ring=ZZ, r=None):
+    def recorded(g, j, r=None):
         calls.append(r)
-        return raising_matrix(g, j, ring, r)
+        return raising_matrix(g, j, r)
 
     monkeypatch.setattr(lefschetz, "raising_matrix", recorded)
     for ring in (ZZ, QQ, GF(3)):
