@@ -110,7 +110,11 @@ def test_snf_malformed_input_exits_2(tmp_path):
     assert proc.returncode == 0
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json")
-    for path in (envelope, garbage):
+    over_f2 = tmp_path / "f2.json"  # a matrix, but not over Z
+    proc = run_cli("slice", "-g", "2", "--op", "F", "--degree", "0", "--ring", "F2",
+                   "--out", "json")
+    over_f2.write_text(json.dumps(json.loads(proc.stdout)["result"]))
+    for path in (envelope, garbage, over_f2):
         proc = run_cli("snf", "--input", str(path))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
@@ -138,19 +142,6 @@ def test_slice_over_a_ring_is_the_integer_matrix_read_over_it(ring):
     assert got == dict(z, ring=tag, entries=[e for e in entries if e[2] != "0"])
     digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
     assert digest[:16] == SLICE_DIGESTS[ring]
-
-
-def test_snf_of_a_matrix_over_a_field_exits_2(tmp_path):
-    out = tmp_path / "m.json"
-    proc = run_cli("slice", "-g", "2", "--op", "F", "--degree", "0", "--ring", "F2",
-                   "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    inner = tmp_path / "matrix.json"
-    inner.write_text(json.dumps(json.loads(out.read_text())["result"]))
-    proc = run_cli("snf", "--input", str(inner))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:") and "F2" in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 def test_slice_time_budget_exits_1():
