@@ -396,7 +396,10 @@ def cmd_slice(args):
     s = args.spinc if args.spinc is not None else 0
     if s > 0:
         s = -s  # built for the negative side; conjugation-symmetric
-    d = int(args.degree)
+    try:
+        d = int(args.degree)
+    except ValueError:
+        raise DomainError(f"--degree wants an integer d, got {args.degree!r}") from None
     sm = slice_map(args.genus, args.op, d, s)
     payload = sm.matrix.to_json(ring)
     payload["op"] = args.op
@@ -429,7 +432,9 @@ def cmd_snf(args):
 
 def cmd_verify(args):
     from . import verify
-    max_genus = args.max_genus or 4
+    max_genus = 4 if args.max_genus is None else args.max_genus
+    if max_genus < 1:
+        raise DomainError(f"--max-genus must be at least 1, got {max_genus}")
     if max_genus > 5 and not args.extended:
         raise ExtendedScaleRequired("verification beyond genus 5 needs --extended")
     suites = [args.suite] if args.suite != "all" else list(verify._SUITE_FUNCS)
@@ -584,7 +589,9 @@ def _run(argv):
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except BrokenPipeError:
+        raise  # main() exits 1 without a traceback
+    except OSError as exc:  # a missing file, a directory given as a file, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,14 +21,16 @@ and call pair j complete in m when m holds both of its bits:
   of x) + sum over bits b of swap(x) of #(bits of a below b);
 * star: star(m) = m |_ vol = (-1)^#(complete pairs of m) (vol ^ swap(m));
 * pair products: for a set J of complete pairs of a, z_J |_ a =
-  (-1)^|J| (a ^ z_J), which is all the flip map of the knot complex needs.
+  (-1)^|J| (a ^ z_J), which is all the flip map of the knot complex needs;
+  so omega ^ m is the sum of m | z_j over the pairs j that m misses, and
+  -(omega |_ m) the sum of m ^ z_j over the complete pairs of m, every
+  coefficient +1 (the Lefschetz matrices are built from these two rules).
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError, GenusMismatch
-from .rings import ZZ
 
 _popcount = int.bit_count
 _EVEN = 0x5555_5555_5555_5555  # first vector of each pair, genus <= 32
@@ -115,58 +117,54 @@ def mask_from_indices(indices, g):
 
 
 class Multivector:
-    """Sparse element of the exterior algebra over H^1 of a genus-g surface."""
+    """Sparse element of the exterior algebra over H^1 of a genus-g surface.
 
-    __slots__ = ("genus", "ring", "coeffs")
+    Coefficients are exact numbers: ints, or Fractions where a Q basis
+    enters (Fraction(2) == 2, and both hash alike).
+    """
 
-    def __init__(self, genus, coeffs=None, ring=ZZ, _clean=False):
+    __slots__ = ("genus", "coeffs")
+
+    def __init__(self, genus, coeffs=None, _clean=False):
         self.genus = genus
-        self.ring = ring
         if coeffs is None:
             self.coeffs = {}
-        elif _clean:
+        elif _clean:  # a dict the operation built itself, zeros dropped
             self.coeffs = coeffs
         else:
-            clean = {}
-            for mask, c in coeffs.items():
-                c = ring.coerce(c)
-                if c != 0:
-                    clean[mask] = c
-            self.coeffs = clean
+            self.coeffs = {mask: c for mask, c in coeffs.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, g, ring=ZZ):
-        return cls(g, {}, ring, _clean=True)
+    def zero(cls, g):
+        return cls(g, {}, _clean=True)
 
     @classmethod
-    def unit(cls, g, ring=ZZ):
-        return cls(g, {0: ring.coerce(1)}, ring, _clean=True)
+    def unit(cls, g):
+        return cls(g, {0: 1}, _clean=True)
 
     @classmethod
-    def basis_vector(cls, g, i, ring=ZZ):
+    def basis_vector(cls, g, i):
         """e_i, 1-based."""
-        return cls(g, {mask_from_indices([i], g): ring.coerce(1)}, ring, _clean=True)
+        return cls(g, {mask_from_indices([i], g): 1}, _clean=True)
 
     @classmethod
-    def z(cls, g, j, ring=ZZ):
+    def z(cls, g, j):
         """z_j = e_{2j-1} ^ e_{2j}, 1-based."""
         if not 1 <= j <= g:
             raise DomainError(f"z_{j} undefined for genus {g}")
-        return cls(g, {pair_mask(j - 1): ring.coerce(1)}, ring, _clean=True)
+        return cls(g, {pair_mask(j - 1): 1}, _clean=True)
 
     @classmethod
-    def from_blade(cls, g, mask, coeff=1, ring=ZZ):
-        return cls(g, {mask: coeff}, ring)
+    def from_blade(cls, g, mask, coeff=1):
+        return cls(g, {mask: coeff})
 
     # -- basics ------------------------------------------------------------
 
     def _check(self, other):
         if self.genus != other.genus:
             raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
-        if self.ring != other.ring:
-            raise DomainError(f"ring {self.ring.tag} vs {other.ring.tag}")
 
     def is_zero(self):
         return not self.coeffs
@@ -174,25 +172,21 @@ class Multivector:
     def __eq__(self, other):
         return (isinstance(other, Multivector)
                 and self.genus == other.genus
-                and self.ring == other.ring
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.genus, self.ring, tuple(sorted(self.coeffs.items()))))
+        return hash((self.genus, tuple(sorted(self.coeffs.items()))))
 
     def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
-        p = self.ring.p
         for mask, c in other.coeffs.items():
             v = out.get(mask, 0) + c
-            if p is not None:
-                v %= p
             if v:
                 out[mask] = v
             else:
                 out.pop(mask, None)
-        return Multivector(self.genus, out, self.ring, _clean=True)
+        return Multivector(self.genus, out, _clean=True)
 
     def __neg__(self):
         return self.scale(-1)
@@ -201,19 +195,10 @@ class Multivector:
         return self + (-other)
 
     def scale(self, c):
-        c = self.ring.coerce(c)
         if c == 0:
-            return Multivector.zero(self.genus, self.ring)
-        p = self.ring.p
-        out = {}
-        for mask, v in self.coeffs.items():
-            w = v * c
-            if p is not None:
-                w %= p
-                if w == 0:
-                    continue
-            out[mask] = w
-        return Multivector(self.genus, out, self.ring, _clean=True)
+            return Multivector.zero(self.genus)
+        return Multivector(self.genus, {mask: v * c for mask, v in self.coeffs.items()},
+                           _clean=True)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -223,19 +208,15 @@ class Multivector:
 
     def grade_part(self, p):
         out = {m: c for m, c in self.coeffs.items() if blade_grade(m) == p}
-        return Multivector(self.genus, out, self.ring, _clean=True)
+        return Multivector(self.genus, out, _clean=True)
 
     def is_homogeneous(self):
         return len(self.grades()) <= 1
-
-    def convert(self, ring):
-        return Multivector(self.genus, dict(self.coeffs), ring)
 
     # -- products ----------------------------------------------------------
 
     def wedge(self, other):
         self._check(other)
-        p = self.ring.p
         out = {}
         for ma, ca in self.coeffs.items():
             for mb, cb in other.coeffs.items():
@@ -244,18 +225,15 @@ class Multivector:
                     continue
                 s, m = hit
                 v = out.get(m, 0) + s * ca * cb
-                if p is not None:
-                    v %= p
                 if v:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        return Multivector(self.genus, out, self.ring, _clean=True)
+        return Multivector(self.genus, out, _clean=True)
 
     def contract(self, other):
         """self |_ other."""
         self._check(other)
-        p = self.ring.p
         out = {}
         for mx, cx in self.coeffs.items():
             for ma, ca in other.coeffs.items():
@@ -264,13 +242,11 @@ class Multivector:
                     continue
                 s, m = hit
                 v = out.get(m, 0) + s * cx * ca
-                if p is not None:
-                    v %= p
                 if v:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        return Multivector(self.genus, out, self.ring, _clean=True)
+        return Multivector(self.genus, out, _clean=True)
 
     def star(self):
         """Hodge-Lefschetz star: contraction into eta_g."""
@@ -279,7 +255,7 @@ class Multivector:
         for m, c in self.coeffs.items():
             s, m2 = star_blade(m, g)
             out[m2] = s * c
-        return Multivector(self.genus, out, self.ring)
+        return Multivector(self.genus, out, _clean=True)
 
     def to_terms(self):
         return sorted(self.coeffs.items())
@@ -300,35 +276,35 @@ class Multivector:
                 for m, c in self.to_terms()]
 
     @classmethod
-    def from_json(cls, g, data, ring=ZZ):
+    def from_json(cls, g, data):
         coeffs = {}
         for term in data:
             mask = mask_from_indices(term["blade"], g)
             text = term["coeff"]
             val = Fraction(text) if "/" in text else int(text)
             coeffs[mask] = coeffs.get(mask, 0) + val
-        return cls(g, coeffs, ring)
+        return cls(g, coeffs)
 
 
-def omega(g, ring=ZZ):
+def omega(g):
     """The symplectic form as a 2-form: sum of the z_j."""
-    return Multivector(g, {pair_mask(j): 1 for j in range(g)}, ring)
+    return Multivector(g, {pair_mask(j): 1 for j in range(g)}, _clean=True)
 
 
-def eta(k, g, ring=ZZ):
+def eta(k, g):
     """Divided power omega^k/k!: the sum of all k-fold products of distinct z_j.
 
     Defined over the integers; C(g, k) terms, every coefficient 1.
     """
     if k < 0 or k > g:
-        return Multivector.zero(g, ring)
+        return Multivector.zero(g)
     coeffs = {}
     for subset in combinations(range(g), k):
         m = 0
         for j in subset:
             m |= pair_mask(j)
         coeffs[m] = 1
-    return Multivector(g, coeffs, ring)
+    return Multivector(g, coeffs, _clean=True)
 
 
 def wedge(a, b):
@@ -372,7 +348,7 @@ def blades_of_grade(g, p):
     return masks
 
 
-def random_multivector(g, grade, rng, ring=ZZ, density=0.5, span=9):
+def random_multivector(g, grade, rng, density=0.5, span=9):
     """Seeded random homogeneous element, for property sweeps."""
     coeffs = {}
     for m in blades_of_grade(g, grade):
@@ -380,4 +356,4 @@ def random_multivector(g, grade, rng, ring=ZZ, density=0.5, span=9):
             c = rng.randint(-span, span)
             if c:
                 coeffs[m] = c
-    return Multivector(g, coeffs, ring)
+    return Multivector(g, coeffs, _clean=True)

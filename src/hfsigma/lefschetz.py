@@ -2,54 +2,61 @@
 coprimitive subspaces over Q, and the star-fixed integral lattice in middle
 degree.
 
-Primitive bases are exact Q-null spaces of the lowering operator in the
-blade basis; no representation theory is run at runtime (there is no
-primitive splitting over Z, only over fields of characteristic 0).
+Lambda wedges with omega, and L = -(omega |_ .): in the blade basis both are
+0/1 pair-inclusion matrices (exterior's pair rules).  Primitive bases are
+exact Q-null spaces of the lowering matrix; there is no primitive splitting
+over Z, only over fields of characteristic 0.  The primitive decomposition
+is read off the sl_2 relation [Lambda, L] = H in closed form, with no basis
+and no solve.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .cfk import block_masks
 from .errors import DomainError
-from .exterior import Multivector, blades_of_grade, eta, omega
-from .linalg import SparseExactMatrix, kernel_basis, solve_columns
+from .exterior import Multivector, blades_of_grade, eta, omega, pair_mask
+from .linalg import SparseExactMatrix, kernel_basis
 from .rings import QQ
 
 
 def op_lambda(a):
     """Raising operator: wedge with the symplectic form."""
-    return omega(a.genus, a.ring).wedge(a)
+    return omega(a.genus).wedge(a)
 
 
 def op_L(a):
     """Lowering operator: minus contraction by the symplectic form."""
-    return omega(a.genus, a.ring).contract(a).scale(-1)
+    return omega(a.genus).contract(a).scale(-1)
 
 
 def op_H(a):
     """Weight operator: (p - g) on the grade-p part."""
-    out = Multivector.zero(a.genus, a.ring)
+    out = Multivector.zero(a.genus)
     for p in a.grades():
         out = out + a.grade_part(p).scale(p - a.genus)
     return out
 
 
-def blade_matrix(g, op, src, tgt):
-    """Integer matrix of a linear map op on multivectors, from the blades in
-    src to those in tgt (lists of masks; images lie in the span of tgt)."""
+def _pair_matrix(g, src, tgt, complete):
+    """0/1 matrix from the blades in src to those in tgt (lists of masks)
+    sending m to the sum of m ^ z_j over the pairs j, ascending, that m
+    holds completely (complete=True: L) or not at all (False: Lambda)."""
     index = {m: i for i, m in enumerate(tgt)}
-    mat = SparseExactMatrix(len(tgt), len(src))
+    entries = {}
     for c, mask in enumerate(src):
-        for m2, v in op(Multivector.from_blade(g, mask)).coeffs.items():
-            mat[index[m2], c] = v
-    return mat
+        for j in range(g):
+            z = pair_mask(j)
+            if (mask & z == z) if complete else not mask & z:
+                entries[index[mask ^ z], c] = 1
+    return SparseExactMatrix.from_int_entries(len(tgt), len(src), entries)
 
 
 def lowering_matrix(g, j):
     """Matrix of L restricted to grade j, in the ascending blade bases."""
-    return blade_matrix(g, op_L, blades_of_grade(g, j), blades_of_grade(g, j - 2))
+    return _pair_matrix(g, blades_of_grade(g, j), blades_of_grade(g, j - 2), True)
 
 
 def raising_matrix(g, j, r=None):
@@ -61,7 +68,7 @@ def raising_matrix(g, j, r=None):
         src, tgt = blades_of_grade(g, j), blades_of_grade(g, j + 2)
     else:
         src, tgt = block_masks(g, r, j), block_masks(g, r, j + 2)
-    return blade_matrix(g, op_lambda, src, tgt)
+    return _pair_matrix(g, src, tgt, False)
 
 
 @lru_cache(maxsize=None)
@@ -73,13 +80,8 @@ def primitive_basis(g, j):
     if j < 0 or j > 2 * g:
         return ()
     src = blades_of_grade(g, j)
-    mat = lowering_matrix(g, j)
-    null = kernel_basis(mat, QQ)
-    out = []
-    for col in null:
-        mv = Multivector(g, {src[c]: v for c, v in col.items()}, QQ)
-        out.append(mv)
-    return tuple(out)
+    return tuple(Multivector(g, {src[c]: v for c, v in col.items()})
+                 for col in kernel_basis(lowering_matrix(g, j), QQ))
 
 
 def primitive_dim(g, j):
@@ -98,8 +100,11 @@ def coprimitive_dim(g, j):
 def primitive_decomposition(a):
     """Split a homogeneous a into its omega^k ^ P^(p-2k) components.
 
-    Peels from the largest k down: L^k kills every lower component, so the
-    top one solves L^k(omega^k ^ b) = L^k(residual) exactly over Q.
+    Peels from the largest k down.  L^k kills every lower component, and on
+    a primitive b of grade q the relation [Lambda, L] = H gives
+    L^k(omega^k ^ b) = c b with c = prod_{m=1..k} -m(q - g + m - 1), which
+    is nonzero for every k >= p - g; so the top component is
+    omega^k ^ L^k(residual) / c.
     Returns a list of (k, component) with the components summing to a.
     """
     if not a.is_homogeneous():
@@ -107,7 +112,6 @@ def primitive_decomposition(a):
     if a.is_zero():
         return []
     g = a.genus
-    a = a.convert(QQ)
     p = a.grades()[0]
     # omega^k is injective on P^(p-2k) only for k <= g-(p-2k), i.e. k >= p-g
     k_min = max(0, p - g)
@@ -115,30 +119,15 @@ def primitive_decomposition(a):
     residual = a
     for k in range(p // 2, k_min - 1, -1):
         q = p - 2 * k
-        basis = primitive_basis(g, q)
-        if not basis:
-            continue
-        wk = eta(k, g, QQ).scale(factorial(k))
-        # target vectors: L^k(omega^k ^ basis_i) and L^k(residual)
-        imgs = []
-        for b in basis:
-            v = wk.wedge(b)
-            for _ in range(k):
-                v = op_L(v)
-            imgs.append(v)
-        rhs = residual
+        top = residual  # becomes L^k(residual) = c b
         for _ in range(k):
-            rhs = op_L(rhs)
-        blades = blades_of_grade(g, q)
-        index = {m: i for i, m in enumerate(blades)}
-        cols = [{index[m]: v for m, v in im.coeffs.items()} for im in imgs]
-        target = {index[m]: v for m, v in rhs.coeffs.items()}
-        sol, = solve_columns(cols, [target], len(blades))
-        comp = Multivector.zero(g, QQ)
-        for i, coeff in sol.items():
-            comp = comp + wk.wedge(basis[i]).scale(coeff)
-        if not comp.is_zero():
-            out.append((k, comp))
+            top = op_L(top)
+        if top.is_zero():
+            continue
+        c = prod(-m * (q - g + m - 1) for m in range(1, k + 1))
+        # omega^k = k! eta_k
+        comp = eta(k, g).wedge(top).scale(Fraction(factorial(k), c))
+        out.append((k, comp))
         residual = residual - comp
     if not residual.is_zero():
         raise AssertionError("decomposition residue should vanish")

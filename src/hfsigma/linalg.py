@@ -19,8 +19,7 @@ Pivoting is indexed, so no pivot search rescans the matrix:
   index lists;
 * the SNF unit phase keeps a lazy min-heap of (row length, row) and pushes
   again only the rows a pivot touched;
-* solve_columns keeps a column -> rows index and integer_kernel_lattice a
-  row -> columns index.
+* integer_kernel_lattice keeps a row -> columns index.
 
 A heap entry whose length no longer matches its line is stale and skipped.
 
@@ -350,72 +349,6 @@ def kernel_basis(m, ring):
         raise UnsupportedOperation("kernel_basis is only provided over fields; "
                                    "Z matrices expose kernel_rank only")
     return _field_eliminate(m, ring, want_kernel=True)[1]
-
-
-def solve_columns(basis_columns, rhs_columns, nrows):
-    """Solve B y = x over Q for several right-hand sides at once.
-
-    basis_columns is a list of sparse columns with full column rank; returns
-    one coordinate dict per rhs, raising if a rhs is outside the span.
-    Gauss-Jordan on rows of the augmented system [B | X]; a column -> rows
-    index finds the rows holding each basis column, and the pivot is the
-    shortest of them.  Ticks once per pivot column.
-    """
-    k = len(basis_columns)
-    rows = {}
-    for j, col in enumerate(basis_columns):
-        for r, v in col.items():
-            rows.setdefault(r, {})[j] = Fraction(v)
-    for j, col in enumerate(rhs_columns):
-        for r, v in col.items():
-            rows.setdefault(r, {})[k + j] = Fraction(v)
-    holders = [set() for _ in range(k)]  # basis column -> rows holding it
-    for r, rd in rows.items():
-        for c in rd:
-            if c < k:
-                holders[c].add(r)
-    pivot_row_of = {}
-    used = set()
-    for c in range(k):
-        tick()
-        free = holders[c] - used
-        if not free:
-            raise DomainError("basis columns are dependent")
-        prow = min(free, key=lambda r: (len(rows[r]), r))
-        pivot_row_of[c] = prow
-        used.add(prow)
-        pd = rows[prow]
-        pval = pd[c]
-        for r in list(holders[c]):
-            if r == prow:
-                continue
-            rd = rows[r]
-            f = rd[c] / pval
-            for cc, w in pd.items():
-                nv = rd.get(cc, 0) - f * w
-                if nv:
-                    if cc < k and cc not in rd:
-                        holders[cc].add(r)
-                    rd[cc] = nv
-                elif cc in rd:
-                    del rd[cc]
-                    if cc < k:
-                        holders[cc].discard(r)
-    # consistency: rows without pivots must carry no rhs entries
-    pivot_rows = set(pivot_row_of.values())
-    for r, rd in rows.items():
-        if r not in pivot_rows and any(cc >= k and v for cc, v in rd.items()):
-            raise DomainError("right-hand side outside the span")
-    sols = []
-    for j in range(len(rhs_columns)):
-        sol = {}
-        for c in range(k):
-            rd = rows[pivot_row_of[c]]
-            v = rd.get(k + j)
-            if v:
-                sol[c] = v / rd[c]
-        sols.append(sol)
-    return sols
 
 
 # ---------------------------------------------------------------------------

@@ -51,21 +51,14 @@ class Ring:
             if self.p is not None:
                 return x % self.p
             return x if self.kind == "Z" else Fraction(x)
-        if self.kind == "Fp":
-            if isinstance(x, Fraction):
-                num, den = x.numerator % self.p, x.denominator % self.p
-                if den == 0:
-                    raise DomainError(f"denominator not invertible mod {self.p}")
-                return num * pow(den, -1, self.p) % self.p
-            return int(x) % self.p
         if self.kind == "Q":
             return Fraction(x)
-        # Z: allow integral Fractions through.
+        # Z and F_p: allow integral Fractions through.
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise DomainError(f"{x} is not an integer")
-            return x.numerator
-        return int(x)
+            x = x.numerator
+        return int(x) if self.p is None else int(x) % self.p
 
     @property
     def tag(self):

@@ -253,7 +253,7 @@ def suite_star(max_genus=5):
             bad = 0
             for k in range(0, g // 2 + 1):
                 for b in primitive_basis(g, g - 2 * k):
-                    v = b.wedge(eta(k, g, QQ))
+                    v = b.wedge(eta(k, g))
                     if v.star() != v.scale((-1) ** k):
                         bad += 1
             rep.add("star-eigenvalue-lefschetz", {"g": g}, 0, bad)
@@ -290,7 +290,7 @@ def suite_swap(max_genus=5):
         for q in range(0, g + 1):
             for b in primitive_basis(g, q)[:6]:
                 for l in range(0, g + 1):
-                    if b.contract(eta(l, g, QQ)) != b.wedge(eta(l - q, g, QQ)):
+                    if b.contract(eta(l, g)) != b.wedge(eta(l - q, g)):
                         bad += 1
         rep.add("primitive-contraction", {"g": g}, 0, bad)
     return rep

@@ -66,6 +66,9 @@ def test_bad_flags_exit_2():
     assert proc.returncode == 2
     proc = run_cli("nontorsion", "--genus", "3", "--spinc", "0")
     assert proc.returncode == 2
+    proc = run_cli("slice", "-g", "3", "--op", "F", "--degree", "1/2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_extended_scale_guard():
@@ -92,6 +95,7 @@ def test_slice_and_snf_pipeline(tmp_path):
                    "--ring", "Z", "--out", str(out))
     assert proc.returncode == 0 and out.exists()
     data = json.loads(out.read_text())
+    assert data["config"]["degree"] == "0" and data["result"]["degree"] == 0
     inner = tmp_path / "matrix.json"
     inner.write_text(json.dumps(data["result"]))
     proc = run_cli("snf", "--input", str(inner), "--out", "json")
@@ -114,9 +118,27 @@ def test_snf_malformed_input_exits_2(tmp_path):
     proc = run_cli("slice", "-g", "2", "--op", "F", "--degree", "0", "--ring", "F2",
                    "--out", "json")
     over_f2.write_text(json.dumps(json.loads(proc.stdout)["result"]))
-    for path in (envelope, garbage, over_f2):
+    for path in (envelope, garbage, over_f2, tmp_path):  # tmp_path: a directory
         proc = run_cli("snf", "--input", str(path))
         assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_a_directory_given_as_the_output_exits_2(tmp_path):
+    proc = run_cli("hat", "-g", "2", "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_verify_max_genus_defaults_to_4_and_exits_2_below_1():
+    proc = run_cli("verify", "--suite", "sl2", "--out", "json")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert "max_genus" not in data["config"]
+    assert max(c["params"]["g"] for c in data["result"]["suites"][0]["checks"]) == 4
+    for flag in ("--max-genus=0", "--max-genus=-3"):
+        proc = run_cli("verify", "--suite", "sl2", flag)
+        assert proc.returncode == 2, (flag, proc.stdout)
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 

@@ -6,7 +6,6 @@ from hfsigma.errors import GenusMismatch
 from hfsigma.exterior import (Multivector, all_blades, blade_grade,
                               blades_of_grade, contract_blades, eta, interior,
                               omega, random_multivector, star_blade)
-from hfsigma.rings import QQ, ZZ
 from math import comb
 
 
@@ -142,14 +141,6 @@ def test_multivector_json_roundtrip():
     mv = random_multivector(3, 3, rng) + random_multivector(3, 1, rng)
     back = Multivector.from_json(3, mv.to_json())
     assert back == mv
-
-
-def test_fp_coefficients_normalize():
-    from hfsigma.rings import GF
-    g = 2
-    a = Multivector(g, {0: 5, 1: -1}, GF(3))
-    assert a.coeffs == {0: 2, 1: 2}
-    assert (a + a + a).is_zero()
 
 
 def _ref_contract_vector(vbit, mask):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -7,13 +8,15 @@ from hfsigma.cfk import block_masks
 from hfsigma.errors import DomainError
 from hfsigma.exterior import (Multivector, all_blades, blade_grade,
                               blades_of_grade, eta, omega, random_multivector)
-from hfsigma.lefschetz import (coprimitive_dim, op_H, op_L, op_lambda,
-                               primitive_basis, primitive_decomposition,
-                               primitive_dim, raising_matrix,
-                               self_dual_lattice, self_dual_rank)
+from hfsigma.lefschetz import (coprimitive_dim, lowering_matrix, op_H, op_L,
+                               op_lambda, primitive_basis,
+                               primitive_decomposition, primitive_dim,
+                               raising_matrix, self_dual_lattice,
+                               self_dual_rank)
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, rank,
                             smith_normal_form)
 from hfsigma.rings import QQ
+from oracles import blade_matrix, solved_primitive_decomposition
 
 
 def test_operator_examples():
@@ -58,6 +61,41 @@ def test_primitive_basis_pinned():
     assert [list(b.coeffs.items()) for b in primitive_basis(3, 3)] == expected
 
 
+def _same_matrix(got, want):
+    # equal entries inserted in the same order: the field eliminator pivots
+    # on the first row of a column, so the order fixes primitive_basis
+    return ((got.rows, got.cols, list(got.entries.items()))
+            == (want.rows, want.cols, list(want.entries.items())))
+
+
+def test_pair_matrices_match_the_multivector_route():
+    # every grade at g <= 6, and every weight block at g <= 7
+    for g in range(1, 8):
+        for j in range(-2, 2 * g + 1):
+            src = blades_of_grade(g, j)
+            if g <= 6:
+                assert _same_matrix(raising_matrix(g, j), blade_matrix(
+                    g, op_lambda, src, blades_of_grade(g, j + 2))), (g, j)
+                assert _same_matrix(lowering_matrix(g, j), blade_matrix(
+                    g, op_L, src, blades_of_grade(g, j - 2))), (g, j)
+            for r in range(g + 1):
+                want = blade_matrix(g, op_lambda, block_masks(g, r, j),
+                                    block_masks(g, r, j + 2))
+                assert _same_matrix(raising_matrix(g, j, r=r), want), (g, j, r)
+
+
+def test_primitive_basis_wedges_with_integer_eta():
+    # a Q basis vector holds Fractions, eta holds ints: they mix directly,
+    # and a Fraction equal to an int compares and hashes as that int
+    g = 3
+    b = primitive_basis(g, 1)[0]
+    assert all(type(c) is Fraction for c in b.coeffs.values())
+    v = b.wedge(eta(1, g))
+    assert v == op_lambda(b) and not v.is_zero()
+    as_ints = Multivector(g, {m: int(c) for m, c in b.coeffs.items()})
+    assert as_ints == b and hash(as_ints) == hash(b)
+
+
 def test_primitive_plus_image_dimension():
     for g in range(1, 5):
         for j in range(0, g + 1):
@@ -70,9 +108,9 @@ def test_decomposition_resums_and_is_primitive():
     for g in (2, 3):
         for _ in range(8):
             p = rng.randint(0, 2 * g)
-            a = random_multivector(g, p, rng, QQ)
+            a = random_multivector(g, p, rng)
             comps = primitive_decomposition(a)
-            total = Multivector.zero(g, QQ)
+            total = Multivector.zero(g)
             for k, comp in comps:
                 total = total + comp
                 x = comp
@@ -82,14 +120,29 @@ def test_decomposition_resums_and_is_primitive():
             assert total == a
 
 
+def test_closed_form_decomposition_matches_the_solver_route():
+    rng = random.Random(17)
+    inputs = 0
+    for g in range(1, 6):
+        for p in range(0, 2 * g + 1):
+            for _ in range(4):
+                a = random_multivector(g, p, rng)
+                if a.is_zero():
+                    continue
+                assert primitive_decomposition(a) == \
+                    solved_primitive_decomposition(a), (g, p)
+                inputs += 1
+    assert inputs >= 100
+
+
 def test_decomposition_special_cases():
     g = 3
-    w = omega(g, QQ)
+    w = omega(g)
     assert primitive_decomposition(w) == [(1, w)]
     b = primitive_basis(3, 2)[0]
     assert primitive_decomposition(b) == [(0, b)]
     with pytest.raises(DomainError):
-        primitive_decomposition(w + Multivector.unit(g, QQ))
+        primitive_decomposition(w + Multivector.unit(g))
 
 
 def lefschetz_power_rank(g, l):
@@ -97,10 +150,10 @@ def lefschetz_power_rank(g, l):
     src = blades_of_grade(g, g - l)
     tgt = blades_of_grade(g, g + l)
     tgt_index = {m: i for i, m in enumerate(tgt)}
-    wl = eta(l, g, QQ).scale(factorial(l))
+    wl = eta(l, g).scale(factorial(l))
     mat = SparseExactMatrix(len(tgt), len(src))
     for c, mask in enumerate(src):
-        img = wl.wedge(Multivector.from_blade(g, mask, 1, QQ))
+        img = wl.wedge(Multivector.from_blade(g, mask))
         for m2, v in img.coeffs.items():
             mat[tgt_index[m2], c] = v
     return rank(mat, QQ)
@@ -111,7 +164,7 @@ def coprimitive_basis(g, j):
     # primitive basis of grade 2g-j under omega^(j-g) wedging
     if j < g or j > 2 * g:
         return ()
-    wl = eta(j - g, g, QQ).scale(factorial(j - g))
+    wl = eta(j - g, g).scale(factorial(j - g))
     return tuple(wl.wedge(b) for b in primitive_basis(g, 2 * g - j))
 
 
@@ -127,7 +180,7 @@ def test_coprimitive():
             basis = coprimitive_basis(g, j)
             assert len(basis) == coprimitive_dim(g, j)
             for v in basis:
-                assert omega(g, QQ).wedge(v).is_zero()
+                assert omega(g).wedge(v).is_zero()
         assert coprimitive_dim(g, g - 1) == 0
 
 
@@ -146,7 +199,7 @@ def test_star_eigenvalue_on_summands():
     for g in range(1, 5):
         for k in range(0, g // 2 + 1):
             for b in primitive_basis(g, g - 2 * k):
-                v = b.wedge(eta(k, g, QQ))
+                v = b.wedge(eta(k, g))
                 assert v.star() == v.scale((-1) ** k)
 
 

@@ -24,9 +24,9 @@ from hfsigma.cfk import (B_PLUS, block_masks, corner, slice_map, u_chain_map,
 from hfsigma.exterior import Multivector, blades_of_grade, eta
 from hfsigma.lefschetz import raising_matrix
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
-                            integer_kernel_lattice, kernel_basis, rank,
-                            solve_columns)
+                            integer_kernel_lattice, kernel_basis, rank)
 from hfsigma.rings import GF, QQ, ZZ
+from oracles import solve_columns
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
 
@@ -213,11 +213,21 @@ def test_eg_builds_only_weight_blocks(monkeypatch):
         return raising_matrix(g, j, r)
 
     monkeypatch.setattr(lefschetz, "raising_matrix", recorded)
+    multivectors = []
+    init = Multivector.__init__
+
+    def counted(self, *args, **kwargs):
+        multivectors.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Multivector, "__init__", counted)
     for ring in (ZZ, QQ, GF(3)):
         engine.eg_cohomology(4, ring)
     engine.contraction_cokernel_comparison(4)
-    # one call per wedge block: grades -2..2g on each of the g+1 types
+    # one call per wedge block: grades -2..2g on each of the g+1 types, each
+    # a pair-inclusion matrix built without a Multivector
     assert len(calls) == (2 * 4 + 3) * 5 and None not in calls
+    assert multivectors == []
 
 
 def test_field_tables_reuse_the_integer_smith_forms(monkeypatch):
