@@ -393,9 +393,7 @@ def cmd_slice(args):
     from .cfk import slice_map
     _check_scale(args, heavy_integer_run=False)
     ring = parse_ring(args.ring)
-    s = args.spinc if args.spinc is not None else 0
-    if s > 0:
-        s = -s  # built for the negative side; conjugation-symmetric
+    s = -abs(args.spinc or 0)  # built for the negative side; conjugation-symmetric
     try:
         d = int(args.degree)
     except ValueError:
@@ -433,8 +431,6 @@ def cmd_snf(args):
 def cmd_verify(args):
     from . import verify
     max_genus = 4 if args.max_genus is None else args.max_genus
-    if max_genus < 1:
-        raise DomainError(f"--max-genus must be at least 1, got {max_genus}")
     if max_genus > 5 and not args.extended:
         raise ExtendedScaleRequired("verification beyond genus 5 needs --extended")
     suites = [args.suite] if args.suite != "all" else list(verify._SUITE_FUNCS)
@@ -580,7 +576,10 @@ def _run(argv):
     try:
         with Deadline(args.time_budget, f"(budget {args.time_budget}s)"):
             return args.func(args)
-    except (DomainError, GenusMismatch, UnsupportedOperation) as exc:
+    except BrokenPipeError:
+        raise  # main() exits 1 without a traceback
+    # OSError: a missing file, or a directory given as a file
+    except (DomainError, GenusMismatch, UnsupportedOperation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExtendedScaleRequired as exc:
@@ -589,11 +588,6 @@ def _run(argv):
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        raise  # main() exits 1 without a traceback
-    except OSError as exc:  # a missing file, a directory given as a file, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -641,6 +641,8 @@ def run_suite(name, max_genus=5):
     """Run one suite (or every suite for "all") at the given genus cap.
     Ticks once per suite and once per recorded check."""
     tick()
+    if max_genus < 1:
+        raise DomainError(f"max_genus must be at least 1, got {max_genus}")
     if name == "all":
         t0 = time.time()
         combined = VerificationReport("all")
