@@ -21,9 +21,10 @@ _EXPORTS = {
                "kernel_basis", "kernel_rank", "rank", "smith_normal_form"),
     "cfk": ("GradedElement", "SliceBasis", "j_infinity", "slice_basis",
             "slice_map"),
-    "engine": ("FloerTable", "XModel", "eg_cohomology", "h1_action", "hf_hat",
-               "hf_infinity", "hf_plus_nontorsion", "hf_plus_reduced",
-               "hf_plus_torsion", "triple_cup_beta", "u_action_red"),
+    "engine": ("FloerTable", "hf_hat", "hf_infinity", "hf_plus_reduced",
+               "hf_plus_torsion", "u_action_red"),
+    "nontorsion": ("XModel", "hf_plus_nontorsion"),
+    "bundle": ("eg_cohomology", "triple_cup_beta"),
     "rings": ("GF", "QQ", "ZZ", "Ring", "parse_ring"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}

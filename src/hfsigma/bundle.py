@@ -1,0 +1,142 @@
+"""The circle bundle over the Jacobian torus whose Euler class is the
+intersection form, and the triple cup product of the surface times a
+circle: the cross-checks the paper relates to the torsion tables.
+"""
+
+from .blades import complete_pairs
+from .cfk import block_masks
+from .engine import _block_data, _block_sum, _cone_group
+from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
+                     cokernel_over, rank)
+from .rings import QQ, ZZ
+
+
+# ---------------------------------------------------------------------------
+# circle-bundle cohomology cross-checks
+# ---------------------------------------------------------------------------
+
+def eg_cohomology(g, ring=ZZ):
+    """Cohomology of the circle bundle over the Jacobian torus with Euler
+    class the intersection form, via its Gysin sequence: degree j gives
+    Ker(wedge: j-1 -> j+1) (+) Coker(wedge: j-2 -> j).  Wedging with omega
+    adds complete pairs, so it keeps the weight vector and commutes with
+    the signed pair permutations (cfk module docstring): the groups are
+    summed over the weight blocks, each wedge block entering through one
+    Smith form shared by degrees j and j-1, every ring and
+    contraction_cokernel_comparison."""
+    return {j: _cone_group(g, ("omega", j - 1), ("omega", j - 2), ring)
+            for j in range(0, 2 * g + 2)}
+
+
+def eg_rank_prediction(g, j):
+    """Rational rank of the bundle cohomology: primitive dimension up to the
+    middle, coprimitive above."""
+    from .lefschetz import coprimitive_dim, primitive_dim
+    if j <= g:
+        return primitive_dim(g, j)
+    return coprimitive_dim(g, j - 1)
+
+
+def _one_minus_exp_contraction_matrix(g, parity, r):
+    """Matrix of contraction by (1 - exp(-omega)) = sum_{n>=1} (-1)^(n+1) eta_n
+    on the even or odd half of the representative type-r weight block.
+    Since z_J |_ a = (-1)^|J| (a ^ z_J) for a set J of complete pairs of a
+    (blades module docstring), every entry is -1, at (a ^ z_J, a) for each
+    nonempty such J.  Contraction removes complete pairs, so it keeps the
+    weight vector."""
+    src = [m for p in range(parity, 2 * g + 1, 2) for m in block_masks(g, r, p)]
+    index = {m: i for i, m in enumerate(src)}
+    ent = {}
+    for c, mask in enumerate(src):
+        pairs = sub = complete_pairs(mask)
+        while sub:
+            ent[index[mask ^ sub ^ sub << 1], c] = -1
+            sub = (sub - 1) & pairs
+    return SparseExactMatrix.from_int_entries(len(src), len(src), ent)
+
+
+def contraction_cokernel_comparison(g):
+    """Per parity: presentation of the cokernel of contraction by
+    1 - exp(-omega) next to the direct sum of the per-degree cokernels of
+    wedging with omega (the two agree for every genus computed here), each
+    summed over the weight blocks.  The wedge side reads the Smith forms
+    that eg_cohomology takes (_block_data)."""
+    out = {}
+    for parity in (0, 1):
+        def contraction(r):
+            return cokernel(_one_minus_exp_contraction_matrix(g, parity, r))
+
+        def wedge_sum(r):
+            grp = GroupPresentation()
+            for j in range(parity, 2 * g + 1, 2):
+                rows, _, factors = _block_data(g, "omega", j - 2, r)
+                grp = grp.direct_sum(cokernel_over(rows, factors, ZZ))
+            return grp
+
+        out[parity] = (_block_sum(g, contraction), _block_sum(g, wedge_sum))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# triple cup products
+# ---------------------------------------------------------------------------
+
+def triple_cup_beta(g, s):
+    """The triple-cup homomorphism on the s-th exterior power of the rank
+    2g+1 first cohomology of the product (basis e_1..e_2g, t): contract out
+    ordered triples against <a . b . t> = omega(a, b), with the alternating
+    position sign."""
+    n = 2 * g + 1
+    src = [sum(1 << b for b in bits) for bits in _combinations_sorted(n, s)]
+    tgt = [sum(1 << b for b in bits) for bits in _combinations_sorted(n, s - 3)] if s >= 3 else []
+    src.sort()
+    tgt.sort()
+    idx = {m: i for i, m in enumerate(tgt)}
+    mat = SparseExactMatrix(len(tgt), len(src))
+    tbit = 2 * g
+    for c, mask in enumerate(src):
+        bits = []
+        b = mask
+        while b:
+            low = b & -b
+            bits.append(low.bit_length() - 1)
+            b ^= low
+        if tbit not in bits:
+            continue
+        t_pos = bits.index(tbit)  # always the last position
+        for a_pos in range(len(bits)):
+            for b_pos in range(a_pos + 1, len(bits)):
+                if b_pos == t_pos or a_pos == t_pos:
+                    continue
+                ba, bb = bits[a_pos], bits[b_pos]
+                if (ba ^ bb) != 1:
+                    continue  # omega vanishes off symplectic partners
+                val = 1 if ba % 2 == 0 else -1  # omega(e_a, e_b), a < b
+                sign = (-1) ** ((a_pos + 1) + (b_pos + 1) + (t_pos + 1))
+                rest = mask & ~((1 << ba) | (1 << bb) | (1 << tbit))
+                r = idx[rest]
+                mat[r, c] = mat[r, c] + sign * val
+    return mat
+
+
+def _combinations_sorted(n, k):
+    from itertools import combinations
+    if k < 0:
+        return []
+    return combinations(range(n), k)
+
+
+def beta_quotient_dims(g):
+    """dim over Q of Ker(beta_s)/Im(beta_(s+3)) for each s, with the
+    composition check beta_s . beta_(s+3) = 0."""
+    n = 2 * g + 1
+    mats = {s: triple_cup_beta(g, s) for s in range(0, n + 4)}
+    out = {}
+    for s in range(0, n + 1):
+        m = mats[s]
+        m3 = mats[s + 3]
+        if any(m.mul_columns(m3.col_dicts())):
+            raise AssertionError(f"beta_{s} . beta_{s+3} != 0")
+        ker = m.cols - rank(m, QQ) if m.rows else m.cols
+        out[s] = ker - rank(m3, QQ)
+    return out

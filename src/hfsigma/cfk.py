@@ -39,9 +39,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from .blades import (blade_grade, blades_of_grade, complete_pairs, pair_mask,
+                     star_blade, swap_pairs)
 from .errors import DomainError, GenusMismatch, tick
-from .exterior import (blade_grade, blades_of_grade, complete_pairs,
-                       pair_mask, star_blade, swap_pairs)
 from .linalg import SparseExactMatrix
 
 

@@ -310,8 +310,8 @@ def cmd_nontorsion(args):
                           "use `hf plus` for the torsion structure")
 
     def compute():
-        from . import engine
-        table, model = engine.hf_plus_nontorsion(args.genus, args.spinc)
+        from . import nontorsion
+        table, model = nontorsion.hf_plus_nontorsion(args.genus, args.spinc)
         data = table.to_json()
         data["model"] = model.to_json()
         return data
@@ -324,17 +324,17 @@ def cmd_nontorsion(args):
 
 
 def cmd_action(args):
-    from . import engine
+    from . import nontorsion
     _check_scale(args, heavy_integer_run=False)
     _integers_only(args)
     if not args.spinc:
         raise DomainError("the action is provided for --spinc k != 0 only")
     g, k = args.genus, args.spinc
-    model = engine.XModel(g, g - 1 - abs(k))
+    model = nontorsion.XModel(g, g - 1 - abs(k))
     found = []
     for key in model.basis():
         n = model.degree_of(key)
-        for gi, corrs in engine.h1_corrections(g, k, key):
+        for gi, corrs in nontorsion.h1_corrections(g, k, key):
             for ct in corrs:
                 found.append({
                     "gamma": gi, "xi_u_coord": key[0], "xi_blade_mask": key[1],
@@ -356,11 +356,11 @@ def cmd_eg(args):
     ring = parse_ring(args.ring)
 
     def compute():
-        from . import engine
-        eg = engine.eg_cohomology(args.genus, ring)
+        from . import bundle
+        eg = bundle.eg_cohomology(args.genus, ring)
         entries = [{"deg": str(j), "group": grp.to_json()}
                    for j, grp in sorted(eg.items())]
-        cmpres = engine.contraction_cokernel_comparison(args.genus)
+        cmpres = bundle.contraction_cokernel_comparison(args.genus)
         comparison = {str(par): {"one_minus_exp": lhs.to_json(),
                                  "wedge_sum": rhs.to_json(),
                                  "equal": lhs == rhs}
@@ -375,15 +375,15 @@ def cmd_eg(args):
 
 
 def cmd_beta(args):
-    from . import engine
+    from . import bundle
     _check_scale(args, heavy_integer_run=False)
     g = args.genus
-    dims = engine.beta_quotient_dims(g)
+    dims = bundle.beta_quotient_dims(g)
     payload = {"genus": g,
                "quotient_dims": {str(s): v for s, v in sorted(dims.items())},
                "total": sum(dims.values())}
     if args.spinc is not None and args.spinc >= 0:
-        payload["matrix"] = engine.triple_cup_beta(g, args.spinc).to_json()
+        payload["matrix"] = bundle.triple_cup_beta(g, args.spinc).to_json()
     text = _emit(args, payload, f"triple-cup quotients, genus {g}")
     print(text)
     return 0

@@ -1,43 +1,34 @@
-"""Exact multilinear algebra on the exterior algebra of a symplectic lattice.
-
-Basis covectors e_1, ..., e_{2g} pair off symplectically:
-omega(e_{2i-1}, e_{2i}) = 1 = -omega(e_{2i}, e_{2i-1}), all other pairs 0.
-A basis blade is a bitmask over 2g bits, bit b standing for e_{b+1}; masks
-are canonical by construction, and the grade is the popcount.
+"""Exact multilinear algebra on the exterior algebra of a symplectic lattice:
+sparse elements (Multivector), the symplectic form and its divided powers,
+and the wedge and contraction products.  The bit-level blade rules the
+table commands need are in the blades module; this layer loads only for
+verify, the sl_2 operators of lefschetz and the tests.
 
 Contraction x|_a follows the signed rule
 
     v |_ (w_1 ^ ... ^ w_k) = sum_l (-1)^(l-1) omega(w_l, v) w_1 ^ ... w^_l ... ^ w_k
 
 for a single vector v, extended to blades by nesting from the right:
-(v_1 ^ ... ^ v_p) |_ a = v_1 |_ (v_2 |_ (... (v_p |_ a))).
+(v_1 ^ ... ^ v_p) |_ a = v_1 |_ (v_2 |_ (... (v_p |_ a))).  It splits over
+the symplectic pairs (blades module docstring): x |_ a is nonzero iff
+swap(x) is a subset of a, and then equals (-1)^s (a ^ swap(x)) with
+s = #(even bits of x) + #(complete pairs of x) + sum over bits b of swap(x)
+of #(bits of a below b).
 
-Both operations split over the symplectic pairs, so they have closed forms
-in bit arithmetic.  Write swap(m) for m with bits 2j and 2j+1 exchanged,
-and call pair j complete in m when m holds both of its bits:
-
-* contraction: x |_ a is nonzero iff swap(x) is a subset of a, and then
-  equals (-1)^s (a ^ swap(x)) with s = #(even bits of x) + #(complete pairs
-  of x) + sum over bits b of swap(x) of #(bits of a below b);
-* star: star(m) = m |_ vol = (-1)^#(complete pairs of m) (vol ^ swap(m));
-* pair products: for a set J of complete pairs of a, z_J |_ a =
-  (-1)^|J| (a ^ z_J), which is all the flip map of the knot complex needs;
-  so omega ^ m is the sum of m | z_j over the pairs j that m misses, and
-  -(omega |_ m) the sum of m ^ z_j over the complete pairs of m, every
-  coefficient +1 (the Lefschetz matrices are built from these two rules).
+Both per-blade signs count pairs of bits in order, so each is the parity
+of one AND: a ^ b has sign (-1)^#(b & P(a)) and x |_ a has sign
+(-1)^(#(even bits of x) + #(complete pairs of x) + #(a & P(swap(x)))),
+where bit b of P(m) is the parity of the bits of m above b.  The products
+compute P once per blade of the outer factor; wedge_blades and
+contract_blades are the per-pair rules they are tested against.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from .blades import (_EVEN, _popcount, blade_grade, blades_of_grade,
+                     complete_pairs, pair_mask, star_blade, swap_pairs)
 from .errors import DomainError, GenusMismatch
-
-_popcount = int.bit_count
-_EVEN = 0x5555_5555_5555_5555  # first vector of each pair, genus <= 32
-
-
-def blade_grade(mask):
-    return _popcount(mask)
 
 
 def wedge_blades(a, b):
@@ -58,16 +49,6 @@ def wedge_blades(a, b):
     return (-1 if inversions & 1 else 1), a | b
 
 
-def swap_pairs(mask):
-    """Exchange bits 2j and 2j+1 of every pair."""
-    return ((mask & _EVEN) << 1) | ((mask >> 1) & _EVEN)
-
-
-def complete_pairs(mask):
-    """Pairs of which the blade holds both vectors, as even-bit flags."""
-    return mask & (mask >> 1) & _EVEN
-
-
 def contract_blades(xmask, amask):
     """x |_ a for blades x, a: (coeff, mask) or None (closed form above)."""
     sx = swap_pairs(xmask)
@@ -82,15 +63,12 @@ def contract_blades(xmask, amask):
     return (-1 if parity & 1 else 1), amask ^ sx
 
 
-def star_blade(mask, g):
-    """Hodge-Lefschetz star of a blade, mask |_ vol: (sign, mask')."""
-    return ((-1 if _popcount(complete_pairs(mask)) & 1 else 1),
-            ((1 << (2 * g)) - 1) ^ swap_pairs(mask))
-
-
-def pair_mask(j):
-    """Mask of z_{j+1} = e_{2j+1} ^ e_{2j+2} (j zero-based)."""
-    return 0b11 << (2 * j)
+def _above_parity(mask):
+    """Bit b is the parity of the bits of mask above b (genus <= 32)."""
+    x = mask >> 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        x ^= x >> shift
+    return x
 
 
 def blade_indices(mask):
@@ -219,12 +197,12 @@ class Multivector:
         self._check(other)
         out = {}
         for ma, ca in self.coeffs.items():
+            above = _above_parity(ma)
             for mb, cb in other.coeffs.items():
-                hit = wedge_blades(ma, mb)
-                if hit is None:
+                if ma & mb:
                     continue
-                s, m = hit
-                v = out.get(m, 0) + s * ca * cb
+                m = ma | mb
+                v = out.get(m, 0) + (-ca if _popcount(mb & above) & 1 else ca) * cb
                 if v:
                     out[m] = v
                 else:
@@ -236,12 +214,15 @@ class Multivector:
         self._check(other)
         out = {}
         for mx, cx in self.coeffs.items():
+            sx = swap_pairs(mx)
+            above = _above_parity(sx)
+            if (_popcount(mx & _EVEN) + _popcount(complete_pairs(mx))) & 1:
+                cx = -cx
             for ma, ca in other.coeffs.items():
-                hit = contract_blades(mx, ma)
-                if hit is None:
+                if sx & ~ma:
                     continue
-                s, m = hit
-                v = out.get(m, 0) + s * cx * ca
+                m = ma ^ sx
+                v = out.get(m, 0) + (-cx if _popcount(ma & above) & 1 else cx) * ca
                 if v:
                     out[m] = v
                 else:
@@ -337,15 +318,6 @@ def all_blades(g, p=None):
     if p is None:
         return list(range(n))
     return [m for m in range(n) if _popcount(m) == p]
-
-
-def blades_of_grade(g, p):
-    """Masks of grade p in ascending order, without scanning all 4^g masks."""
-    if p < 0 or p > 2 * g:
-        return []
-    masks = [sum(1 << b for b in bits) for bits in combinations(range(2 * g), p)]
-    masks.sort()
-    return masks
 
 
 def random_multivector(g, grade, rng, density=0.5, span=9):

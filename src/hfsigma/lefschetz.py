@@ -3,11 +3,15 @@ coprimitive subspaces over Q, and the star-fixed integral lattice in middle
 degree.
 
 Lambda wedges with omega, and L = -(omega |_ .): in the blade basis both are
-0/1 pair-inclusion matrices (exterior's pair rules).  Primitive bases are
-exact Q-null spaces of the lowering matrix; there is no primitive splitting
-over Z, only over fields of characteristic 0.  The primitive decomposition
-is read off the sl_2 relation [Lambda, L] = H in closed form, with no basis
-and no solve.
+0/1 pair-inclusion matrices (the pair rules of the blades module).
+Primitive bases are exact Q-null spaces of the lowering matrix; there is no
+primitive splitting over Z, only over fields of characteristic 0.  The
+primitive decomposition is read off the sl_2 relation [Lambda, L] = H in
+closed form, with no basis and no solve.
+
+The operators on Multivectors import the exterior layer when first called,
+so the plus table, which reads only primitive_dim and coprimitive_dim,
+does not load it.
 """
 
 from fractions import Fraction
@@ -15,25 +19,28 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 
+from .blades import blades_of_grade, pair_mask
 from .cfk import block_masks
 from .errors import DomainError
-from .exterior import Multivector, blades_of_grade, eta, omega, pair_mask
 from .linalg import SparseExactMatrix, kernel_basis
 from .rings import QQ
 
 
 def op_lambda(a):
     """Raising operator: wedge with the symplectic form."""
+    from .exterior import omega
     return omega(a.genus).wedge(a)
 
 
 def op_L(a):
     """Lowering operator: minus contraction by the symplectic form."""
+    from .exterior import omega
     return omega(a.genus).contract(a).scale(-1)
 
 
 def op_H(a):
     """Weight operator: (p - g) on the grade-p part."""
+    from .exterior import Multivector
     out = Multivector.zero(a.genus)
     for p in a.grades():
         out = out + a.grade_part(p).scale(p - a.genus)
@@ -77,6 +84,7 @@ def primitive_basis(g, j):
 
     Dimension is C(2g, j) - C(2g, j-2) for j <= g and 0 beyond.
     """
+    from .exterior import Multivector
     if j < 0 or j > 2 * g:
         return ()
     src = blades_of_grade(g, j)
@@ -107,6 +115,7 @@ def primitive_decomposition(a):
     omega^k ^ L^k(residual) / c.
     Returns a list of (k, component) with the components summing to a.
     """
+    from .exterior import eta
     if not a.is_homogeneous():
         raise DomainError("primitive decomposition wants a homogeneous input")
     if a.is_zero():
@@ -141,6 +150,7 @@ def self_dual_lattice(g):
     (2^g of them, star-fixed on the nose), plus pairs x_I z_J + (-1)^n x_I z_K
     where J, K split the pairs not met by I.  Rank 2^(g-1) + C(2g, g)/2.
     """
+    from .exterior import Multivector
     gens = []
     for r in range(g, -1, -2):
         n = (g - r) // 2

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from . import engine
+from . import bundle, engine, nontorsion
 from .cfk import GradedElement, gamma_action, j_infinity, slice_map
 from .errors import DomainError, tick
 from .exterior import (Multivector, all_blades, blade_grade, contract_blades,
@@ -421,7 +421,7 @@ def suite_plus(max_genus=5):
     rep = VerificationReport("plus")
     for g in range(1, max_genus + 1):
         red = engine.hf_plus_reduced(g)
-        dims = engine.x_model_dims(g, g - 3)
+        dims = nontorsion.x_model_dims(g, g - 3)
         bad = sum(1 for d, grp in red.entries.items()
                   if grp.free_rank != dims.get(d - Fraction(5, 2), 0))
         rep.add("reduced-matches-model", {"g": g}, 0, bad)
@@ -535,7 +535,7 @@ def suite_action(max_genus=5, genus_corrections=5):
     rep = VerificationReport("action")
     for g in range(2, max_genus + 1):
         for k in range(1, g):
-            table, model = engine.hf_plus_nontorsion(g, k)
+            table, model = nontorsion.hf_plus_nontorsion(g, k)
             dims = model.dims()
             bad = sum(1 for n, grp in table.entries.items()
                       if grp.free_rank != dims.get(n, 0))
@@ -544,28 +544,28 @@ def suite_action(max_genus=5, genus_corrections=5):
             rep.add("nontorsion-model-ranks", {"g": g, "k": k}, 0, bad)
             rep.add("nontorsion-phi-cross-check", {"g": g, "k": k}, True,
                     table.metadata.get("phi_rank_checked", False))
-            tneg, _ = engine.hf_plus_nontorsion(g, -k)
+            tneg, _ = nontorsion.hf_plus_nontorsion(g, -k)
             rep.add("conjugation-symmetry", {"g": g, "k": k}, True,
                     tneg.entries == table.entries)
-        tz, _ = engine.hf_plus_nontorsion(g, g)
+        tz, _ = nontorsion.hf_plus_nontorsion(g, g)
         rep.add("vanishing-beyond-adjunction", {"g": g, "k": g}, {}, tz.entries)
         rep.add("F-corner-restriction-surjective", {"g": g, "k": 1}, True,
-                engine.f_restriction_surjective(g, 1))
+                nontorsion.f_restriction_surjective(g, 1))
 
     for g in range(2, max_genus + 1):
         for k in range(1, g):
-            model = engine.XModel(g, g - 1 - k)
+            model = nontorsion.XModel(g, g - 1 - k)
             standard_expected = 3 * k > g - 2
             nonzero = 0
             violations = 0
             pairs = 0
             for key in model.basis():
                 n = model.degree_of(key)
-                for gi, corrs in engine.h1_corrections(g, k, key):
+                for gi, corrs in nontorsion.h1_corrections(g, k, key):
                     pairs += 1
                     for ct in corrs:
                         nonzero += 1
-                        power, uexp, deg = engine.correction_location(g, k, n, ct.ell)
+                        power, uexp, deg = nontorsion.correction_location(g, k, n, ct.ell)
                         if (ct.exterior_power != power or ct.u_exponent != uexp
                                 or ct.degree != deg or n < (2 * ct.ell - 1) * k
                                 or not 0 < ct.ell <= (n + k) // (2 * k)):
@@ -587,14 +587,14 @@ def suite_eg(max_genus=5):
     observed identity between the one_plus_J and wedge-omega matrices)."""
     rep = VerificationReport("eg")
     for g in range(1, max_genus + 1):
-        egq = engine.eg_cohomology(g, QQ)
+        egq = bundle.eg_cohomology(g, QQ)
         bad = sum(1 for j, grp in egq.items()
-                  if grp.free_rank != engine.eg_rank_prediction(g, j))
+                  if grp.free_rank != bundle.eg_rank_prediction(g, j))
         rep.add("eg-rational-dims", {"g": g}, 0, bad)
-        cmpres = engine.contraction_cokernel_comparison(g)
+        cmpres = bundle.contraction_cokernel_comparison(g)
         bad = sum(1 for parity, (lhs, rhs) in cmpres.items() if lhs != rhs)
         rep.add("contraction-cokernels-agree", {"g": g}, 0, bad)
-        egz = engine.eg_cohomology(g, ZZ)
+        egz = bundle.eg_cohomology(g, ZZ)
         inf = engine.hf_infinity(g, ZZ)
         for d in (g, g + 1):
             eg_torsion = [f for j, grp in egz.items() if (j - d - g - 1) % 2 == 0
@@ -611,7 +611,7 @@ def suite_beta(max_genus=4):
     rep = VerificationReport("beta")
     for g in range(1, max_genus + 1):
         # raises if the composition is nonzero
-        dims = engine.beta_quotient_dims(g)
+        dims = bundle.beta_quotient_dims(g)
         rep.add("beta-composition-zero", {"g": g}, True, True)
         rep.add("beta-quotient-total", {"g": g}, 2 * comb(2 * g + 1, g),
                 sum(dims.values()))

@@ -4,12 +4,18 @@ solve_columns is the exact Q solver the primitive decomposition once ran;
 blade_matrix and solved_primitive_decomposition are the Multivector route
 to the Lefschetz matrices and the decomposition by solving over a
 primitive basis, which lefschetz replaced by pair-inclusion matrices and
-the sl_2 closed form.
+the sl_2 closed form.  pairwise_product is the Multivector product through
+the per-pair blade rule (wedge_blades, contract_blades), which the products
+replaced by one parity mask per outer blade.  h1_action is the action of a
+single class, one phi series per class, which nontorsion.h1_corrections
+serves for every class from one phi series.
 """
 
 from fractions import Fraction
 from math import factorial
 
+from hfsigma import nontorsion
+from hfsigma.cfk import GradedElement
 from hfsigma.errors import DomainError
 from hfsigma.exterior import Multivector, blades_of_grade, eta
 from hfsigma.lefschetz import op_L, primitive_basis
@@ -128,3 +134,27 @@ def solved_primitive_decomposition(a):
         residual = residual - comp
     assert residual.is_zero()
     return list(reversed(out))
+
+
+def pairwise_product(rule, a, b):
+    """Sum over every pair of blades of rule(blade of a, blade of b), a
+    (sign, mask) or None, times the two coefficients."""
+    out = {}
+    for ma, ca in a.coeffs.items():
+        for mb, cb in b.coeffs.items():
+            hit = rule(ma, mb)
+            if hit is not None:
+                s, m = hit
+                out[m] = out.get(m, 0) + s * ca * cb
+    return Multivector(a.genus, out)
+
+
+def h1_action(g, k, gamma_star_index, xi):
+    """Action of the homology class dual to e_{gamma_star_index} on a
+    homogeneous model element xi (a plane GradedElement supported in the
+    embedded triangle, or a single (c, mask) pair): (standard part,
+    corrections), from a phi series of xi of its own."""
+    kk, xi, n = nontorsion._model_element(g, k, xi)
+    std, corrections = nontorsion._act(g, kk, gamma_star_index, xi, n,
+                                       nontorsion.phi_series(xi, kk).terms)
+    return GradedElement(g, std), corrections

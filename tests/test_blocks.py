@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from hfsigma import engine
+from hfsigma import engine, nontorsion
 from hfsigma.cfk import (B_PLUS, GradedElement, _flip_blade, block_masks,
                          block_multiplicity, corner, gamma_action, j_infinity,
                          slice_map)
@@ -25,6 +25,7 @@ from hfsigma.exterior import blade_grade, blades_of_grade
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                             rank, smith_normal_form)
 from hfsigma.rings import GF, QQ, ZZ
+from oracles import h1_action
 
 BLOCK_OPS = ("F", "F_hat", "one_plus_J")
 RINGS = (ZZ, QQ, GF(2), GF(3))
@@ -200,21 +201,21 @@ def test_phi_image_rank_matches_the_whole_basis():
 def test_h1_corrections_match_the_action_per_class():
     for g, k in nontorsion_cases():
         for key in engine.XModel(g, g - 1 - k).basis():
-            want = [(gi, engine.h1_action(g, k, gi, key)[1]) for gi in range(1, 2 * g + 1)]
+            want = [(gi, h1_action(g, k, gi, key)[1]) for gi in range(1, 2 * g + 1)]
             assert list(engine.h1_corrections(g, k, key)) == want, (g, k, key)
 
 
 def test_nontorsion_ranks_build_no_whole_chain_matrix(monkeypatch):
     types = []
-    chain_matrix = engine.chain_matrix
+    chain_matrix = nontorsion.chain_matrix
 
     def spy(*args, **kwargs):
         types.append(args[3] if len(args) > 3 else kwargs.get("r"))
         return chain_matrix(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "chain_matrix", spy)
-    engine._chain_cached.cache_clear()
-    engine.hf_plus_nontorsion(5, 1)
+    monkeypatch.setattr(nontorsion, "chain_matrix", spy)
+    nontorsion._chain_cached.cache_clear()
+    nontorsion.hf_plus_nontorsion(5, 1)
     assert types and None not in types
 
 
@@ -251,7 +252,7 @@ def composed_act(g, kk, gamma, xi):
     y = gamma_action(gamma, composed_phi_series(xi, kk), truncate=True)
     assert composed_F(y, g, kk).is_zero()
     std = gamma_action(gamma, xi, truncate=True)
-    corr = y.project(engine._TriangleRegion(kk)) - std
+    corr = y.project(nontorsion._TriangleRegion(kk)) - std
     buckets = {}
     for (i, m), v in corr.terms.items():
         buckets.setdefault(2 * i + blade_grade(m) - g, {})[(i, m)] = v
@@ -304,7 +305,7 @@ def test_term_images_match_the_hand_written_maps():
     # every model key and every term of its phi series and, at g <= 4,
     # every term with -1 <= i <= g + 1; images compared in order
     for g, k in nontorsion_cases():
-        images = engine._nontorsion_images(g, k)
+        images = nontorsion._nontorsion_images(g, k)
         refs = hand_written_images(g, k)
         terms = set()
         for key in engine.XModel(g, g - 1 - k).basis():
@@ -331,7 +332,7 @@ def test_action_matches_the_composed_maps():
         for key in engine.XModel(g, g - 1 - k).basis():
             xi = GradedElement(g, {key: 1})
             want = [composed_act(g, k, gi, xi) for gi in range(1, 2 * g + 1)]
-            assert [engine.h1_action(g, k, gi, key)
+            assert [h1_action(g, k, gi, key)
                     for gi in range(1, 2 * g + 1)] == want, (g, k, key)
             assert list(engine.h1_corrections(g, k, key)) == [
                 (gi, corrs) for gi, (_std, corrs) in enumerate(want, 1)], (g, k, key)

@@ -374,12 +374,12 @@ def test_nontorsion_over_other_rings_exits_2(command):
 
 
 def test_action_builds_the_model_without_the_table(monkeypatch, capsys):
-    from hfsigma import cli, engine
+    from hfsigma import cli, nontorsion
 
     def no_table(*args, **kwargs):
         raise AssertionError("action computed the nontorsion table")
 
-    monkeypatch.setattr(engine, "hf_plus_nontorsion", no_table)
+    monkeypatch.setattr(nontorsion, "hf_plus_nontorsion", no_table)
     assert cli.main(["action", "-g", "4", "--spinc", "1", "--out", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == {
         "genus": 4, "spinc": 1, "standard": True, "corrections_found": 0,
@@ -404,7 +404,8 @@ except SystemExit:
     pass
 sys.stderr.write(" ".join(sorted(sys.modules)))
 """
-ENGINE_MODULES = {"hfsigma.engine", "hfsigma.cfk", "hfsigma.linalg",
+ENGINE_MODULES = {"hfsigma.engine", "hfsigma.nontorsion", "hfsigma.bundle",
+                  "hfsigma.cfk", "hfsigma.linalg", "hfsigma.blades",
                   "hfsigma.exterior", "hfsigma.lefschetz", "hfsigma.verify"}
 
 
@@ -435,7 +436,37 @@ def test_commands_load_no_dataclasses():
         assert not mods & {"dataclasses", "inspect"}, argv
 
 
-def test_cache_key_covers_source(tmp_path):
+# Which layers a cold command may not load: each compiles only its subject.
+COLD_UNLOADED = [
+    (("hat", "-g", "2"), {"hfsigma.nontorsion", "hfsigma.bundle",
+                          "hfsigma.exterior", "hfsigma.verify"}),
+    (("infinity", "-g", "2", "--ring", "Z"),
+     {"hfsigma.nontorsion", "hfsigma.bundle", "hfsigma.exterior", "hfsigma.verify"}),
+    (("plus", "-g", "3", "--reduced"),
+     {"hfsigma.nontorsion", "hfsigma.bundle", "hfsigma.exterior", "hfsigma.verify"}),
+    (("nontorsion", "-g", "3", "--spinc", "1"), {"hfsigma.bundle", "hfsigma.verify"}),
+    (("action", "-g", "3", "--spinc", "1"), {"hfsigma.bundle", "hfsigma.verify"}),
+    (("eg", "-g", "2"), {"hfsigma.nontorsion"}),
+]
+
+
+@pytest.mark.parametrize("argv,unloaded", COLD_UNLOADED,
+                         ids=[argv[0] for argv, _ in COLD_UNLOADED])
+def test_cold_commands_load_only_their_subject(argv, unloaded, tmp_path):
+    cache = () if argv[0] == "action" else ("--cache-dir", str(tmp_path))
+    proc = run_cli(*argv, *cache, "--out", "json", python_args=("-c", LOADED_PROBE))
+    assert json.loads(proc.stdout)["command"] == argv[0]
+    mods = set(proc.stderr.split())
+    assert "hfsigma.engine" in mods  # the probe sees a computation
+    assert not mods & unloaded, sorted(mods & unloaded)
+
+
+PACKAGE_MODULES = sorted(name for name in os.listdir(os.path.join(SRC, "hfsigma"))
+                         if name.endswith(".py"))
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
+def test_cache_key_covers_source(module, tmp_path):
     src = tmp_path / "src"
     shutil.copytree(os.path.join(SRC, "hfsigma"), src / "hfsigma",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -443,7 +474,7 @@ def test_cache_key_covers_source(tmp_path):
     env = {"HF_CACHE_DIR": str(cache)}
     first = _payload(run_cli("hat", "-g", "2", "--out", "json", env_extra=env, src=src))
     assert len(list(cache.glob("*.json"))) == 1
-    with open(src / "hfsigma" / "engine.py", "a") as fh:
+    with open(src / "hfsigma" / module, "a") as fh:
         fh.write("# an edit that must invalidate cached results\n")
     second = run_cli("hat", "-g", "2", "--out", "json", env_extra=env, src=src)
     assert _payload(second) == first

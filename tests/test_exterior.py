@@ -5,8 +5,10 @@ import pytest
 from hfsigma.errors import GenusMismatch
 from hfsigma.exterior import (Multivector, all_blades, blade_grade,
                               blades_of_grade, contract_blades, eta, interior,
-                              omega, random_multivector, star_blade)
+                              omega, random_multivector, star_blade,
+                              wedge_blades)
 from math import comb
+from oracles import pairwise_product
 
 
 def e(g, i):
@@ -31,6 +33,24 @@ def test_wedge_graded_commutative():
             a = random_multivector(g, pa, rng)
             b = random_multivector(g, pb, rng)
             assert a.wedge(b) == b.wedge(a).scale((-1) ** (pa * pb))
+
+
+def test_products_match_the_per_pair_rule():
+    # mixed grades, so that several blade pairs land on one mask; a ^ a of
+    # an odd element and the contraction of a 2-form into itself cancel
+    rng = random.Random(18)
+    for g in range(1, 6):
+        for _ in range(12):
+            a, b = (sum((random_multivector(g, p, rng, density=0.3, span=3)
+                         for p in rng.sample(range(2 * g + 1), 3)),
+                        Multivector.zero(g)) for _ in range(2))
+            assert a.wedge(b) == pairwise_product(wedge_blades, a, b)
+            assert a.contract(b) == pairwise_product(contract_blades, a, b)
+        odd = random_multivector(g, 1, rng)
+        assert odd.wedge(odd).is_zero()
+        assert pairwise_product(wedge_blades, odd, odd).is_zero()
+        two = random_multivector(g, 2, rng)
+        assert two.contract(two) == pairwise_product(contract_blades, two, two)
 
 
 def test_contract_omega_examples():

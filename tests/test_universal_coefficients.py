@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from hfsigma import engine, lefschetz
+from hfsigma import bundle, engine, lefschetz
 from hfsigma.cfk import (B_PLUS, block_masks, corner, slice_map, u_chain_map,
                          u_slice_map)
 from hfsigma.exterior import Multivector, blades_of_grade, eta
@@ -200,7 +200,7 @@ def test_contraction_blocks_match_the_eta_route():
     for g in range(1, 7):
         for r in range(g + 1):
             for parity in (0, 1):
-                assert engine._one_minus_exp_contraction_matrix(g, parity, r) == \
+                assert bundle._one_minus_exp_contraction_matrix(g, parity, r) == \
                     reference_contraction_matrix(g, parity, r), (g, parity, r)
 
 
