@@ -34,7 +34,6 @@ holds the masks with bit 2i alone for i < r and 00 or 11 for each later
 pair, 2^(g-r) masks in all against 4^g.
 """
 
-import hashlib
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -124,6 +123,14 @@ def block_multiplicity(g, r):
     return comb(g, r) << r
 
 
+def _slice_cells(g, region, d):
+    """Cells (i, p) of the degree-d slice of a region, i ascending, with
+    p = g + d - 2i in [0, 2g]."""
+    i_lo = -((g - d) // 2)  # ceil((d-g)/2)
+    return [(i, g + d - 2 * i) for i in range(i_lo, (d + g) // 2 + 1)
+            if region.contains(i, d - i)]
+
+
 class SliceBasis:
     """Ordered basis of the degree-d slice of a region, or of its
     representative type-r weight block when r is given.
@@ -140,20 +147,10 @@ class SliceBasis:
         self.genus = g
         self.region = region
         self.degree = degree
-        self.cells = []
+        self.cells = _slice_cells(g, region, degree)
         self.index = {}
         self.elements = []
-        d = degree
-        # p = g + d - 2i must lie in [0, 2g]
-        i_lo = -((g - d) // 2)  # ceil((d-g)/2)
-        i_hi = (d + g) // 2
-        for i in range(i_lo, i_hi + 1):
-            p = g + d - 2 * i
-            if p < 0 or p > 2 * g:
-                continue
-            if not region.contains(i, d - i):
-                continue
-            self.cells.append((i, p))
+        for i, p in self.cells:
             for mask in blades_of_grade(g, p) if r is None else block_masks(g, r, p):
                 self.index[(i, mask)] = len(self.elements)
                 self.elements.append((i, mask))
@@ -405,9 +402,10 @@ def _regions(op, s=0):
     return B_PLUS, corner(s)
 
 
-def _bases(g, op, d, s=0, r=None, basis=slice_basis):
-    """Source and target bases of a slice op, each built by basis(g,
-    region, degree, r)."""
+def _layout(g, op, d, s=0, r=None):
+    """Source region and target (region, degree) slices of a slice op: one
+    slice, or for h/F at s != 0 the degree-d and degree-(d + 2s) slices of
+    the corner, the first of them dropped for h."""
     if op not in OPS:
         raise DomainError(f"unknown slice op {op!r}")
     if s > 0:
@@ -415,13 +413,20 @@ def _bases(g, op, d, s=0, r=None, basis=slice_basis):
     if r is not None and not 0 <= r <= g:
         raise DomainError(f"weight type {r} out of range for genus {g}")
     src_region, tgt_region = _regions(op, s)
-    src = basis(g, src_region, d, r)
-    if tgt_region == src_region:  # one_plus_J: one basis, built once
-        return src, src
-    if s == 0:
-        return src, basis(g, tgt_region, d, r)
+    if op == "one_plus_J" or s == 0:
+        return src_region, [(tgt_region, d)]
     degs = {"v": [d], "h": [d + 2 * s]}.get(op, [d, d + 2 * s])
-    return src, UnionBasis([basis(g, tgt_region, dd, r) for dd in degs])
+    return src_region, [(tgt_region, dd) for dd in degs]
+
+
+def _bases(g, op, d, s=0, r=None):
+    """Source and target bases of a slice op, from the slice_basis cache."""
+    src_region, targets = _layout(g, op, d, s, r)
+    src = slice_basis(g, src_region, d, r)
+    if targets == [(src_region, d)]:  # one_plus_J: one basis, built once
+        return src, src
+    tgts = [slice_basis(g, region, dd, r) for region, dd in targets]
+    return src, tgts[0] if s == 0 else UnionBasis(tgts)
 
 
 def _accumulate(g, op, s, src, tgt):
@@ -497,6 +502,16 @@ def _flip_sources(g, m2):
         sub = (sub - 1) & empty
 
 
+def _flip_template(g, m2):
+    """_flip_sources(g, m2) as (pair union x, coeff), the source blade being
+    swap_pairs(full ^ m2) - x, ordered n ascending, then x descending:
+    source columns ascending.  It depends on m2 only through its empty
+    pairs and the parity of its grade."""
+    base = swap_pairs(((1 << (2 * g)) - 1) ^ m2)
+    return tuple((base ^ mask, w) for _, mask, w in
+                 sorted(_flip_sources(g, m2), key=lambda t: (-t[0], t[1])))
+
+
 _DIGEST_CHUNK = 4096  # entries serialized per sha256 update
 
 
@@ -506,37 +521,71 @@ def slice_digest(g, op, d, s=0):
     {"cols":C,"entries":[[r,c,"v"],...],"ring":"Z","rows":R} with the
     entries in (r, c) order.
 
-    Row-major: the target basis is walked in order, and each row's entries
-    are collected from the sources of its blade (_flip_sources, plus the
-    identity term for every op but h), summed, sorted by column and
-    streamed to sha256 in chunks.  Memory is O(basis): the bases are built
-    outside the slice_basis cache and no flip is cached, so nothing that
-    grows with the number of nonzeros is kept.  Ticks once per target row.
+    Row-major and without a basis: the target cells are walked in order,
+    each through blades_of_grade, and each row's entries come from the
+    sources of its blade (_flip_sources, plus the identity term for every
+    op but h), already in column order, and are streamed to sha256 in
+    chunks.  Within a slice each grade fills one cell, so one array of
+    4^g ints (typecode "i", 4 MB at g = 10), built per call, maps a source
+    mask to its column: its cell's offset plus its rank among the masks of
+    its grade, -1 outside the source.  Besides it the walk keeps one flip
+    template per empty-pair pattern and grade parity (_flip_template) and
+    nothing that grows with the number of nonzeros; no cache is touched.
+    Ticks once per target row.
     """
-    src, tgt = _bases(g, op, d, s, basis=SliceBasis)
-    get = src.index.get
+    import hashlib  # links OpenSSL's libcrypto (about 3.5 MB resident)
+    src_region, targets = _layout(g, op, d, s)
+    # 4^g C ints (typecode "i"), every byte 0xff: all -1.  A bytearray cast
+    # needs no extension module, where the array module is a shared library
+    col = memoryview(bytearray(b"\xff") * (4 << (2 * g))).cast("i")
+    cols = 0
+    for _, p in _slice_cells(g, src_region, d):
+        for k, mask in enumerate(blades_of_grade(g, p), cols):
+            col[mask] = k
+        cols += comb(2 * g, p)
+    full = (1 << (2 * g)) - 1
     shift = 0 if op == "one_plus_J" else s
-    h = hashlib.sha256(b'{"cols":%d,"entries":[' % src.size)
-    chunk, sep = [], ""
-    for r, (i, m2) in enumerate(tgt.elements):
-        tick()
-        row = {}
-        if op != "h":
-            c = get((i, m2))
-            if c is not None:
-                row[c] = 1
-        if op != "v":
-            for di, mask, w in _flip_sources(g, m2):
-                c = get((i - di - shift, mask))
-                if c is not None:
-                    row[c] = row.get(c, 0) + w
-        chunk.extend('[%d,%d,"%d"]' % (r, c, row[c]) for c in sorted(row) if row[c])
-        if len(chunk) >= _DIGEST_CHUNK:
-            h.update((sep + ",".join(chunk)).encode())
-            chunk, sep = [], ","
+    templates = {}
+    h = hashlib.sha256(b'{"cols":%d,"entries":[' % cols)
+    chunk, sep, r = [], "", 0
+    append = chunk.append
+    for region, dd in targets:
+        ident = op != "h" and dd == d
+        flips = op != "v" and dd == d + 2 * shift
+        for _, q in _slice_cells(g, region, dd):
+            for m2 in blades_of_grade(g, q):
+                tick()
+                c_id = col[m2] if ident else -1
+                if flips:
+                    rest = full ^ m2
+                    key = complete_pairs(rest), q & 1
+                    tpl = templates.get(key)
+                    if tpl is None:
+                        tpl = templates[key] = _flip_template(g, m2)
+                    base = swap_pairs(rest)
+                    for x, w in tpl:
+                        c = col[base - x]
+                        if c < 0:
+                            continue
+                        if 0 <= c_id <= c:  # the identity term, merged in place
+                            if c_id < c:
+                                append('[%d,%d,"1"]' % (r, c_id))
+                            else:
+                                w += 1
+                            c_id = -1
+                            if not w:
+                                continue
+                        append('[%d,%d,"%d"]' % (r, c, w))
+                if c_id >= 0:
+                    append('[%d,%d,"1"]' % (r, c_id))
+                r += 1
+                if len(chunk) >= _DIGEST_CHUNK:
+                    h.update((sep + ",".join(chunk)).encode())
+                    chunk.clear()
+                    sep = ","
     if chunk:
         h.update((sep + ",".join(chunk)).encode())
-    h.update(b'],"ring":"Z","rows":%d}' % tgt.size)
+    h.update(b'],"ring":"Z","rows":%d}' % r)
     return h.hexdigest()[:16]
 
 

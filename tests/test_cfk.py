@@ -348,11 +348,19 @@ def test_slice_digest_matches_the_to_json_route():
                 for d in range(-g - 3, g + 4):
                     assert slice_digest(g, op, d, s) == _to_json_digest(g, op, d, s), \
                         (g, op, d, s)
+    # at g = 6, the degrees the tables fingerprint
+    for op, d in (("F_hat", 0), ("one_plus_J", 6), ("one_plus_J", 7)):
+        assert slice_digest(6, op, d) == _to_json_digest(6, op, d), (op, d)
 
 
 def test_slice_digest_pins_the_g7_infinity_hashes():
     assert slice_digest(7, "one_plus_J", 7) == "e24003df07d3de2e"
     assert slice_digest(7, "one_plus_J", 8) == "2f0d7fce7a269960"
+
+
+def test_slice_digest_pins_the_g8_infinity_hashes():
+    assert slice_digest(8, "one_plus_J", 8) == "e5670e19317b9b3a"
+    assert slice_digest(8, "one_plus_J", 9) == "0cabe0c4bfce0870"
 
 
 def test_flip_sources_is_the_transpose_of_flip_blade():
@@ -366,7 +374,8 @@ def test_flip_sources_is_the_transpose_of_flip_blade():
         assert forward == backward, g
 
 
-def test_slice_digest_memory_stays_at_basis_size():
+def test_slice_digest_memory_stays_under_a_megabyte():
+    # no basis: a 64 KB column array, one grade's masks and the flip templates
     slice_digest(2, "one_plus_J", 2)  # imports and first-call state
     tracemalloc.start()
     try:
@@ -374,7 +383,7 @@ def test_slice_digest_memory_stays_at_basis_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3_000_000, peak
+    assert peak < 1_000_000, peak
 
 
 def test_slice_digest_leaves_the_caches_alone():

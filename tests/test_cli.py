@@ -445,7 +445,10 @@ COLD_UNLOADED = [
     (("plus", "-g", "3", "--reduced"),
      {"hfsigma.nontorsion", "hfsigma.bundle", "hfsigma.exterior", "hfsigma.verify"}),
     (("nontorsion", "-g", "3", "--spinc", "1"), {"hfsigma.bundle", "hfsigma.verify"}),
-    (("action", "-g", "3", "--spinc", "1"), {"hfsigma.bundle", "hfsigma.verify"}),
+    # action neither reads the result cache nor fingerprints a matrix, so it
+    # leaves hashlib and its OpenSSL library unloaded
+    (("action", "-g", "3", "--spinc", "1"),
+     {"hfsigma.bundle", "hfsigma.verify", "hashlib", "_hashlib"}),
     (("eg", "-g", "2"), {"hfsigma.nontorsion"}),
 ]
 

@@ -1,7 +1,25 @@
+import importlib
+import pkgutil
+
 import pytest
 
+import hfsigma
 from hfsigma import verify
 from hfsigma.errors import Deadline, DomainError
+
+
+def memo_table_sizes():
+    """Size of every memo table of the package, found by walking all of its
+    modules: each functools cache wrapper, and engine's _BLOCKS/_KERNELS."""
+    sizes = {}
+    for info in pkgutil.iter_modules(hfsigma.__path__):
+        mod = importlib.import_module(f"hfsigma.{info.name}")
+        for attr, value in vars(mod).items():
+            if callable(getattr(value, "cache_info", None)):
+                sizes[f"{info.name}.{attr}"] = value.cache_info().currsize
+            elif attr in ("_BLOCKS", "_KERNELS"):
+                sizes[f"{info.name}.{attr}"] = len(value)
+    return sizes
 
 
 @pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "all"])
@@ -22,6 +40,24 @@ def test_eg_suite_checks_infinity_torsion_against_eg():
                                          for d in (g, g + 1)]
     assert all(c.ok and c.source == "cross-computation" for c in cross)
     assert str(cross[-1].computed) == "Z/2"  # g = 3, d = 4
+
+
+@pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "all"])
+def test_each_suite_releases_the_memo_tables(suite):
+    verify.run_suite(suite, 3)
+    sizes = memo_table_sizes()
+    assert {"engine._BLOCKS", "engine._KERNELS", "cfk.slice_basis",
+            "cfk._flip_blade", "lefschetz.primitive_basis",
+            "nontorsion._nontorsion_images", "nontorsion._gamma_images",
+            "nontorsion._chain_cached"} <= set(sizes)
+    assert not {name: n for name, n in sizes.items() if n}
+
+
+def test_a_suite_alone_matches_its_part_of_all():
+    combined = verify.run_suite("all", 3).checks
+    alone = verify.run_suite("eg", 3).checks
+    ids = {c.check_id for c in alone}
+    assert [c for c in combined if c.check_id in ids] == alone
 
 
 def test_run_all_collects_everything():
