@@ -4,10 +4,9 @@ circle: the cross-checks the paper relates to the torsion tables.
 """
 
 from .blades import complete_pairs
+from .blocks import _block_data, _block_sum, _cone_group, smith_form
 from .cfk import block_masks
-from .engine import _block_data, _block_sum, _cone_group
-from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
-                     cokernel_over, rank)
+from .linalg import GroupPresentation, SparseExactMatrix, cokernel_over, rank
 from .rings import QQ, ZZ
 
 
@@ -60,11 +59,13 @@ def contraction_cokernel_comparison(g):
     1 - exp(-omega) next to the direct sum of the per-degree cokernels of
     wedging with omega (the two agree for every genus computed here), each
     summed over the weight blocks.  The wedge side reads the Smith forms
-    that eg_cohomology takes (_block_data)."""
+    that eg_cohomology takes (_block_data); the contraction blocks go
+    through the same store (blocks.smith_form)."""
     out = {}
     for parity in (0, 1):
         def contraction(r):
-            return cokernel(_one_minus_exp_contraction_matrix(g, parity, r))
+            m = _one_minus_exp_contraction_matrix(g, parity, r)
+            return cokernel_over(m.rows, smith_form(m), ZZ)
 
         def wedge_sum(r):
             grp = GroupPresentation()

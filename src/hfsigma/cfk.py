@@ -38,6 +38,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from . import sha256
 from .blades import (blade_grade, blades_of_grade, complete_pairs, pair_mask,
                      star_blade, swap_pairs)
 from .errors import DomainError, GenusMismatch, tick
@@ -524,16 +525,16 @@ def slice_digest(g, op, d, s=0):
     Row-major and without a basis: the target cells are walked in order,
     each through blades_of_grade, and each row's entries come from the
     sources of its blade (_flip_sources, plus the identity term for every
-    op but h), already in column order, and are streamed to sha256 in
-    chunks.  Within a slice each grade fills one cell, so one array of
-    4^g ints (typecode "i", 4 MB at g = 10), built per call, maps a source
-    mask to its column: its cell's offset plus its rank among the masks of
-    its grade, -1 outside the source.  Besides it the walk keeps one flip
+    op but h), already in column order, and are streamed in chunks to the
+    package's builtin sha256 (hfsigma.sha256, no OpenSSL).  Within a slice
+    each grade fills one cell, so one array of 4^g ints (typecode "i", 4 MB
+    at g = 10), built per call, maps a source mask to its column: its
+    cell's offset plus its rank among the masks of its grade, -1 outside
+    the source.  Besides it the walk keeps one flip
     template per empty-pair pattern and grade parity (_flip_template) and
     nothing that grows with the number of nonzeros; no cache is touched.
     Ticks once per target row.
     """
-    import hashlib  # links OpenSSL's libcrypto (about 3.5 MB resident)
     src_region, targets = _layout(g, op, d, s)
     # 4^g C ints (typecode "i"), every byte 0xff: all -1.  A bytearray cast
     # needs no extension module, where the array module is a shared library
@@ -546,7 +547,7 @@ def slice_digest(g, op, d, s=0):
     full = (1 << (2 * g)) - 1
     shift = 0 if op == "one_plus_J" else s
     templates = {}
-    h = hashlib.sha256(b'{"cols":%d,"entries":[' % cols)
+    h = sha256(b'{"cols":%d,"entries":[' % cols)
     chunk, sep, r = [], "", 0
     append = chunk.append
     for region, dd in targets:

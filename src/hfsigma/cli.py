@@ -29,7 +29,7 @@ import time
 from fractions import Fraction
 from math import ceil, floor
 
-from . import __version__
+from . import __version__, sha256
 from .errors import (BudgetExceeded, Deadline, DomainError,
                      ExtendedScaleRequired, GenusMismatch,
                      UnsupportedOperation, active)
@@ -184,19 +184,18 @@ def _cache_key(args):
     """sha256 of the command, its configuration and the bytes of the
     package's modules and data files (in sorted path order), so that a
     stored result names the code that computed it."""
-    import hashlib
     pkg = os.path.dirname(__file__)
     paths = sorted([name for name in os.listdir(pkg) if name.endswith(".py")]
                    + [f"data/{name}" for name in os.listdir(os.path.join(pkg, "data"))
                       if name.endswith(".json")])
-    source = hashlib.sha256()
+    source = sha256()
     for rel in paths:
         source.update(rel.encode() + b"\0")
         with open(os.path.join(pkg, rel), "rb") as fh:
             source.update(fh.read())
     blob = json.dumps({"command": args.command, "config": _config_dict(args),
                        "source": source.hexdigest()}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def _check(payload, schema):
@@ -225,9 +224,13 @@ def _cache_store(path, payload):
     cdir = os.path.dirname(path)
     os.makedirs(cdir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cached(args, compute, schema):
@@ -443,9 +446,9 @@ def cmd_verify(args):
         except BudgetExceeded:
             raise
         except (OSError, RuntimeError):
-            reports = [verify.run_suite(s, max_genus) for s in suites]
+            reports = verify.run_suites(suites, max_genus)
     else:
-        reports = [verify.run_suite(s, max_genus) for s in suites]
+        reports = verify.run_suites(suites, max_genus)
     ok = True
     payload = {"suites": []}
     for rep in reports:

@@ -6,13 +6,16 @@ Everything is mapping-cone homology of the structure map F = v + h between
 the i >= 0 quotient and a corner region of the bigraded model: the group in
 half-integer degree d + 1/2 is Ker(F_d) (+) Coker(F_{d+1}).  The complexes
 carry no differential, so U acts blockwise and reduced parts are honest
-lattice quotients by high U-powers.
+lattice quotients by high U-powers.  Every block enters through the
+content-addressed store of the blocks module, which also holds FloerTable:
+one Smith form per distinct matrix, whatever degree, op or genus asks.
 
 The paper's two other subjects have their own modules, so that a table
 command compiles only its own: the nonzero-Chern-class sector and its
 H_1-action (nontorsion) and the circle bundle over the Jacobian torus with
-the triple cup product (bundle).  Their public names still resolve as
-attributes of this module, importing their home on first access (PEP 562).
+the triple cup product (bundle).  Both build on blocks, not on this module.
+Their public names still resolve as attributes of this module, importing
+their home on first access (PEP 562).
 """
 
 from fractions import Fraction
@@ -21,12 +24,13 @@ from importlib import import_module
 from math import comb
 
 from .blades import blades_of_grade, star_blade
+from .blocks import (FloerTable, _block_data, _block_sum, _cone_group,
+                     _deg_str, _kernel_cols, _span_rank, smith_form)
 from .cfk import (B_PLUS, block_multiplicity, corner, slice_digest, slice_map,
                   u_chain_map, u_slice_map)
-from .errors import tick
 from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
-                     cokernel_over, factor_rank, integer_kernel_lattice,
-                     kernel_basis, lattice_quotient, rank, smith_normal_form)
+                     cokernel_over, factor_rank, kernel_basis,
+                     lattice_quotient)
 from .rings import QQ, ZZ
 
 _MOVED = {
@@ -48,136 +52,12 @@ def __getattr__(name):
 
 
 # ---------------------------------------------------------------------------
-# tables
+# degrees
 # ---------------------------------------------------------------------------
-
-BASIS_ORDER = "cells by U-coordinate ascending, blades by mask ascending"
-
-
-class FloerTable:
-    """One flavor's groups by degree, with its towers and metadata."""
-
-    __slots__ = ("genus", "spinc", "ring", "flavor", "entries", "towers", "metadata")
-
-    def __init__(self, genus, spinc, ring, flavor, entries=None, towers=None,
-                 metadata=None):
-        self.genus = genus
-        self.spinc = spinc
-        self.ring = ring
-        self.flavor = flavor  # hat | plus | plus_red | infinity | nontorsion
-        self.entries = {} if entries is None else entries  # degree -> GroupPresentation
-        self.towers = [] if towers is None else towers
-        self.metadata = {} if metadata is None else metadata
-        self.metadata.setdefault("basis_order", BASIS_ORDER)
-
-    def _key(self):
-        return (self.genus, self.spinc, self.ring, self.flavor, self.entries,
-                self.towers, self.metadata)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return "FloerTable(%r, %r, %r, %r, %r, %r, %r)" % self._key()
-
-    def rank_at(self, degree):
-        grp = self.entries.get(degree)
-        return grp.free_rank if grp else 0
-
-    def support(self):
-        return sorted(d for d, grp in self.entries.items() if not grp.is_trivial())
-
-    def all_invariant_factors(self):
-        out = []
-        for d in sorted(self.entries):
-            out.extend(self.entries[d].invariant_factors)
-        return out
-
-    def to_json(self):
-        ents = [{"deg": _deg_str(d), "group": self.entries[d].to_json()}
-                for d in sorted(self.entries)]
-        return {"genus": self.genus, "spinc": self.spinc, "ring": self.ring.tag,
-                "flavor": self.flavor, "entries": ents, "towers": self.towers,
-                "metadata": self.metadata}
-
-
-def _deg_str(d):
-    return str(Fraction(d))
-
 
 def half(n):
     """Degree n + 1/2 as a Fraction."""
     return Fraction(2 * n + 1, 2)
-
-
-# ---------------------------------------------------------------------------
-# torus-weight blocks
-# ---------------------------------------------------------------------------
-
-_KERNELS = {}  # (g, d, r) -> kernel lattice of the type-r block of F_d
-
-
-def _kernel_cols(g, d, r):
-    """Integer kernel lattice of the representative type-r block of F_d,
-    computed once; fresh column dicts on every call."""
-    key = (g, d, r)
-    if key not in _KERNELS:
-        m = slice_map(g, "F", d, r=r).matrix
-        lattice = integer_kernel_lattice(m)
-        _KERNELS[key] = tuple(tuple(sorted(c.items())) for c in lattice)
-    return [dict(items) for items in _KERNELS[key]]
-
-
-_BLOCKS = {}  # (g, op, d, r) -> (rows, cols, invariant factors)
-
-
-def _block_data(g, op, d, r):
-    """(rows, cols, invariant factors) of the representative type-r block
-    of slice map op at degree d (op "omega": lefschetz.raising_matrix from
-    grade d), from one Smith form computed once.  By universal coefficients
-    it serves every ring: the rank over Q is the number of invariant
-    factors, the rank over F_p the number prime to p, and the factors are
-    the torsion of the cokernel over Z (linalg.factor_rank, cokernel_over)."""
-    key = (g, op, d, r)
-    if key not in _BLOCKS:
-        if op == "omega":
-            from .lefschetz import raising_matrix
-            m = raising_matrix(g, d, r=r)
-        else:
-            m = slice_map(g, op, d, r=r).matrix
-        _BLOCKS[key] = (m.rows, m.cols, tuple(smith_normal_form(m)))
-    return _BLOCKS[key]
-
-
-def _block_sum(g, block_group):
-    """Direct sum over r = 0..g of block_multiplicity(g, r) copies of
-    block_group(r), the group of the representative type-r weight block
-    (cfk module docstring).  Ticks once per block, cached or not."""
-    free, torsion = 0, []
-    for r in range(g + 1):
-        tick()
-        grp = block_group(r)
-        mult = block_multiplicity(g, r)
-        free += mult * grp.free_rank
-        torsion.extend(grp.invariant_factors * mult)
-    return GroupPresentation(free, torsion)
-
-
-def _cone_group(g, ker, cok, ring):
-    """Ker(ker) (+) Coker(cok) over the ring, as a presentation, summed over
-    the weight blocks; ker and cok are (op, d) keys of _block_data.  Each
-    block enters through its integer Smith form alone (universal
-    coefficients): its kernel over the ring has rank cols - factor_rank,
-    and its cokernel is cokernel_over the ring."""
-    def block_group(r):
-        _, cols, lo = _block_data(g, *ker, r)
-        rows, _, hi = _block_data(g, *cok, r)
-        cok_r = cokernel_over(rows, hi, ring)
-        return GroupPresentation(cols - factor_rank(lo, ring) + cok_r.free_rank,
-                                 cok_r.invariant_factors)
-    return _block_sum(g, block_group)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +199,7 @@ def _reduced_group(g, d, ring):
         f1 = slice_map(g, "F", d + 1, r=r).matrix
         un1 = u_chain_map(g, corner(0), hi + 1, steps, r=r).matrix
         stack = SparseExactMatrix.hstack(f1, un1)
-        red_c = cokernel_over(stack.rows, smith_normal_form(stack), ring)
+        red_c = cokernel_over(stack.rows, smith_form(stack), ring)
         _, cols, factors = _block_data(g, "F", d, r)
         k_rank = cols - factor_rank(factors, ring)
         if ring.p is not None:
@@ -330,19 +210,12 @@ def _reduced_group(g, d, ring):
             img = [v for v in un.mul_columns(_kernel_cols(g, hi, r)) if v]
             if any(slice_map(g, "F", d, r=r).matrix.mul_columns(img)):
                 raise AssertionError("U^N carried the kernel at hi outside Ker F_d")
-            red_k = lattice_quotient(k_rank, img, un.rows)
+            red_k = lattice_quotient(k_rank, img, un.rows, smith_form)
             if ring == QQ:
                 red_k = GroupPresentation(red_k.free_rank)
         return red_k.direct_sum(red_c)
 
     return _block_sum(g, block_group)
-
-
-def _span_rank(cols, nrows, ring):
-    """Rank over the ring of the span of integer columns."""
-    if not cols:
-        return 0
-    return rank(SparseExactMatrix.from_columns(nrows, cols), ring)
 
 
 def hf_plus_reduced(g, ring=ZZ, window=None):

@@ -551,7 +551,7 @@ def integer_kernel_lattice(m):
     return [bot[c] for c in range(ncols) if not pivot[c]]
 
 
-def lattice_quotient(lattice_rank, generators, rows):
+def lattice_quotient(lattice_rank, generators, rows, snf=smith_normal_form):
     """Presentation of L / S, for a saturated lattice L in Z^rows of the given
     rank and the subgroup S spanned by the generators (sparse columns).
 
@@ -559,9 +559,10 @@ def lattice_quotient(lattice_rank, generators, rows):
     caller checks that the map kills them.  Since L is saturated, Z^rows / L
     is free, so 0 -> L/S -> Z^rows/S -> Z^rows/L -> 0 splits: L/S has the
     torsion of Z^rows / S and free rank lattice_rank - rank S, both read
-    off one Smith form of the generators.  No basis of L is needed.
+    off one Smith form of the generators, taken by snf (a memoizing one may
+    stand in for smith_normal_form).  No basis of L is needed.
     """
-    factors = smith_normal_form(SparseExactMatrix.from_columns(rows, generators))
+    factors = snf(SparseExactMatrix.from_columns(rows, generators))
     if len(factors) > lattice_rank:
         raise DomainError("the generators span more than the lattice")
     return GroupPresentation(lattice_rank - len(factors), factors)

@@ -13,9 +13,9 @@ from functools import lru_cache, partial
 from math import comb
 
 from .blades import blade_grade, blades_of_grade
+from .blocks import FloerTable, _block_sum, _span_rank
 from .cfk import (B_PLUS, GradedElement, SliceMap, UnionBasis, block_masks,
                   corner, slice_basis, _accumulate, _gamma_terms, _op_terms)
-from .engine import FloerTable, _block_sum, _span_rank
 from .errors import DomainError, UnsupportedOperation, tick
 from .linalg import GroupPresentation, rank
 from .rings import QQ, ZZ

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from . import bundle, cfk, engine, nontorsion
+from . import blocks, bundle, cfk, engine, nontorsion
 from .cfk import GradedElement, gamma_action, j_infinity, slice_map
 from .errors import DomainError, tick
 from .exterior import (Multivector, all_blades, blade_grade, contract_blades,
@@ -645,37 +645,51 @@ _MEMO_CACHES = (cfk.slice_basis, cfk._flip_blade, primitive_basis,
 
 
 def _release_memo_tables():
-    """Empty every memo table of the engine layers: the block Smith forms
-    and kernel lattices of engine and the lru caches of _MEMO_CACHES."""
-    engine._BLOCKS.clear()
-    engine._KERNELS.clear()
+    """Empty the kernel lattices of the block store and the lru caches of
+    _MEMO_CACHES; the store's digests and invariant factors stay."""
+    blocks.release_store(kernels_only=True)
     for cache in _MEMO_CACHES:
         cache.cache_clear()
 
 
-def run_suite(name, max_genus=5):
-    """Run one suite (or every suite for "all") at the given genus cap.
-    The memo tables are released after each suite, so a suite does the same
-    work whatever ran before it, and the peak memory of "all" is that of
-    its largest suite.  Ticks once per suite and once per recorded check."""
+def run_suites(names, max_genus=5):
+    """Run the named suites in turn, one report each.  The kernel lattices
+    and lru caches are released after each suite, so a suite builds what it
+    needs whatever ran before it; the block store's digests and invariant
+    factors carry over to the next suite, so no Smith form is taken twice,
+    and are released at the end.  Ticks once per call, once per suite and
+    once per recorded check."""
     tick()
     if max_genus < 1:
         raise DomainError(f"max_genus must be at least 1, got {max_genus}")
-    if name == "all":
-        t0 = time.perf_counter()
-        combined = VerificationReport("all")
-        for n in _SUITE_FUNCS:
-            sub = run_suite(n, max_genus)
-            combined.checks.extend(sub.checks)
-        combined.wall_time = time.perf_counter() - t0
-        return combined
-    if name not in _SUITE_FUNCS:
-        raise DomainError(f"unknown suite {name!r}; choose from {SUITES}")
-    t0 = time.perf_counter()
-    fn = _SUITE_FUNCS[name]
+    for name in names:
+        if name not in _SUITE_FUNCS:
+            raise DomainError(f"unknown suite {name!r}; choose from {SUITES}")
+    reports = []
     try:
-        rep = fn(min(max_genus, 4) if name == "beta" else max_genus)
+        for name in names:
+            tick()
+            t0 = time.perf_counter()
+            try:
+                rep = _SUITE_FUNCS[name](min(max_genus, 4) if name == "beta"
+                                         else max_genus)
+            finally:
+                _release_memo_tables()
+            rep.wall_time = time.perf_counter() - t0
+            reports.append(rep)
     finally:
-        _release_memo_tables()
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+        blocks.release_store()
+    return reports
+
+
+def run_suite(name, max_genus=5):
+    """Run one suite, or every suite for "all" (run_suites), at the given
+    genus cap; the memo tables are empty again on return."""
+    if name != "all":
+        return run_suites([name], max_genus)[0]
+    t0 = time.perf_counter()
+    combined = VerificationReport("all")
+    for sub in run_suites(list(_SUITE_FUNCS), max_genus):
+        combined.checks.extend(sub.checks)
+    combined.wall_time = time.perf_counter() - t0
+    return combined

@@ -247,6 +247,21 @@ def test_time_budget_holds_without_extended(command):
     assert "time budget exhausted" in proc.stderr
 
 
+@pytest.mark.parametrize("error", (OSError(28, "No space left on device"),
+                                   KeyboardInterrupt()))
+def test_a_failed_cache_write_leaves_no_file(error, tmp_path, monkeypatch):
+    from hfsigma import cli
+
+    def dump_partly(obj, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise error
+
+    monkeypatch.setattr(cli.json, "dump", dump_partly)
+    with pytest.raises(type(error)):
+        cli._cache_store(str(tmp_path / "key.json"), {"result": 1})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_truncated_cache_file_is_a_miss(tmp_path):
     cold = _payload(run_cli("hat", "--genus", "3", "--out", "json"))
     cache = tmp_path / "cache"
@@ -404,9 +419,12 @@ except SystemExit:
     pass
 sys.stderr.write(" ".join(sorted(sys.modules)))
 """
-ENGINE_MODULES = {"hfsigma.engine", "hfsigma.nontorsion", "hfsigma.bundle",
-                  "hfsigma.cfk", "hfsigma.linalg", "hfsigma.blades",
-                  "hfsigma.exterior", "hfsigma.lefschetz", "hfsigma.verify"}
+ENGINE_MODULES = {"hfsigma.engine", "hfsigma.blocks", "hfsigma.nontorsion",
+                  "hfsigma.bundle", "hfsigma.cfk", "hfsigma.linalg",
+                  "hfsigma.blades", "hfsigma.exterior", "hfsigma.lefschetz",
+                  "hfsigma.verify"}
+# OpenSSL's libcrypto, which hashlib links; the package hashes without it
+OPENSSL = {"hashlib", "_hashlib"}
 
 
 def test_help_and_cache_hits_load_only_the_cli(tmp_path):
@@ -416,14 +434,15 @@ def test_help_and_cache_hits_load_only_the_cli(tmp_path):
 
     mods, out = loaded("--help")
     assert "usage: hf" in out and "hfsigma.cli" in mods
-    assert not mods & ENGINE_MODULES
+    assert not mods & (ENGINE_MODULES | OPENSSL)
     env = {"HF_CACHE_DIR": str(tmp_path / "cache")}
     cold, _ = loaded("hat", "-g", "2", "--out", "json", env_extra=env)
-    assert "hfsigma.engine" in cold  # the probe sees a computation
+    assert "hfsigma.blocks" in cold  # the probe sees a computation
+    assert not cold & OPENSSL
     for out_form in ("json", "table"):
         mods, out = loaded("hat", "-g", "2", "--out", out_form, env_extra=env)
         assert "rank 9" in out or '"free_rank": 9' in out
-        assert not mods & ENGINE_MODULES, out_form
+        assert not mods & (ENGINE_MODULES | OPENSSL), out_form
 
 
 def test_commands_load_no_dataclasses():
@@ -432,35 +451,40 @@ def test_commands_load_no_dataclasses():
                  ("verify", "--suite", "star", "--max-genus", "2")):
         proc = run_cli(*argv, python_args=("-c", LOADED_PROBE))
         mods = set(proc.stderr.split())
-        assert "hfsigma.engine" in mods, argv
+        assert "hfsigma.blocks" in mods, argv
         assert not mods & {"dataclasses", "inspect"}, argv
 
 
-# Which layers a cold command may not load: each compiles only its subject.
+# Which layers a cold command may not load: each compiles only its subject,
+# and none loads OpenSSL, whether it hashes or not.
 COLD_UNLOADED = [
     (("hat", "-g", "2"), {"hfsigma.nontorsion", "hfsigma.bundle",
-                          "hfsigma.exterior", "hfsigma.verify"}),
+                          "hfsigma.exterior", "hfsigma.verify", *OPENSSL}),
     (("infinity", "-g", "2", "--ring", "Z"),
-     {"hfsigma.nontorsion", "hfsigma.bundle", "hfsigma.exterior", "hfsigma.verify"}),
+     {"hfsigma.nontorsion", "hfsigma.bundle", "hfsigma.exterior", "hfsigma.verify",
+      *OPENSSL}),
     (("plus", "-g", "3", "--reduced"),
-     {"hfsigma.nontorsion", "hfsigma.bundle", "hfsigma.exterior", "hfsigma.verify"}),
-    (("nontorsion", "-g", "3", "--spinc", "1"), {"hfsigma.bundle", "hfsigma.verify"}),
-    # action neither reads the result cache nor fingerprints a matrix, so it
-    # leaves hashlib and its OpenSSL library unloaded
+     {"hfsigma.nontorsion", "hfsigma.bundle", "hfsigma.exterior", "hfsigma.verify",
+      *OPENSSL}),
+    (("nontorsion", "-g", "3", "--spinc", "1"),
+     {"hfsigma.engine", "hfsigma.bundle", "hfsigma.verify", *OPENSSL}),
     (("action", "-g", "3", "--spinc", "1"),
-     {"hfsigma.bundle", "hfsigma.verify", "hashlib", "_hashlib"}),
-    (("eg", "-g", "2"), {"hfsigma.nontorsion"}),
+     {"hfsigma.engine", "hfsigma.bundle", "hfsigma.verify", *OPENSSL}),
+    (("eg", "-g", "2"), {"hfsigma.engine", "hfsigma.nontorsion", *OPENSSL}),
+    (("beta", "-g", "2"), {"hfsigma.engine", "hfsigma.nontorsion", *OPENSSL}),
+    (("verify", "--suite", "infinity", "--max-genus", "3"), OPENSSL),
 ]
+UNCACHED = {"action", "beta", "verify"}  # commands without a result cache
 
 
 @pytest.mark.parametrize("argv,unloaded", COLD_UNLOADED,
                          ids=[argv[0] for argv, _ in COLD_UNLOADED])
 def test_cold_commands_load_only_their_subject(argv, unloaded, tmp_path):
-    cache = () if argv[0] == "action" else ("--cache-dir", str(tmp_path))
+    cache = () if argv[0] in UNCACHED else ("--cache-dir", str(tmp_path))
     proc = run_cli(*argv, *cache, "--out", "json", python_args=("-c", LOADED_PROBE))
     assert json.loads(proc.stdout)["command"] == argv[0]
     mods = set(proc.stderr.split())
-    assert "hfsigma.engine" in mods  # the probe sees a computation
+    assert "hfsigma.blocks" in mods  # the probe sees a computation
     assert not mods & unloaded, sorted(mods & unloaded)
 
 

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from hfsigma import engine, nontorsion
+from hfsigma import blocks, engine, nontorsion
 from hfsigma.errors import BudgetExceeded, Deadline, DomainError, UnsupportedOperation
 from hfsigma.linalg import GroupPresentation
 from hfsigma.rings import GF, QQ, ZZ
@@ -359,7 +359,7 @@ def test_table_json():
 def test_table_defaults_and_equality():
     t = engine.FloerTable(2, 0, ZZ, "hat")
     assert (t.entries, t.towers) == ({}, [])
-    assert t.metadata == {"basis_order": engine.BASIS_ORDER}
+    assert t.metadata == {"basis_order": blocks.BASIS_ORDER}
     assert t == engine.FloerTable(2, 0, ZZ, "hat", {}, [], {})
     assert t != engine.FloerTable(2, 0, QQ, "hat")
     assert engine.hf_hat(2) == engine.hf_hat(2)

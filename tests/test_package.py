@@ -101,3 +101,31 @@ def test_import_loads_no_layer():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.split("\n")[:2] == ["['hfsigma']", "True"]
+
+
+SHA256_INPUTS = (b"", b"abc", bytes(range(256)) * 257)  # the last: many blocks
+
+
+def _digests(new):
+    whole = [new(data).hexdigest() for data in SHA256_INPUTS]
+    h = new()
+    for data in SHA256_INPUTS:  # the same bytes, fed in uneven chunks
+        for i in range(0, len(data), 4099):
+            h.update(data[i:i + 4099])
+    return whole, h.hexdigest()
+
+
+def test_sha256_is_hashlibs_without_openssl():
+    import hashlib
+    assert _digests(hfsigma.sha256) == _digests(hashlib.sha256)
+    assert type(hfsigma.sha256()).__module__ in ("_sha2", "_sha256")
+
+
+def test_sha256_falls_back_to_hashlib(monkeypatch):
+    import hashlib
+    want = _digests(hashlib.sha256)
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # None blocks the import
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setattr(hfsigma, "_sha256_new", None)  # look the modules up again
+    assert _digests(hfsigma.sha256) == want
+    assert type(hfsigma.sha256()) is type(hashlib.sha256())

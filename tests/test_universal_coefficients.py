@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from hfsigma import bundle, engine, lefschetz
+from hfsigma import blocks, bundle, engine, lefschetz
 from hfsigma.cfk import (B_PLUS, block_masks, corner, slice_map, u_chain_map,
                          u_slice_map)
 from hfsigma.exterior import Multivector, blades_of_grade, eta
@@ -159,8 +159,8 @@ def test_reduced_part_and_u_action_build_only_weight_blocks(monkeypatch):
     for obj in vars(engine).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
-    monkeypatch.setattr(engine, "_BLOCKS", {})
-    monkeypatch.setattr(engine, "_KERNELS", {})
+    for table in ("_BLOCKS", "_FACTORS", "_KERNELS"):
+        monkeypatch.setattr(blocks, table, {})
     whole = []
 
     def blocks_only(fn):
@@ -172,6 +172,7 @@ def test_reduced_part_and_u_action_build_only_weight_blocks(monkeypatch):
 
     for name in ("slice_map", "u_chain_map", "u_slice_map"):
         monkeypatch.setattr(engine, name, blocks_only(getattr(engine, name)))
+    monkeypatch.setattr(blocks, "slice_map", blocks_only(blocks.slice_map))
     for ring in (ZZ, QQ, GF(3)):
         engine.hf_plus_reduced(4, ring)
     engine.u_action_red(4)
@@ -205,7 +206,8 @@ def test_contraction_blocks_match_the_eta_route():
 
 
 def test_eg_builds_only_weight_blocks(monkeypatch):
-    monkeypatch.setattr(engine, "_BLOCKS", {})
+    for table in ("_BLOCKS", "_FACTORS", "_KERNELS"):
+        monkeypatch.setattr(blocks, table, {})
     calls = []
 
     def recorded(g, j, r=None):
@@ -243,8 +245,8 @@ def test_field_tables_reuse_the_integer_smith_forms(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(engine, "smith_normal_form", counted(engine.smith_normal_form))
-    monkeypatch.setattr(engine, "rank", counted(engine.rank))
+    monkeypatch.setattr(blocks, "smith_normal_form", counted(blocks.smith_normal_form))
+    monkeypatch.setattr(blocks, "rank", counted(blocks.rank))
     for ring in (QQ, GF(2), GF(3)):
         for table in tables:
             table(4, ring)

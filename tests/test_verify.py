@@ -4,20 +4,21 @@ import pkgutil
 import pytest
 
 import hfsigma
-from hfsigma import verify
+from hfsigma import blocks, verify
 from hfsigma.errors import Deadline, DomainError
 
 
 def memo_table_sizes():
     """Size of every memo table of the package, found by walking all of its
-    modules: each functools cache wrapper, and engine's _BLOCKS/_KERNELS."""
+    modules: each functools cache wrapper, and the block store's _BLOCKS,
+    _FACTORS and _KERNELS."""
     sizes = {}
     for info in pkgutil.iter_modules(hfsigma.__path__):
         mod = importlib.import_module(f"hfsigma.{info.name}")
         for attr, value in vars(mod).items():
             if callable(getattr(value, "cache_info", None)):
                 sizes[f"{info.name}.{attr}"] = value.cache_info().currsize
-            elif attr in ("_BLOCKS", "_KERNELS"):
+            elif attr in ("_BLOCKS", "_FACTORS", "_KERNELS"):
                 sizes[f"{info.name}.{attr}"] = len(value)
     return sizes
 
@@ -42,15 +43,30 @@ def test_eg_suite_checks_infinity_torsion_against_eg():
     assert str(cross[-1].computed) == "Z/2"  # g = 3, d = 4
 
 
-@pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "all"])
+@pytest.mark.parametrize("suite", verify.SUITES)
 def test_each_suite_releases_the_memo_tables(suite):
     verify.run_suite(suite, 3)
     sizes = memo_table_sizes()
-    assert {"engine._BLOCKS", "engine._KERNELS", "cfk.slice_basis",
+    assert {"blocks._BLOCKS", "blocks._FACTORS", "blocks._KERNELS", "cfk.slice_basis",
             "cfk._flip_blade", "lefschetz.primitive_basis",
             "nontorsion._nontorsion_images", "nontorsion._gamma_images",
             "nontorsion._chain_cached"} <= set(sizes)
     assert not {name: n for name, n in sizes.items() if n}
+
+
+def test_later_suites_reuse_the_smith_forms_of_earlier_ones(monkeypatch):
+    calls = []
+    snf = blocks.smith_normal_form
+
+    def counted(m):
+        calls.append((m.rows, m.cols, frozenset(m.entries.items())))
+        return snf(m)
+
+    monkeypatch.setattr(blocks, "smith_normal_form", counted)
+    reports = verify.run_suites(["infinity", "mod2", "eg"], 3)
+    assert all(rep.ok for rep in reports)
+    assert calls and len(calls) == len(set(calls))
+    assert memo_table_sizes()["blocks._FACTORS"] == 0
 
 
 def test_a_suite_alone_matches_its_part_of_all():
