@@ -1,21 +1,26 @@
 """The block core shared by the paper's three subjects: the torsion tables
 (engine), the nonzero-Chern-class sector (nontorsion) and the circle bundle
-(bundle) all sum groups over the torus-weight blocks of their maps (cfk
-module docstring) and read each block through its integer Smith form.
+(bundle) sum groups over the torus-weight blocks of their maps, each read
+through its integer Smith form.  Only this module knows weight types: a
+type-r block at genus g is the weight-zero block at genus g - r (cfk
+module docstring), so _block_sum adds C(g, r) * 2^r copies of the latter,
+and only weight-zero blocks are built, each at the degree the identity
+keeps: the slice degree d for v, h, F, F_hat, one_plus_J and U, grade -
+genus for wedging with omega, and its parity for the contraction.
 
-The store is content-addressed.  A block, named by (g, op, d, r), is built
-once and remembered by the SHA-256 of its canonical bytes: its shape and
-its entries in (row, col) order.  Invariant factors and integer kernel
+The store is content-addressed.  A block, named by (genus, op, degree), is
+built once and remembered by the SHA-256 of its canonical bytes: its shape
+and its entries in (row, col) order.  Invariant factors and integer kernel
 lattices are kept under that digest, so equal matrices are reduced once per
-process, whatever degree, op or genus they come from: every type-r block at
-genus g equals, entry for entry, the type-0 block of the same op and degree
-at genus g - r.  The matrices themselves are not kept.
+process, whatever degree, op or genus they come from; the matrices are
+not kept.
 """
 
 from fractions import Fraction
+from math import comb
 
 from . import sha256
-from .cfk import block_multiplicity, slice_map
+from .cfk import slice_map
 from .errors import tick
 from .linalg import (GroupPresentation, SparseExactMatrix, cokernel_over,
                      factor_rank, integer_kernel_lattice, rank,
@@ -85,7 +90,7 @@ def _deg_str(d):
 # the content-addressed store
 # ---------------------------------------------------------------------------
 
-_BLOCKS = {}   # (g, op, d, r) -> (rows, cols, digest)
+_BLOCKS = {}   # (genus, op, degree) -> (rows, cols, digest)
 _FACTORS = {}  # digest -> invariant factors
 _KERNELS = {}  # digest -> integer kernel lattice, as sorted column items
 
@@ -101,60 +106,65 @@ def _digest(m):
     return sha256(blob.encode()).digest()
 
 
-def smith_form(m, digest=None):
+def smith_form(m):
     """Invariant factors of the integer matrix m, from the store: one Smith
     form per distinct matrix."""
-    if digest is None:
-        digest = _digest(m)
+    digest = _digest(m)
     factors = _FACTORS.get(digest)
     if factors is None:
         factors = _FACTORS[digest] = tuple(smith_normal_form(m))
     return factors
 
 
-def _build(g, op, d, r):
-    """The representative type-r block of slice map op at degree d (op
-    "omega": lefschetz.raising_matrix from grade d)."""
+def _build(n, op, d):
+    """The weight-zero block at genus n of slice map op at degree d, or for
+    op "omega" of lefschetz.raising_matrix from grade d + n."""
     if op == "omega":
         from .lefschetz import raising_matrix
-        return raising_matrix(g, d, r=r)
-    return slice_map(g, op, d, r=r).matrix
+        return raising_matrix(n, d + n, block=True)
+    return slice_map(n, op, d, block=True).matrix
 
 
-def _block(g, op, d, r):
-    """((rows, cols, digest), the matrix or None) of a block: the matrix
-    only when this call built it."""
-    key = (g, op, d, r)
-    entry = _BLOCKS.get(key)
-    if entry is not None:
-        return entry, None
-    m = _build(g, op, d, r)
-    entry = _BLOCKS[key] = (m.rows, m.cols, _digest(m))
-    return entry, m
+def _key(n, op, d):
+    """(n, op, d) with d moved into -n - 2..n onto an equal block, so that a
+    new genus builds only its own blocks: below -n every slice is empty, as
+    is F_hat's above n, and from n - 1 on the slices of B_PLUS and of the
+    corner hold every cell, so the block at d + 2 is the one at d."""
+    if op == "omega":  # 0 x 0 outside -n - 2..n, as at -n - 1 (odd grades)
+        return n, op, (d if -n - 2 <= d <= n else -n - 1)
+    if d < -n or (op == "F_hat" and d > n):
+        return n, op, -n - 1
+    return n, op, (n - (d - n) % 2 if d > n else d)
 
 
-def _block_data(g, op, d, r):
-    """(rows, cols, invariant factors) of the representative type-r block
-    of slice map op at degree d, from the store.  By universal coefficients
-    one Smith form serves every ring: the rank over Q is the number of
-    invariant factors, the rank over F_p the number prime to p, and the
-    factors are the torsion of the cokernel over Z (linalg.factor_rank,
-    cokernel_over)."""
-    (rows, cols, digest), m = _block(g, op, d, r)
-    factors = _FACTORS.get(digest)
-    if factors is None:
-        factors = smith_form(m or _build(g, op, d, r), digest)
-    return rows, cols, factors
+def _stored(table, n, op, d, reduce):
+    """(rows, cols, table[digest]) of op's weight-zero block at genus n and
+    degree d; a miss fills the table with reduce(the block)."""
+    key = _key(n, op, d)
+    m = None if key in _BLOCKS else _build(*key)
+    if m is not None:
+        _BLOCKS[key] = (m.rows, m.cols, _digest(m))
+    rows, cols, digest = _BLOCKS[key]
+    value = table.get(digest)
+    if value is None:
+        value = table[digest] = reduce(m or _build(*key))
+    return rows, cols, value
 
 
-def _kernel_cols(g, d, r):
-    """Integer kernel lattice of the representative type-r block of F_d,
-    from the store; fresh column dicts on every call."""
-    (_, _, digest), m = _block(g, "F", d, r)
-    lattice = _KERNELS.get(digest)
-    if lattice is None:
-        cols = integer_kernel_lattice(m or _build(g, "F", d, r))
-        lattice = _KERNELS[digest] = tuple(tuple(sorted(c.items())) for c in cols)
+def _block_data(n, op, d):
+    """(rows, cols, invariant factors) of op's weight-zero block at genus n
+    and degree d.  By universal coefficients one Smith form serves every
+    ring: the rank over Q is the number of invariant factors, the rank over
+    F_p the number prime to p, and the factors are the torsion of the
+    cokernel over Z (linalg.factor_rank, cokernel_over)."""
+    return _stored(_FACTORS, n, op, d, lambda m: tuple(smith_normal_form(m)))
+
+
+def _kernel_cols(n, d):
+    """Integer kernel lattice of the weight-zero block at genus n of F_d;
+    fresh column dicts on every call."""
+    _, _, lattice = _stored(_KERNELS, n, "F", d, lambda m: tuple(
+        tuple(sorted(c.items())) for c in integer_kernel_lattice(m)))
     return [dict(items) for items in lattice]
 
 
@@ -171,14 +181,18 @@ def release_store(kernels_only=False):
 # sums over the weight blocks
 # ---------------------------------------------------------------------------
 
+def block_multiplicity(g, r):
+    """Number of weight blocks of type r at genus g: C(g, r) * 2^r."""
+    return comb(g, r) << r
+
+
 def _block_sum(g, block_group):
-    """Direct sum over r = 0..g of block_multiplicity(g, r) copies of
-    block_group(r), the group of the representative type-r weight block
-    (cfk module docstring).  Ticks once per block, cached or not."""
+    """Sum over r = 0..g of block_multiplicity(g, r) copies of the group
+    block_group(g - r) of every type-r block.  Ticks once per type."""
     free, torsion = 0, []
     for r in range(g + 1):
         tick()
-        grp = block_group(r)
+        grp = block_group(g - r)
         mult = block_multiplicity(g, r)
         free += mult * grp.free_rank
         torsion.extend(grp.invariant_factors * mult)
@@ -187,16 +201,16 @@ def _block_sum(g, block_group):
 
 def _cone_group(g, ker, cok, ring):
     """Ker(ker) (+) Coker(cok) over the ring, as a presentation, summed over
-    the weight blocks; ker and cok are (op, d) keys of _block_data.  Each
-    block enters through its integer Smith form alone (universal
+    the weight blocks; ker and cok are (op, degree) keys of _block_data.
+    Each block enters through its integer Smith form alone (universal
     coefficients): its kernel over the ring has rank cols - factor_rank,
     and its cokernel is cokernel_over the ring."""
-    def block_group(r):
-        _, cols, lo = _block_data(g, *ker, r)
-        rows, _, hi = _block_data(g, *cok, r)
-        cok_r = cokernel_over(rows, hi, ring)
-        return GroupPresentation(cols - factor_rank(lo, ring) + cok_r.free_rank,
-                                 cok_r.invariant_factors)
+    def block_group(n):
+        _, cols, lo = _block_data(n, *ker)
+        rows, _, hi = _block_data(n, *cok)
+        cok_n = cokernel_over(rows, hi, ring)
+        return GroupPresentation(cols - factor_rank(lo, ring) + cok_n.free_rank,
+                                 cok_n.invariant_factors)
     return _block_sum(g, block_group)
 
 

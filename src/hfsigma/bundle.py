@@ -20,10 +20,10 @@ def eg_cohomology(g, ring=ZZ):
     Ker(wedge: j-1 -> j+1) (+) Coker(wedge: j-2 -> j).  Wedging with omega
     adds complete pairs, so it keeps the weight vector and commutes with
     the signed pair permutations (cfk module docstring): the groups are
-    summed over the weight blocks, each wedge block entering through one
-    Smith form shared by degrees j and j-1, every ring and
-    contraction_cokernel_comparison."""
-    return {j: _cone_group(g, ("omega", j - 1), ("omega", j - 2), ring)
+    summed over the weight blocks, each wedge block keyed by its source
+    grade - genus and read through one Smith form shared by degrees j and
+    j-1, every ring and contraction_cokernel_comparison."""
+    return {j: _cone_group(g, ("omega", j - 1 - g), ("omega", j - 2 - g), ring)
             for j in range(0, 2 * g + 2)}
 
 
@@ -36,14 +36,14 @@ def eg_rank_prediction(g, j):
     return coprimitive_dim(g, j - 1)
 
 
-def _one_minus_exp_contraction_matrix(g, parity, r):
+def _one_minus_exp_contraction_matrix(g, parity):
     """Matrix of contraction by (1 - exp(-omega)) = sum_{n>=1} (-1)^(n+1) eta_n
-    on the even or odd half of the representative type-r weight block.
-    Since z_J |_ a = (-1)^|J| (a ^ z_J) for a set J of complete pairs of a
-    (blades module docstring), every entry is -1, at (a ^ z_J, a) for each
-    nonempty such J.  Contraction removes complete pairs, so it keeps the
-    weight vector."""
-    src = [m for p in range(parity, 2 * g + 1, 2) for m in block_masks(g, r, p)]
+    on the weight-zero block's grades p with p - g of the given parity (it
+    removes complete pairs, so it keeps the weight vector).  Since
+    z_J |_ a = (-1)^|J| (a ^ z_J) for a set J of complete pairs of a (blades
+    module docstring), every entry is -1, at (a ^ z_J, a) for each nonempty
+    such J."""
+    src = [m for p in range((g + parity) % 2, 2 * g + 1, 2) for m in block_masks(g, p)]
     index = {m: i for i, m in enumerate(src)}
     ent = {}
     for c, mask in enumerate(src):
@@ -58,19 +58,19 @@ def contraction_cokernel_comparison(g):
     """Per parity: presentation of the cokernel of contraction by
     1 - exp(-omega) next to the direct sum of the per-degree cokernels of
     wedging with omega (the two agree for every genus computed here), each
-    summed over the weight blocks.  The wedge side reads the Smith forms
-    that eg_cohomology takes (_block_data); the contraction blocks go
-    through the same store (blocks.smith_form)."""
+    summed over the weight blocks, where grade - genus is kept.  The wedge
+    side reads the Smith forms that eg_cohomology takes (_block_data); the
+    contraction blocks go through the same store (blocks.smith_form)."""
     out = {}
     for parity in (0, 1):
-        def contraction(r):
-            m = _one_minus_exp_contraction_matrix(g, parity, r)
+        def contraction(n):
+            m = _one_minus_exp_contraction_matrix(n, (parity - g) % 2)
             return cokernel_over(m.rows, smith_form(m), ZZ)
 
-        def wedge_sum(r):
+        def wedge_sum(n):
             grp = GroupPresentation()
             for j in range(parity, 2 * g + 1, 2):
-                rows, _, factors = _block_data(g, "omega", j - 2, r)
+                rows, _, factors = _block_data(n, "omega", j - 2 - g)
                 grp = grp.direct_sum(cokernel_over(rows, factors, ZZ))
             return grp
 

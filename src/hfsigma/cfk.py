@@ -26,12 +26,14 @@ The signed permutations of the pairs (pair swaps, and a_i -> b_i,
 b_i -> -a_i) lie in Sp(2g, Z).  They preserve omega and the volume form,
 hence commute with the star, with contraction by eta_n, with J and with U,
 and they map blades to signed blades of the same grade at the same lattice
-point.  So a block whose weight vector has r nonzero entries is conjugate
-by a signed permutation matrix to the representative block of type r, with
-weight vector (1^r, 0^(g-r)), and has its Smith form and its rank over
-every ring.  There are C(g, r) * 2^r blocks of type r; the representative
-holds the masks with bit 2i alone for i < r and 00 or 11 for each later
-pair, 2^(g-r) masks in all against 4^g.
+point.  So each of the C(g, r) * 2^r blocks of type r (r nonzero weights)
+is conjugate by a signed permutation matrix to the block of weight
+(1^r, 0^(g-r)), which is, entry for entry, the weight-zero block at genus
+g - r and the same slice degree d = i + j: dropping the r pairs that hold
+one vector takes a grade-p blade at (i, j) to a grade-(p - r) one, the star
+keeps those pairs, eta_n never touches them, and the flip's sign
+eps * (-1)^p depends on p - g alone.  So only weight-zero blocks, with
+every pair empty or complete, are built (block=True): 2^g masks, not 4^g.
 """
 
 from functools import lru_cache
@@ -107,21 +109,14 @@ def min_zero(s=0):
 # slice bases
 # ---------------------------------------------------------------------------
 
-def block_masks(g, r, p):
-    """Masks of grade p in the representative type-r weight block, in
-    ascending order: bit 2i alone for i < r, then 00 or 11 for each later
-    pair."""
-    k, odd = divmod(p - r, 2)
-    if odd or not 0 <= k <= g - r:
+def block_masks(g, p):
+    """Masks of grade p in the weight-zero block, in ascending order: the
+    unions of p/2 of the g pairs."""
+    k, odd = divmod(p, 2)
+    if odd or not 0 <= k <= g:
         return []
-    base = sum(1 << (2 * i) for i in range(r))
-    return sorted(base | sum(pair_mask(j) for j in pairs)
-                  for pairs in combinations(range(r, g), k))
-
-
-def block_multiplicity(g, r):
-    """Number of weight blocks of type r: C(g, r) * 2^r."""
-    return comb(g, r) << r
+    return sorted(sum(pair_mask(j) for j in pairs)
+                  for pairs in combinations(range(g), k))
 
 
 def _slice_cells(g, region, d):
@@ -133,8 +128,8 @@ def _slice_cells(g, region, d):
 
 
 class SliceBasis:
-    """Ordered basis of the degree-d slice of a region, or of its
-    representative type-r weight block when r is given.
+    """Ordered basis of the degree-d slice of a region, or with block of its
+    weight-zero block.
 
     Cells are (i, p) with p = g + d - 2i, listed with i ascending; within a
     cell the blades of grade p run in ascending mask order.  The enumeration
@@ -143,7 +138,7 @@ class SliceBasis:
 
     __slots__ = ("genus", "region", "degree", "cells", "index", "elements")
 
-    def __init__(self, genus, region, degree, r=None):
+    def __init__(self, genus, region, degree, block=False):
         g = genus
         self.genus = g
         self.region = region
@@ -152,7 +147,7 @@ class SliceBasis:
         self.index = {}
         self.elements = []
         for i, p in self.cells:
-            for mask in blades_of_grade(g, p) if r is None else block_masks(g, r, p):
+            for mask in (block_masks if block else blades_of_grade)(g, p):
                 self.index[(i, mask)] = len(self.elements)
                 self.elements.append((i, mask))
 
@@ -166,8 +161,8 @@ class SliceBasis:
 
 
 @lru_cache(maxsize=None)
-def slice_basis(g, region, d, r=None):
-    return SliceBasis(g, region, d, r)
+def slice_basis(g, region, d, block=False):
+    return SliceBasis(g, region, d, block)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +398,7 @@ def _regions(op, s=0):
     return B_PLUS, corner(s)
 
 
-def _layout(g, op, d, s=0, r=None):
+def _layout(g, op, d, s=0):
     """Source region and target (region, degree) slices of a slice op: one
     slice, or for h/F at s != 0 the degree-d and degree-(d + 2s) slices of
     the corner, the first of them dropped for h."""
@@ -411,8 +406,6 @@ def _layout(g, op, d, s=0, r=None):
         raise DomainError(f"unknown slice op {op!r}")
     if s > 0:
         raise DomainError("slice maps are built for s <= 0; use conjugation")
-    if r is not None and not 0 <= r <= g:
-        raise DomainError(f"weight type {r} out of range for genus {g}")
     src_region, tgt_region = _regions(op, s)
     if op == "one_plus_J" or s == 0:
         return src_region, [(tgt_region, d)]
@@ -420,13 +413,13 @@ def _layout(g, op, d, s=0, r=None):
     return src_region, [(tgt_region, dd) for dd in degs]
 
 
-def _bases(g, op, d, s=0, r=None):
+def _bases(g, op, d, s=0, block=False):
     """Source and target bases of a slice op, from the slice_basis cache."""
-    src_region, targets = _layout(g, op, d, s, r)
-    src = slice_basis(g, src_region, d, r)
+    src_region, targets = _layout(g, op, d, s)
+    src = slice_basis(g, src_region, d, block)
     if targets == [(src_region, d)]:  # one_plus_J: one basis, built once
         return src, src
-    tgts = [slice_basis(g, region, dd, r) for region, dd in targets]
+    tgts = [slice_basis(g, region, dd, block) for region, dd in targets]
     return src, tgts[0] if s == 0 else UnionBasis(tgts)
 
 
@@ -453,9 +446,9 @@ def _accumulate(g, op, s, src, tgt):
     return SparseExactMatrix.from_int_entries(tgt.size, src.size, ent)
 
 
-def slice_map(g, op, d, s=0, r=None):
+def slice_map(g, op, d, s=0, block=False):
     """Integer matrix of one structure map on the degree-d slice, or on its
-    representative type-r weight block when r is given.
+    weight-zero block when block is true.
 
     Ops and their regions:
       v, h, F      : quotient {i >= 0}  ->  corner {i >= 0, j >= s}
@@ -467,12 +460,12 @@ def slice_map(g, op, d, s=0, r=None):
     basis is the union of the degree-d and degree-(d+2s) slices of the
     corner; the relative grading is only preserved mod 2|s| there.
 
-    With r, source and target hold only the masks of weight
-    (1^r, 0^(g-r)), and the matrix is the op restricted to them.  Each of
-    the block_multiplicity(g, r) type-r blocks of the whole matrix has its
-    Smith form and ranks (module docstring).  Ticks once per source column.
+    With block, source and target hold only the unions of pairs: at genus
+    g - r this is every type-r block of the whole genus-g matrix at the
+    same d, up to a signed permutation (module docstring).  Ticks once per
+    source column.
     """
-    src, tgt = _bases(g, op, d, s, r)
+    src, tgt = _bases(g, op, d, s, block)
     return SliceMap(_accumulate(g, op, s, src, tgt), src, tgt, op, s)
 
 
@@ -590,12 +583,12 @@ def slice_digest(g, op, d, s=0):
     return h.hexdigest()[:16]
 
 
-def u_chain_map(g, region, d_hi, steps, r=None):
+def u_chain_map(g, region, d_hi, steps, block=False):
     """Matrix of U^steps from the degree-d_hi slice down to d_hi - 2*steps,
-    or from its representative type-r weight block when r is given.  Ticks
-    once per source column."""
-    src = slice_basis(g, region, d_hi, r)
-    tgt = slice_basis(g, region, d_hi - 2 * steps, r)
+    or from its weight-zero block when block is true.  Ticks once per
+    source column."""
+    src = slice_basis(g, region, d_hi, block)
+    tgt = slice_basis(g, region, d_hi - 2 * steps, block)
     get = tgt.index.get
     ent = {}
     for c, (i, mask) in enumerate(src.elements):
@@ -607,6 +600,6 @@ def u_chain_map(g, region, d_hi, steps, r=None):
     return SliceMap(mat, src, tgt, "U" if steps == 1 else f"U^{steps}")
 
 
-def u_slice_map(g, region, d, r=None):
+def u_slice_map(g, region, d, block=False):
     """Matrix of U: degree-d slice -> degree-(d-2) slice of the same region."""
-    return u_chain_map(g, region, d, 1, r)
+    return u_chain_map(g, region, d, 1, block)

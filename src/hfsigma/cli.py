@@ -30,12 +30,11 @@ from fractions import Fraction
 from math import ceil, floor
 
 from . import __version__, sha256
-from .errors import (BudgetExceeded, Deadline, DomainError,
+from .errors import (HARD_GENUS_CAP, BudgetExceeded, Deadline, DomainError,
                      ExtendedScaleRequired, GenusMismatch,
                      UnsupportedOperation, active)
 from .rings import ZZ, group_notation, parse_ring
 
-HARD_GENUS_CAP = 10
 DESK_GENUS_CAP = 6  # beyond this the integer runs need --extended
 
 
@@ -199,10 +198,9 @@ def _cache_key(args):
 
 
 def _check(payload, schema):
-    """Validate the payload against the named schema, if one is given."""
-    if schema:
-        from .schemas import validate
-        validate(payload, schema)
+    """Validate the payload against the named schema."""
+    from .schemas import validate
+    validate(payload, schema)
 
 
 def _cache_load(path, schema):
@@ -236,7 +234,7 @@ def _cache_store(path, payload):
 def _cached(args, compute, schema):
     """compute(), or the result stored for this command, configuration and
     source in the cache directory, when one is set; a miss is recomputed,
-    validated against the payload schema (if any) and stored over the file."""
+    validated against the payload schema and stored over the file."""
     cdir = _cache_dir(args)
     path = os.path.join(cdir, _cache_key(args) + ".json") if cdir else None
     hit = _cache_load(path, schema) if path else None
@@ -370,7 +368,7 @@ def cmd_eg(args):
                       for par, (lhs, rhs) in cmpres.items()}
         return {"entries": entries, "contraction_comparison": comparison}
 
-    payload = _cached(args, compute, None)  # no schema for eg
+    payload = _cached(args, compute, "eg")
     text = _emit(args, payload,
                  f"circle-bundle cohomology, genus {args.genus}, ring {ring.tag}")
     print(text)

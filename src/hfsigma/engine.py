@@ -25,9 +25,10 @@ from math import comb
 
 from .blades import blades_of_grade, star_blade
 from .blocks import (FloerTable, _block_data, _block_sum, _cone_group,
-                     _deg_str, _kernel_cols, _span_rank, smith_form)
-from .cfk import (B_PLUS, block_multiplicity, corner, slice_digest, slice_map,
-                  u_chain_map, u_slice_map)
+                     _deg_str, _kernel_cols, _span_rank, block_multiplicity,
+                     smith_form)
+from .cfk import (B_PLUS, corner, slice_digest, slice_map, u_chain_map,
+                  u_slice_map)
 from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                      cokernel_over, factor_rank, kernel_basis,
                      lattice_quotient)
@@ -182,33 +183,33 @@ def _reduced_group(g, d, ring):
     the image of a high U-power.
 
     F, U^N and the regions preserve the weight vector and commute with the
-    signed pair permutations (cfk module docstring), so the group is the sum
-    over the weight blocks, read off the representative type-r blocks.  Per
-    block, the cokernel side is one Smith form of [F_{d+1} | U^N] read over
-    the ring, and the rank of Ker F_d over the ring comes from the block's
-    Smith form.  Over Z and Q, S is spanned by the image of the kernel
-    lattice at hi and the quotient is read off one Smith form of its
+    signed pair permutations (cfk module docstring), so the group is summed
+    over the weight-zero blocks at each genus n <= g (hi taken at genus g).
+    Per block, the cokernel side is one Smith form of [F_{d+1} | U^N] read
+    over the ring, and the rank of Ker F_d over the ring comes from the
+    block's Smith form.  Over Z and Q, S is spanned by the image of the
+    kernel lattice at hi and the quotient is read off one Smith form of its
     generators (linalg.lattice_quotient).  Over F_p, S is the image of the
     F_p kernel at hi, which can be larger than the kernel lattice mod p.
     """
     hi = _stable_hi(g, d)
     steps = (hi - d) // 2
 
-    def block_group(r):
-        un = u_chain_map(g, B_PLUS, hi, steps, r=r).matrix
-        f1 = slice_map(g, "F", d + 1, r=r).matrix
-        un1 = u_chain_map(g, corner(0), hi + 1, steps, r=r).matrix
+    def block_group(n):
+        un = u_chain_map(n, B_PLUS, hi, steps, block=True).matrix
+        f1 = slice_map(n, "F", d + 1, block=True).matrix
+        un1 = u_chain_map(n, corner(0), hi + 1, steps, block=True).matrix
         stack = SparseExactMatrix.hstack(f1, un1)
         red_c = cokernel_over(stack.rows, smith_form(stack), ring)
-        _, cols, factors = _block_data(g, "F", d, r)
+        _, cols, factors = _block_data(n, "F", d)
         k_rank = cols - factor_rank(factors, ring)
         if ring.p is not None:
-            f_hi = slice_map(g, "F", hi, r=r).matrix
+            f_hi = slice_map(n, "F", hi, block=True).matrix
             img = [c for c in un.mul_columns(kernel_basis(f_hi, ring)) if c]
             red_k = GroupPresentation(k_rank - _span_rank(img, un.rows, ring))
         else:
-            img = [v for v in un.mul_columns(_kernel_cols(g, hi, r)) if v]
-            if any(slice_map(g, "F", d, r=r).matrix.mul_columns(img)):
+            img = [v for v in un.mul_columns(_kernel_cols(n, hi)) if v]
+            if any(slice_map(n, "F", d, block=True).matrix.mul_columns(img)):
                 raise AssertionError("U^N carried the kernel at hi outside Ker F_d")
             red_k = lattice_quotient(k_rank, img, un.rows, smith_form)
             if ring == QQ:
@@ -273,34 +274,34 @@ def u_action_red(g, window=None):
         window = (-g, g - 1)
 
     @lru_cache(maxsize=None)
-    def kdata(d, r):
+    def kdata(d, n):
         hi = _stable_hi(g, d)
         steps = (hi - d) // 2
-        un = u_chain_map(g, B_PLUS, hi, steps, r=r).matrix
-        return _kernel_cols(g, d, r), un.mul_columns(_kernel_cols(g, hi, r))
+        un = u_chain_map(n, B_PLUS, hi, steps, block=True).matrix
+        return _kernel_cols(n, d), un.mul_columns(_kernel_cols(n, hi))
 
     @lru_cache(maxsize=None)
-    def cdata(d1, r):
+    def cdata(d1, n):
         hi1 = _stable_hi(g, d1)
         steps = (hi1 - d1) // 2
-        f1 = slice_map(g, "F", d1, r=r).matrix
-        un1 = u_chain_map(g, corner(0), hi1, steps, r=r).matrix
+        f1 = slice_map(n, "F", d1, block=True).matrix
+        un1 = u_chain_map(n, corner(0), hi1, steps, block=True).matrix
         v = [{i: 1} for i in range(f1.rows)]
         return v, f1.col_dicts() + un1.col_dicts()
 
     per_degree = {}
     for d in range(window[0], window[1] + 1):
         row = {"dim": 0, "ker": 0, "img": 0}
-        for r in range(g + 1):
-            klo, w1k = kdata(d, r)
-            _, w2k = kdata(d - 2, r)
-            u_b = u_slice_map(g, B_PLUS, d, r=r).matrix
-            vc, w1c = cdata(d + 1, r)
-            _, w2c = cdata(d - 1, r)
-            u_c = u_slice_map(g, corner(0), d + 1, r=r).matrix
+        for n in range(g, -1, -1):  # type r = g - n: the weight-zero block at n
+            klo, w1k = kdata(d, n)
+            _, w2k = kdata(d - 2, n)
+            u_b = u_slice_map(n, B_PLUS, d, block=True).matrix
+            vc, w1c = cdata(d + 1, n)
+            _, w2c = cdata(d - 1, n)
+            u_c = u_slice_map(n, corner(0), d + 1, block=True).matrix
             for key, k, c in zip(row, _quotient_map_dims(u_b, klo, w1k, w2k),
                                  _quotient_map_dims(u_c, vc, w1c, w2c)):
-                row[key] += block_multiplicity(g, r) * (k + c)
+                row[key] += block_multiplicity(g, g - n) * (k + c)
         per_degree[half(d)] = row
     checks = {}
     for delta, row in per_degree.items():

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the ambient time budget."""
+"""Exception types shared across the package, the time budget, the genus cap."""
 
 from contextvars import ContextVar
 from time import monotonic
+
+HARD_GENUS_CAP = 10  # no command computes beyond this genus
 
 
 class GenusMismatch(ValueError):

@@ -66,16 +66,13 @@ def lowering_matrix(g, j):
     return _pair_matrix(g, blades_of_grade(g, j), blades_of_grade(g, j - 2), True)
 
 
-def raising_matrix(g, j, r=None):
+def raising_matrix(g, j, block=False):
     """Matrix of wedging with omega: grade j -> grade j+2, in the ascending
-    blade bases, or on the representative type-r weight block when r is
-    given (cfk.block_masks; omega adds complete pairs, so it keeps the
-    weight vector)."""
-    if r is None:
-        src, tgt = blades_of_grade(g, j), blades_of_grade(g, j + 2)
-    else:
-        src, tgt = block_masks(g, r, j), block_masks(g, r, j + 2)
-    return _pair_matrix(g, src, tgt, False)
+    blade bases, or on the weight-zero block when block is true
+    (cfk.block_masks; omega adds complete pairs, so it keeps the weight
+    vector)."""
+    masks = block_masks if block else blades_of_grade
+    return _pair_matrix(g, masks(g, j), masks(g, j + 2), False)
 
 
 @lru_cache(maxsize=None)

@@ -222,10 +222,13 @@ class SparseExactMatrix:
 
     @classmethod
     def from_json(cls, data):
-        """Inverse of to_json(); a ring tag other than Z is a DomainError."""
+        """Inverse of to_json(); another ring or a bad shape is a DomainError."""
         if parse_ring(data["ring"]) != ZZ:
             raise DomainError(f"wanted an integer matrix, got one over {data['ring']}")
-        m = cls(data["rows"], data["cols"])
+        rows, cols = data["rows"], data["cols"]
+        if any(type(n) is not int or n < 0 for n in (rows, cols)):  # bools too
+            raise DomainError(f"matrix shape {rows!r} x {cols!r}: not two counts")
+        m = cls(rows, cols)
         for r, c, s in data["entries"]:
             val = Fraction(s) if "/" in s else int(s)
             m[r, c] = m[r, c] + val

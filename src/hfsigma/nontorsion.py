@@ -57,20 +57,16 @@ class XModel:
         return sum(comb(2 * self.genus, m) * (self.d - m + 1)
                    for m in range(0, self.d + 1))
 
-    def basis(self, r=None):
+    def basis(self, block=False):
         """Plane keys (i=c, mask) of the embedded copy inside the i >= 0
-        quotient; position (c, m - g + c).  With r, only the masks of the
-        representative type-r weight block (cfk.block_masks)."""
-        out = []
+        quotient; position (c, m - g + c).  With block, only the masks of
+        the weight-zero block (cfk.block_masks)."""
         if self.d is None or self.d < 0:
-            return out
-        g = self.genus
-        for m in range(0, self.d + 1):
-            masks = blades_of_grade(g, m) if r is None else block_masks(g, r, m)
-            for c in range(0, self.d - m + 1):
-                for mask in masks:
-                    out.append((c, mask))
-        return out
+            return []
+        masks = block_masks if block else blades_of_grade
+        grades = [masks(self.genus, m) for m in range(self.d + 1)]
+        return [(c, mask) for m, grade in enumerate(grades)
+                for c in range(self.d - m + 1) for mask in grade]
 
     def degree_of(self, key):
         c, mask = key
@@ -106,15 +102,15 @@ class _TriangleRegion:
         return i >= 0 and j <= -self.kk - 1
 
 
-def chain_matrix(g, kk, degrees, r=None):
+def chain_matrix(g, kk, degrees, block=False):
     """SliceMap of F = v + h over the listed source degrees of one residue
-    class mod 2|k|, or of its representative type-r weight block when r is
-    given; h drops the antidiagonal by 2|k|, so rows span the corner slices
-    of the source degrees and one step below.  Both sides are unions of
+    class mod 2|k|, or of its weight-zero block when block is true; h drops
+    the antidiagonal by 2|k|, so rows span the corner slices of the source
+    degrees and one step below.  Both sides are unions of
     slices in ascending degree.  Ticks once per column."""
     degrees = sorted(degrees)
-    src = UnionBasis([slice_basis(g, B_PLUS, d, r) for d in degrees])
-    tgt = UnionBasis([slice_basis(g, corner(-kk), d, r)
+    src = UnionBasis([slice_basis(g, B_PLUS, d, block) for d in degrees])
+    tgt = UnionBasis([slice_basis(g, corner(-kk), d, block)
                       for d in sorted(set(degrees) | {d - 2 * kk for d in degrees})])
     return SliceMap(_accumulate(g, "F", -kk, src, tgt), src, tgt, "F", -kk)
 
@@ -212,21 +208,18 @@ def hf_plus_nontorsion(g, k):
 
     v, h and the corner regions preserve the weight vector and commute with
     the signed pair permutations (cfk module docstring), so each prefix
-    kernel rank is the sum over r of block_multiplicity(g, r) times the
-    kernel rank of the representative type-r block of the chain matrix.
+    kernel rank is summed over the weight blocks (blocks._block_sum) from
+    the weight-zero blocks of the chain matrix at each genus n <= g.
     """
     if k == 0:
         raise DomainError("k = 0 is the torsion sector; use hf_plus_torsion")
     kk = abs(k)
-    if kk >= g:
-        model = XModel(g, -1)
-        table = FloerTable(g, k, ZZ, "nontorsion")
-        table.metadata["vanishes"] = True
-        return table, model
-    d = g - 1 - kk
-    model = XModel(g, d)
-    dims = model.dims()
     table = FloerTable(g, k, ZZ, "nontorsion")
+    if kk >= g:
+        table.metadata["vanishes"] = True
+        return table, XModel(g, -1)
+    model = XModel(g, g - 1 - kk)
+    dims = model.dims()
     per_degree = {}
     for res in range(2 * kk):
         degs = [n for n in range(-g, model.max_degree() + 1)
@@ -235,8 +228,8 @@ def hf_plus_nontorsion(g, k):
         for top_idx, top in enumerate(degs):
             prefix = tuple(degs[:top_idx + 1])
 
-            def block_kernel(r):
-                m = _chain_cached(g, kk, prefix, r).matrix
+            def block_kernel(n):
+                m = _chain_cached(n, kk, prefix, True).matrix
                 return GroupPresentation(m.cols - rank(m, QQ))
             kr = _block_sum(g, block_kernel).free_rank
             per_degree[top] = kr - prev
@@ -258,8 +251,8 @@ def hf_plus_nontorsion(g, k):
 
 
 @lru_cache(maxsize=None)
-def _chain_cached(g, kk, degrees, r=None):
-    return chain_matrix(g, kk, list(degrees), r)
+def _chain_cached(g, kk, degrees, block=False):
+    return chain_matrix(g, kk, list(degrees), block)
 
 
 def phi_image_rank(g, kk):
@@ -267,16 +260,14 @@ def phi_image_rank(g, kk):
 
     phi is built from J, U and region projections, so it preserves the
     weight vector and commutes with the signed pair permutations: the rank
-    is the sum over r of block_multiplicity(g, r) times the rank of the
-    images of the model elements in the representative type-r block."""
-    model = XModel(g, g - 1 - kk)
-    fmap = _nontorsion_images(g, kk)[1]
-
-    def block_image(r):
-        keys = {}
-        cols = []
-        for key in model.basis(r):
-            ph = phi_series(GradedElement(g, {key: 1}), kk).terms
+    is summed over the weight blocks (blocks._block_sum), the type-r block
+    of X(g, g - 1 - |k|) being the weight-zero block of X(n, n - 1 - |k|)
+    at n = g - r (a blade loses r from its grade and keeps its degree)."""
+    def block_image(n):
+        fmap = _nontorsion_images(n, kk)[1]
+        keys, cols = {}, []
+        for key in XModel(n, n - 1 - kk).basis(block=True):
+            ph = phi_series(GradedElement(n, {key: 1}), kk).terms
             if _apply(fmap, ph):
                 raise AssertionError("phi image escaped the kernel")
             cols.append({keys.setdefault(t, len(keys)): v for t, v in ph.items()})

@@ -15,7 +15,7 @@ from math import comb
 
 from . import blocks, bundle, cfk, engine, nontorsion
 from .cfk import GradedElement, gamma_action, j_infinity, slice_map
-from .errors import DomainError, tick
+from .errors import HARD_GENUS_CAP, DomainError, tick
 from .exterior import (Multivector, all_blades, blade_grade, contract_blades,
                        eta, omega, random_multivector, star_blade,
                        wedge_blades)
@@ -660,8 +660,8 @@ def run_suites(names, max_genus=5):
     and are released at the end.  Ticks once per call, once per suite and
     once per recorded check."""
     tick()
-    if max_genus < 1:
-        raise DomainError(f"max_genus must be at least 1, got {max_genus}")
+    if not 1 <= max_genus <= HARD_GENUS_CAP:
+        raise DomainError(f"max_genus must lie in 1..{HARD_GENUS_CAP}, got {max_genus}")
     for name in names:
         if name not in _SUITE_FUNCS:
             raise DomainError(f"unknown suite {name!r}; choose from {SUITES}")

@@ -8,10 +8,13 @@ the sl_2 closed form.  pairwise_product is the Multivector product through
 the per-pair blade rule (wedge_blades, contract_blades), which the products
 replaced by one parity mask per outer blade.  h1_action is the action of a
 single class, one phi series per class, which nontorsion.h1_corrections
-serves for every class from one phi series.
+serves for every class from one phi series.  type_r_block is the type-r
+weight block cut out of a whole matrix, which the builders replaced by the
+weight-zero block at genus g - r.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from hfsigma import nontorsion
@@ -158,3 +161,33 @@ def h1_action(g, k, gamma_star_index, xi):
     std, corrections = nontorsion._act(g, kk, gamma_star_index, xi, n,
                                        nontorsion.phi_series(xi, kk).terms)
     return GradedElement(g, std), corrections
+
+
+@lru_cache(maxsize=None)
+def weight(g, mask):
+    """Weight vector of a blade: bit(2i) - bit(2i+1) for each pair i."""
+    return tuple((mask >> (2 * i) & 1) - (mask >> (2 * i + 1) & 1) for i in range(g))
+
+
+def type_r_positions(g, r, masks):
+    """Positions, in order, of the masks of weight (1^r, 0^(g-r))."""
+    want = (1,) * r + (0,) * (g - r)
+    return [k for k, mask in enumerate(masks) if weight(g, mask) == want]
+
+
+def type_r_block(g, r, m, row_masks, col_masks):
+    """The type-r block of the whole genus-g matrix m: its rows and columns
+    whose blades (row_masks, col_masks) have weight (1^r, 0^(g-r)), with the
+    entries in m's order."""
+    rows = {k: n for n, k in enumerate(type_r_positions(g, r, row_masks))}
+    cols = {k: n for n, k in enumerate(type_r_positions(g, r, col_masks))}
+    return SparseExactMatrix.from_int_entries(len(rows), len(cols), {
+        (rows[a], cols[b]): v for (a, b), v in m.entries.items()
+        if a in rows and b in cols})
+
+
+def type_r_keys(g, r, keys):
+    """The (i, mask) keys of weight (1^r, 0^(g-r)), in order, with the r
+    pairs that hold one vector dropped: keys of genus g - r."""
+    masks = [mask for _, mask in keys]
+    return [(keys[k][0], keys[k][1] >> 2 * r) for k in type_r_positions(g, r, masks)]

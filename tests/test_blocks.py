@@ -1,8 +1,9 @@
 """Torus-weight blocks against the whole slice matrices they come from.
 
 The full-matrix route below is the reference: it eliminates each slice
-matrix whole, as the engine did before it summed over representative
-blocks.  The same holds for the nontorsion sector: whole prefix chain
+matrix whole, as the engine did before it summed over weight blocks.  Each
+builder's weight-zero block at genus g - r is checked against the type-r
+block cut out of its whole genus-g matrix (oracles.type_r_block).  The same holds for the nontorsion sector: whole prefix chain
 matrices, the phi image of the whole model basis, and the action one
 class at a time.  The phi series, F and the action are also checked
 against their composition from j_infinity, gamma_action and region
@@ -17,22 +18,19 @@ from itertools import product
 import pytest
 
 from hfsigma import engine, nontorsion
-from hfsigma.cfk import (B_PLUS, GradedElement, _flip_blade, block_masks,
-                         block_multiplicity, corner, gamma_action, j_infinity,
-                         slice_map)
+from hfsigma.blocks import block_multiplicity
+from hfsigma.cfk import (B_PLUS, OPS, GradedElement, _flip_blade, block_masks,
+                         corner, gamma_action, j_infinity, slice_map,
+                         u_chain_map)
 from hfsigma.errors import DomainError
 from hfsigma.exterior import blade_grade, blades_of_grade
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                             rank, smith_normal_form)
 from hfsigma.rings import GF, QQ, ZZ
-from oracles import h1_action
+from oracles import h1_action, type_r_block, type_r_keys, weight
 
 BLOCK_OPS = ("F", "F_hat", "one_plus_J")
 RINGS = (ZZ, QQ, GF(2), GF(3))
-
-
-def weight(g, mask):
-    return tuple((mask >> (2 * i) & 1) - (mask >> (2 * i + 1) & 1) for i in range(g))
 
 
 def degrees(g):
@@ -74,13 +72,15 @@ def full_table(g, op, degs, ring):
 
 
 def test_block_masks_are_the_representative_weight():
+    # the weight-zero masks, and with r pairs dropped the type-r masks
     for g in range(1, 6):
-        for r in range(g + 1):
-            want = (1,) * r + (0,) * (g - r)
-            for p in range(2 * g + 1):
-                assert block_masks(g, r, p) == [m for m in blades_of_grade(g, p)
-                                                if weight(g, m) == want]
-            assert sum(len(block_masks(g, r, p)) for p in range(2 * g + 1)) == 2 ** (g - r)
+        for p in range(-1, 2 * g + 2):
+            assert block_masks(g, p) == [m for m in blades_of_grade(g, p)
+                                         if weight(g, m) == (0,) * g]
+            for r in range(g + 1):
+                keys = [(0, m) for m in blades_of_grade(g, p)]
+                assert type_r_keys(g, r, keys) == [(0, m) for m in block_masks(g - r, p - r)]
+        assert sum(len(block_masks(g, p)) for p in range(2 * g + 1)) == 2 ** g
         assert sum(block_multiplicity(g, r) for r in range(g + 1)) == 3 ** g
 
 
@@ -96,13 +96,12 @@ def test_slice_entries_join_equal_weights():
 
 def test_block_map_is_the_restricted_slice_map():
     for g in range(1, 6):
-        for op in BLOCK_OPS:
-            for d in degrees(g):
-                sm = slice_map(g, op, d)
-                blocks = weight_blocks(sm)
-                for r in range(g + 1):
-                    bm = slice_map(g, op, d, r=r)
-                    rows, cols = blocks.get((1,) * r + (0,) * (g - r), ([], []))
+        for op in OPS:
+            for s in (0, -1, -2):
+                for d in degrees(g):
+                    sm = slice_map(g, op, d, s)
+                    bm = slice_map(g, op, d, s, block=True)
+                    rows, cols = weight_blocks(sm).get((0,) * g, ([], []))
                     assert bm.source.elements == [sm.source.elements[c] for c in cols]
                     assert bm.target.elements == [sm.target.elements[k] for k in rows]
                     assert bm.matrix.entries == restrict(sm.matrix, rows, cols).entries
@@ -117,7 +116,7 @@ def test_every_weight_block_has_its_representatives_smith_form():
                 seen = dict.fromkeys(range(g + 1), 0)
                 for w in product((-1, 0, 1), repeat=g):
                     r = sum(1 for x in w if x)
-                    rep = slice_map(g, op, d, r=r).matrix
+                    rep = slice_map(g - r, op, d, block=True).matrix
                     rows, cols = blocks.get(w, ([], []))
                     block = restrict(sm.matrix, rows, cols)
                     assert (block.rows, block.cols) == (rep.rows, rep.cols)
@@ -140,10 +139,47 @@ def test_tables_match_the_full_matrix_reference(ring):
 
 def test_block_map_rejects_bad_input():
     with pytest.raises(DomainError):
-        slice_map(2, "nope", 0, r=0)
-    for r in (-1, 3):
-        with pytest.raises(DomainError):
-            slice_map(2, "F", 0, r=r)
+        slice_map(2, "nope", 0, block=True)
+    with pytest.raises(DomainError):
+        slice_map(2, "F", 0, 1, block=True)
+
+
+def test_u_maps_are_the_type_r_blocks():
+    # U^N on B_PLUS and on the corner, as the reduced part and the U-action
+    # take them, with N = 1..3
+    for g in range(1, 7):
+        for region in (B_PLUS, corner(0)):
+            for steps in (1, 2, 3):
+                for d in range(-g - 1, g + 2 * steps + 2):
+                    um = u_chain_map(g, region, d, steps)
+                    for r in range(g + 1):
+                        bm = u_chain_map(g - r, region, d, steps, block=True)
+                        assert bm.source.elements == type_r_keys(g, r, um.source.elements)
+                        assert bm.target.elements == type_r_keys(g, r, um.target.elements)
+                        want = type_r_block(g, r, um.matrix,
+                                            [m for _, m in um.target.elements],
+                                            [m for _, m in um.source.elements])
+                        assert list(bm.matrix.entries.items()) == \
+                            list(want.entries.items()), (g, region, d, steps, r)
+
+
+def test_chain_matrix_prefixes_are_the_type_r_blocks():
+    # every prefix that hf_plus_nontorsion takes
+    for g, kk in nontorsion_cases(6):
+        top_degree = engine.XModel(g, g - 1 - kk).max_degree()
+        for res in range(2 * kk):
+            degs = [n for n in range(-g, top_degree + 1) if (n - res) % (2 * kk) == 0]
+            for top in range(1, len(degs) + 1):
+                cm = engine.chain_matrix(g, kk, degs[:top])
+                for r in range(g + 1):
+                    bm = engine.chain_matrix(g - r, kk, degs[:top], block=True)
+                    assert bm.source.elements == type_r_keys(g, r, cm.source.elements)
+                    assert bm.target.elements == type_r_keys(g, r, cm.target.elements)
+                    want = type_r_block(g, r, cm.matrix,
+                                        [m for _, m in cm.target.elements],
+                                        [m for _, m in cm.source.elements])
+                    assert list(bm.matrix.entries.items()) == \
+                        list(want.entries.items()), (g, kk, degs[:top], r)
 
 
 def full_nontorsion_ranks(g, kk):
@@ -177,12 +213,14 @@ def nontorsion_cases(max_genus=5):
 
 
 def test_model_basis_blocks_partition_the_basis():
-    for g, k in nontorsion_cases():
-        model = engine.XModel(g, g - 1 - k)
+    # the type-r keys of X(g, g - 1 - k) are the weight-zero keys of
+    # X(g - r, g - r - 1 - k)
+    for g, k in nontorsion_cases(6):
+        whole = engine.XModel(g, g - 1 - k).basis()
         for r in range(g + 1):
-            want = (1,) * r + (0,) * (g - r)
-            assert model.basis(r) == [key for key in model.basis()
-                                      if weight(g, key[1]) == want]
+            n = g - r
+            assert engine.XModel(n, n - 1 - k).basis(block=True) == \
+                type_r_keys(g, r, whole), (g, k, r)
 
 
 def test_nontorsion_tables_match_the_whole_chain_matrices():
@@ -210,13 +248,13 @@ def test_nontorsion_ranks_build_no_whole_chain_matrix(monkeypatch):
     chain_matrix = nontorsion.chain_matrix
 
     def spy(*args, **kwargs):
-        types.append(args[3] if len(args) > 3 else kwargs.get("r"))
+        types.append(args[3] if len(args) > 3 else kwargs.get("block", False))
         return chain_matrix(*args, **kwargs)
 
     monkeypatch.setattr(nontorsion, "chain_matrix", spy)
     nontorsion._chain_cached.cache_clear()
     nontorsion.hf_plus_nontorsion(5, 1)
-    assert types and None not in types
+    assert types and all(types)
 
 
 class J_GEQ0:

@@ -307,7 +307,7 @@ def test_slice_construction_checks_the_deadline():
     with pytest.raises(BudgetExceeded), Deadline(-1):
         slice_map(3, "F", 1)
     with pytest.raises(BudgetExceeded), Deadline(-1):
-        slice_map(3, "one_plus_J", 4, r=1)
+        slice_map(2, "one_plus_J", 4, block=True)  # the type-1 block at genus 3
     with pytest.raises(BudgetExceeded), Deadline(-1):
         slice_digest(3, "F", 1)
     with Deadline(60):

@@ -287,6 +287,39 @@ def test_wrong_shaped_cache_file_is_a_miss(tmp_path, stored):
     assert path.read_text() == text  # recomputed and rewritten
 
 
+def test_wrong_shaped_eg_cache_file_is_a_miss(tmp_path):
+    cold = _payload(run_cli("eg", "--genus", "2", "--out", "json"))
+    cache = tmp_path / "cache"
+    env = {"HF_CACHE_DIR": str(cache)}
+    run_cli("eg", "--genus", "2", "--out", "json", env_extra=env)
+    (path,) = cache.glob("*.json")
+    text = path.read_text()
+    path.write_text('{"entries": "garbage"}')
+    proc = run_cli("eg", "--genus", "2", env_extra=env)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    path.write_text('{"entries": "garbage"}')
+    assert _payload(run_cli("eg", "--genus", "2", "--out", "json", env_extra=env)) == cold
+    assert path.read_text() == text  # recomputed and rewritten
+
+
+def test_snf_rejects_an_impossible_shape(tmp_path):
+    for rows in ("-3", "2.5", "true"):
+        path = tmp_path / f"shape{rows}.json"
+        path.write_text('{"rows": %s, "cols": 0, "ring": "Z", "entries": []}' % rows)
+        proc = run_cli("snf", "--input", str(path), "--out", "json")
+        assert proc.returncode == 2 and proc.stdout == "", (rows, proc.stdout)
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("suite, jobs", (("sl2", "1"), ("all", "2")))
+def test_verify_above_the_genus_cap_exits_2(suite, jobs):
+    proc = run_cli("verify", "--suite", suite, "--max-genus", "11", "--extended",
+                   "--jobs", jobs, "--time-budget", "5")
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith("error:") and "1..10" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_jobs_2_matches_jobs_1():
     # the workers re-enter the parent's deadline, pickled with their jobs
     def suites(jobs):

@@ -100,11 +100,11 @@ def test_budget_covers_u_action():
     from hfsigma.cfk import B_PLUS, u_chain_map, u_slice_map
     with pytest.raises(BudgetExceeded), Deadline(-1):
         engine.u_action_red(4)
-    for r in (None, 0):
+    for block in (False, True):
         with pytest.raises(BudgetExceeded), Deadline(-1):
-            u_chain_map(4, B_PLUS, 2, 2, r=r)
+            u_chain_map(4, B_PLUS, 2, 2, block=block)
         with pytest.raises(BudgetExceeded), Deadline(-1):
-            u_slice_map(4, B_PLUS, 2, r=r)
+            u_slice_map(4, B_PLUS, 2, block=block)
     with CountingDeadline() as counter:
         sm = u_chain_map(4, B_PLUS, 2, 2)
     assert counter.ticks == sm.matrix.cols

@@ -16,7 +16,8 @@ from hfsigma.lefschetz import (coprimitive_dim, lowering_matrix, op_H, op_L,
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, rank,
                             smith_normal_form)
 from hfsigma.rings import QQ
-from oracles import blade_matrix, solved_primitive_decomposition
+from oracles import (blade_matrix, solved_primitive_decomposition, type_r_block,
+                     weight)
 
 
 def test_operator_examples():
@@ -69,7 +70,7 @@ def _same_matrix(got, want):
 
 
 def test_pair_matrices_match_the_multivector_route():
-    # every grade at g <= 6, and every weight block at g <= 7
+    # every grade at g <= 6, and the weight-zero block at g <= 7
     for g in range(1, 8):
         for j in range(-2, 2 * g + 1):
             src = blades_of_grade(g, j)
@@ -78,10 +79,8 @@ def test_pair_matrices_match_the_multivector_route():
                     g, op_lambda, src, blades_of_grade(g, j + 2))), (g, j)
                 assert _same_matrix(lowering_matrix(g, j), blade_matrix(
                     g, op_L, src, blades_of_grade(g, j - 2))), (g, j)
-            for r in range(g + 1):
-                want = blade_matrix(g, op_lambda, block_masks(g, r, j),
-                                    block_masks(g, r, j + 2))
-                assert _same_matrix(raising_matrix(g, j, r=r), want), (g, j, r)
+            want = blade_matrix(g, op_lambda, block_masks(g, j), block_masks(g, j + 2))
+            assert _same_matrix(raising_matrix(g, j, block=True), want), (g, j)
 
 
 def test_primitive_basis_wedges_with_integer_eta():
@@ -215,34 +214,33 @@ def wilson_factors(n, a):
 
 def test_wedge_blocks_are_restrictions_of_the_whole_matrix():
     # wedging with omega keeps the weight vector: a block column of the
-    # whole matrix has all its entries in the block rows
-    for g in range(1, 5):
+    # whole matrix has all its entries in the block rows, and the type-r
+    # block from grade j is the weight-zero block at genus g - r from
+    # grade j - r (grade - genus kept)
+    for g in range(1, 7):
         for j in range(-2, 2 * g + 1):
-            whole = raising_matrix(g, j).col_dicts()
+            whole = raising_matrix(g, j)
             src, tgt = blades_of_grade(g, j), blades_of_grade(g, j + 2)
+            assert all(weight(g, tgt[r]) == weight(g, src[c]) for r, c in whole.entries)
             for r in range(g + 1):
-                block = raising_matrix(g, j, r=r)
-                rows = block_masks(g, r, j + 2)
-                want = [{rows.index(tgt[i]): v for i, v in whole[src.index(m)].items()}
-                        for m in block_masks(g, r, j)]
-                assert block.rows == len(rows)
-                assert block.col_dicts() == want, (g, j, r)
+                block = raising_matrix(g - r, j - r, block=True)
+                want = type_r_block(g, r, whole, tgt, src)
+                assert (block.rows, block.cols) == (want.rows, want.cols)
+                assert _same_matrix(block, want), (g, j, r)
 
 
 def test_wedge_blocks_have_wilsons_diagonal_form():
-    # on a type-r block the wedge map from grade r + 2a is the inclusion
-    # matrix of the a-subsets into the (a+1)-subsets of the g - r
-    # zero-weight pairs; equal diagonal forms mean the same rank and the
-    # same nonunit invariant factors
+    # on the weight-zero block at genus n the wedge map from grade 2a is
+    # the inclusion matrix of the a-subsets into the (a+1)-subsets of the n
+    # pairs; equal diagonal forms mean the same rank and the same nonunit
+    # invariant factors
     blocks = 0
-    for g in range(1, 8):
-        for r in range(g + 1):
-            n = g - r
-            for a in range(n + 1):
-                m = raising_matrix(g, r + 2 * a, r=r)
-                assert (m.rows, m.cols) == (comb(n, a + 1), comb(n, a))
-                diag, snf = wilson_factors(n, a), smith_normal_form(m)
-                assert len(snf) == len(diag), (g, r, a)
-                assert GroupPresentation(0, snf) == GroupPresentation(0, diag), (g, r, a)
-                blocks += 1
-    assert blocks == 119
+    for n in range(8):
+        for a in range(n + 1):
+            m = raising_matrix(n, 2 * a, block=True)
+            assert (m.rows, m.cols) == (comb(n, a + 1), comb(n, a))
+            diag, snf = wilson_factors(n, a), smith_normal_form(m)
+            assert len(snf) == len(diag), (n, a)
+            assert GroupPresentation(0, snf) == GroupPresentation(0, diag), (n, a)
+            blocks += 1
+    assert blocks == 36

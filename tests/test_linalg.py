@@ -365,6 +365,14 @@ def test_divisibility_chain_against_pairwise_passes(factors):
         normalize_divisibility_chain(factors + [0])
 
 
+@pytest.mark.parametrize("rows, cols", ((-3, 0), (2.5, 1), (1, -1), (True, 1),
+                                        (1, False), ("2", 1), (None, 0)))
+def test_matrix_json_rejects_a_shape_that_is_not_two_counts(rows, cols):
+    data = {"rows": rows, "cols": cols, "ring": "Z", "entries": []}
+    with pytest.raises(DomainError):
+        SparseExactMatrix.from_json(data)
+
+
 def test_matrix_json_roundtrip():
     rng = random.Random(12)
     m = random_mat(rng, 4, 5)

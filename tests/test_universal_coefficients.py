@@ -19,14 +19,13 @@ from fractions import Fraction
 import pytest
 
 from hfsigma import blocks, bundle, engine, lefschetz
-from hfsigma.cfk import (B_PLUS, block_masks, corner, slice_map, u_chain_map,
-                         u_slice_map)
+from hfsigma.cfk import B_PLUS, corner, slice_map, u_chain_map, u_slice_map
 from hfsigma.exterior import Multivector, blades_of_grade, eta
 from hfsigma.lefschetz import raising_matrix
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                             integer_kernel_lattice, kernel_basis, rank)
 from hfsigma.rings import GF, QQ, ZZ
-from oracles import solve_columns
+from oracles import solve_columns, type_r_block
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
 
@@ -123,13 +122,11 @@ def reference_eg(g, ring):
     return out
 
 
-def reference_contraction_matrix(g, parity, r=None):
+def reference_contraction_matrix(g, parity):
     """Contraction by (1 - exp(-omega)) = sum_{n>=1} (-1)^(n+1) eta_n on the
-    even or odd half of the whole exterior algebra, or of its representative
-    type-r weight block when r is given, through Multivector.contract."""
-    grade = (lambda p: blades_of_grade(g, p)) if r is None else \
-        (lambda p: block_masks(g, r, p))
-    src = [m for p in range(parity, 2 * g + 1, 2) for m in grade(p)]
+    even or odd half of the whole exterior algebra, through
+    Multivector.contract, and the masks of its rows and columns."""
+    src = [m for p in range(parity, 2 * g + 1, 2) for m in blades_of_grade(g, p)]
     idx = {m: i for i, m in enumerate(src)}
     mat = SparseExactMatrix(len(src), len(src))
     op = Multivector.zero(g)
@@ -139,7 +136,7 @@ def reference_contraction_matrix(g, parity, r=None):
         img = op.contract(Multivector.from_blade(g, mask))
         for m2, v in img.coeffs.items():
             mat[idx[m2], c] = mat[idx[m2], c] + v
-    return mat
+    return mat, src
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.tag)
@@ -165,7 +162,7 @@ def test_reduced_part_and_u_action_build_only_weight_blocks(monkeypatch):
 
     def blocks_only(fn):
         def wrapper(*args, **kwargs):
-            if kwargs.get("r") is None:
+            if not kwargs.get("block"):
                 whole.append((fn.__name__,) + args)
             return fn(*args, **kwargs)
         return wrapper
@@ -188,7 +185,7 @@ def test_eg_cohomology_matches_the_per_ring_reference(ring):
 def test_contraction_comparison_matches_the_whole_matrices():
     for g in range(1, 6):
         for parity, (lhs, rhs) in engine.contraction_cokernel_comparison(g).items():
-            assert lhs == cokernel(reference_contraction_matrix(g, parity)), (g, parity)
+            assert lhs == cokernel(reference_contraction_matrix(g, parity)[0]), (g, parity)
             want = GroupPresentation()
             for j in range(parity, 2 * g + 1, 2):
                 want = want.direct_sum(cokernel(raising_matrix(g, j - 2)))
@@ -197,12 +194,16 @@ def test_contraction_comparison_matches_the_whole_matrices():
 
 def test_contraction_blocks_match_the_eta_route():
     # every entry -1, at (a ^ z_J, a) for each nonempty set J of complete
-    # pairs of a, against the summed eta_n contracted blade by blade
+    # pairs of a, against the summed eta_n contracted blade by blade: the
+    # type-r block of the grade-parity half is the weight-zero block at
+    # genus g - r of the half whose grade - genus has parity - g
     for g in range(1, 7):
-        for r in range(g + 1):
-            for parity in (0, 1):
-                assert bundle._one_minus_exp_contraction_matrix(g, parity, r) == \
-                    reference_contraction_matrix(g, parity, r), (g, parity, r)
+        for parity in (0, 1):
+            whole, masks = reference_contraction_matrix(g, parity)
+            for r in range(g + 1):
+                want = type_r_block(g, r, whole, masks, masks)
+                assert bundle._one_minus_exp_contraction_matrix(
+                    g - r, (parity - g) % 2) == want, (g, parity, r)
 
 
 def test_eg_builds_only_weight_blocks(monkeypatch):
@@ -210,9 +211,9 @@ def test_eg_builds_only_weight_blocks(monkeypatch):
         monkeypatch.setattr(blocks, table, {})
     calls = []
 
-    def recorded(g, j, r=None):
-        calls.append(r)
-        return raising_matrix(g, j, r)
+    def recorded(g, j, block=False):
+        calls.append(block)
+        return raising_matrix(g, j, block)
 
     monkeypatch.setattr(lefschetz, "raising_matrix", recorded)
     multivectors = []
@@ -226,9 +227,9 @@ def test_eg_builds_only_weight_blocks(monkeypatch):
     for ring in (ZZ, QQ, GF(3)):
         engine.eg_cohomology(4, ring)
     engine.contraction_cokernel_comparison(4)
-    # one call per wedge block: grades -2..2g on each of the g+1 types, each
-    # a pair-inclusion matrix built without a Multivector
-    assert len(calls) == (2 * 4 + 3) * 5 and None not in calls
+    # one call per wedge block: grade - genus in -n - 2..n at each genus
+    # n = 0..g, each a pair-inclusion matrix built without a Multivector
+    assert len(calls) == sum(2 * n + 3 for n in range(5)) and all(calls)
     assert multivectors == []
 
 
