@@ -1,6 +1,7 @@
 """Bit-level rules for the basis blades of the exterior algebra of a
 symplectic lattice: what the slice matrices, the weight blocks and the
-Lefschetz matrices are built from.
+Lefschetz matrices are built from, and the two mask enumerations they
+list their bases with (blades_of_grade, block_masks).
 
 Basis covectors e_1, ..., e_{2g} pair off symplectically:
 omega(e_{2i-1}, e_{2i}) = 1 = -omega(e_{2i}, e_{2i-1}), all other pairs 0.
@@ -57,3 +58,13 @@ def blades_of_grade(g, p):
     masks = [sum(1 << b for b in bits) for bits in combinations(range(2 * g), p)]
     masks.sort()
     return masks
+
+
+def block_masks(g, p):
+    """Masks of grade p in the weight-zero block, in ascending order: the
+    unions of p/2 of the g pairs."""
+    k, odd = divmod(p, 2)
+    if odd or not 0 <= k <= g:
+        return []
+    return sorted(sum(pair_mask(j) for j in pairs)
+                  for pairs in combinations(range(g), k))

@@ -3,9 +3,8 @@ intersection form, and the triple cup product of the surface times a
 circle: the cross-checks the paper relates to the torsion tables.
 """
 
-from .blades import complete_pairs
+from .blades import block_masks, blades_of_grade, complete_pairs
 from .blocks import _block_data, _block_sum, _cone_group, smith_form
-from .cfk import block_masks
 from .linalg import GroupPresentation, SparseExactMatrix, cokernel_over, rank
 from .rings import QQ, ZZ
 
@@ -86,45 +85,33 @@ def triple_cup_beta(g, s):
     """The triple-cup homomorphism on the s-th exterior power of the rank
     2g+1 first cohomology of the product (basis e_1..e_2g, t): contract out
     ordered triples against <a . b . t> = omega(a, b), with the alternating
-    position sign."""
-    n = 2 * g + 1
-    src = [sum(1 << b for b in bits) for bits in _combinations_sorted(n, s)]
-    tgt = [sum(1 << b for b in bits) for bits in _combinations_sorted(n, s - 3)] if s >= 3 else []
-    src.sort()
-    tgt.sort()
+    position sign.  A basis lists the blades without t, then those with t;
+    t is the highest bit, so it ascends.  Only the blades with t have an
+    image."""
+    t = 1 << (2 * g)
+    without_t = blades_of_grade(g, s)
+    src = without_t + [m | t for m in blades_of_grade(g, s - 1)]
+    tgt = blades_of_grade(g, s - 3) + [m | t for m in blades_of_grade(g, s - 4)]
     idx = {m: i for i, m in enumerate(tgt)}
     mat = SparseExactMatrix(len(tgt), len(src))
-    tbit = 2 * g
-    for c, mask in enumerate(src):
+    for c, mask in enumerate(src[len(without_t):], len(without_t)):
         bits = []
         b = mask
         while b:
             low = b & -b
             bits.append(low.bit_length() - 1)
             b ^= low
-        if tbit not in bits:
-            continue
-        t_pos = bits.index(tbit)  # always the last position
-        for a_pos in range(len(bits)):
-            for b_pos in range(a_pos + 1, len(bits)):
-                if b_pos == t_pos or a_pos == t_pos:
-                    continue
+        t_pos = len(bits) - 1  # t is the last position
+        for a_pos in range(t_pos):
+            for b_pos in range(a_pos + 1, t_pos):
                 ba, bb = bits[a_pos], bits[b_pos]
                 if (ba ^ bb) != 1:
                     continue  # omega vanishes off symplectic partners
                 val = 1 if ba % 2 == 0 else -1  # omega(e_a, e_b), a < b
                 sign = (-1) ** ((a_pos + 1) + (b_pos + 1) + (t_pos + 1))
-                rest = mask & ~((1 << ba) | (1 << bb) | (1 << tbit))
-                r = idx[rest]
+                r = idx[mask & ~((1 << ba) | (1 << bb) | t)]
                 mat[r, c] = mat[r, c] + sign * val
     return mat
-
-
-def _combinations_sorted(n, k):
-    from itertools import combinations
-    if k < 0:
-        return []
-    return combinations(range(n), k)
 
 
 def beta_quotient_dims(g):

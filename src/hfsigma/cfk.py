@@ -36,13 +36,13 @@ eps * (-1)^p depends on p - g alone.  So only weight-zero blocks, with
 every pair empty or complete, are built (block=True): 2^g masks, not 4^g.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb
 
 from . import sha256
-from .blades import (blade_grade, blades_of_grade, complete_pairs, pair_mask,
-                     star_blade, swap_pairs)
+from .blades import (blade_grade, block_masks, blades_of_grade, complete_pairs,
+                     pair_mask, star_blade, swap_pairs)
 from .errors import DomainError, GenusMismatch, tick
 from .linalg import SparseExactMatrix
 
@@ -108,16 +108,6 @@ def min_zero(s=0):
 # ---------------------------------------------------------------------------
 # slice bases
 # ---------------------------------------------------------------------------
-
-def block_masks(g, p):
-    """Masks of grade p in the weight-zero block, in ascending order: the
-    unions of p/2 of the g pairs."""
-    k, odd = divmod(p, 2)
-    if odd or not 0 <= k <= g:
-        return []
-    return sorted(sum(pair_mask(j) for j in pairs)
-                  for pairs in combinations(range(g), k))
-
 
 def _slice_cells(g, region, d):
     """Cells (i, p) of the degree-d slice of a region, i ascending, with
@@ -244,6 +234,38 @@ class GradedElement:
 # the flip map and the H_1-action on the plane
 # ---------------------------------------------------------------------------
 
+class _Images(dict):
+    """A linear plane map as {(i, mask): image of that single term}, an image
+    being a tuple of ((i', mask'), coeff), each built by build(i, mask) on
+    first use; _apply sums the images over plain {(i, mask): coeff} dicts.
+    J, the action of a class and the nontorsion maps are applied this way."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        img = self[key] = self.build(*key)
+        return img
+
+
+def _apply(image, terms):
+    """The linear map given by its term images on {(i, mask): coeff}, as a
+    new dict without zero coefficients."""
+    out = {}
+    get = out.get
+    for key, c in terms.items():
+        for key2, w in image[key]:
+            v = get(key2, 0) + c * w
+            if v:
+                out[key2] = v
+            else:
+                del out[key2]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _flip_blade(g, mask):
     """J of a grade-p blade at U-coordinate 0: tuple of (di, mask', coeff).
@@ -267,18 +289,12 @@ def _flip_blade(g, mask):
 
 
 def j_infinity(x):
-    """The flip automorphism of the full plane; degree preserving."""
+    """The flip automorphism of the full plane; degree preserving.  The
+    image of a term is its _flip_blade, shifted to the term's U-coordinate."""
     g = x.genus
-    out = {}
-    for (i, mask), c in x.terms.items():
-        for di, m2, w in _flip_blade(g, mask):
-            key = (i + di, m2)
-            v = out.get(key, 0) + c * w
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return GradedElement(g, out)
+    image = _Images(lambda i, mask: tuple(((i + di, m2), w)
+                                          for di, m2, w in _flip_blade(g, mask)))
+    return GradedElement(g, _apply(image, x.terms))
 
 
 def gamma_action(gamma_star_index, x, truncate=True):
@@ -289,18 +305,18 @@ def gamma_action(gamma_star_index, x, truncate=True):
     With truncate=True terms pushed to i < 0 die (the U^0-row truncation of
     the i >= 0 quotient).
     """
-    out = {}
-    for key, c in x.terms.items():
-        for key2, s in _gamma_terms(gamma_star_index, *key, truncate):
-            v = out.get(key2, 0) + s * c
-            if v:
-                out[key2] = v
-            else:
-                out.pop(key2, None)
-    return GradedElement(x.genus, out)
+    return GradedElement(x.genus, _apply(_gamma_images(gamma_star_index, truncate),
+                                         x.terms))
 
 
-def _gamma_terms(gamma_star_index, i, mask, truncate=True):
+@lru_cache(maxsize=None)
+def _gamma_images(gamma_star_index, truncate):
+    """Term images of the action of one class (_gamma_terms); its bit rules
+    do not depend on the genus."""
+    return _Images(partial(_gamma_terms, gamma_star_index, truncate))
+
+
+def _gamma_terms(gamma_star_index, truncate, i, mask):
     """gamma_action on the single term mask * U^-i: tuple of
     ((i', mask'), sign), at most one contraction and one wedge term.  Each
     sign is (-1)^(bits of mask below the bit it removes or adds), times
@@ -423,17 +439,20 @@ def _bases(g, op, d, s=0, block=False):
     return src, tgts[0] if s == 0 else UnionBasis(tgts)
 
 
-def _accumulate(g, op, s, src, tgt):
-    """Integer matrix of the op from the source basis to the target basis,
-    its entries summed in one pass over plain ints.  An entry whose sum
-    reaches zero is dropped and, should it become nonzero again, reinserted
-    at the end: the field eliminators pivot on a column's first row, so the
-    order is part of the result.  Ticks once per source column."""
+def _accumulate(terms, src, tgt):
+    """Integer matrix from the source basis to the target basis of the map
+    whose image of a source blade at U-coordinate 0 is terms(mask), as
+    (di, mask', coeff) with the term for input at i landing at i + di; terms
+    off the target basis are dropped.  The entries are summed in one pass
+    over plain ints.  An entry whose sum reaches zero is dropped and, should
+    it become nonzero again, reinserted at the end: the field eliminators
+    pivot on a column's first row, so the order is part of the result.
+    Ticks once per source column."""
     get = tgt.index.get
     ent = {}
     for c, (i, mask) in enumerate(src.elements):
         tick()
-        for di, m2, w in _op_terms(g, op, s, mask):
+        for di, m2, w in terms(mask):
             r = get((i + di, m2))
             if r is None:
                 continue
@@ -466,7 +485,8 @@ def slice_map(g, op, d, s=0, block=False):
     source column.
     """
     src, tgt = _bases(g, op, d, s, block)
-    return SliceMap(_accumulate(g, op, s, src, tgt), src, tgt, op, s)
+    mat = _accumulate(partial(_op_terms, g, op, s), src, tgt)
+    return SliceMap(mat, src, tgt, op, s)
 
 
 def _flip_sources(g, m2):
@@ -589,14 +609,7 @@ def u_chain_map(g, region, d_hi, steps, block=False):
     source column."""
     src = slice_basis(g, region, d_hi, block)
     tgt = slice_basis(g, region, d_hi - 2 * steps, block)
-    get = tgt.index.get
-    ent = {}
-    for c, (i, mask) in enumerate(src.elements):
-        tick()
-        row = get((i - steps, mask))
-        if row is not None:
-            ent[(row, c)] = 1
-    mat = SparseExactMatrix.from_int_entries(tgt.size, src.size, ent)
+    mat = _accumulate(lambda mask: ((-steps, mask, 1),), src, tgt)
     return SliceMap(mat, src, tgt, "U" if steps == 1 else f"U^{steps}")
 
 

@@ -39,7 +39,10 @@ DESK_GENUS_CAP = 6  # beyond this the integer runs need --extended
 
 
 def _parse_degree(text):
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # "1/0": argparse reports ValueErrors only
+        raise ValueError(text) from None
 
 
 def _parse_window(text):

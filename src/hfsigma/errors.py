@@ -40,6 +40,8 @@ class Deadline:
     __slots__ = ("t_end", "label", "_outer")
 
     def __init__(self, seconds, label=""):
+        if seconds != seconds:  # NaN: no time would ever compare past it
+            raise DomainError("a time budget must be a number of seconds, got nan")
         self.t_end = monotonic() + seconds
         self.label = label
 

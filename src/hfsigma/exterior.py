@@ -24,9 +24,9 @@ contract_blades are the per-pair rules they are tested against.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 
-from .blades import (_EVEN, _popcount, blade_grade, blades_of_grade,
+from .blades import (_EVEN, _popcount, blade_grade, blades_of_grade, block_masks,
                      complete_pairs, pair_mask, star_blade, swap_pairs)
 from .errors import DomainError, GenusMismatch
 
@@ -98,7 +98,8 @@ class Multivector:
     """Sparse element of the exterior algebra over H^1 of a genus-g surface.
 
     Coefficients are exact numbers: ints, or Fractions where a Q basis
-    enters (Fraction(2) == 2, and both hash alike).
+    enters (Fraction(2) == 2, and both hash alike).  No operation changes
+    its operands, so omega and eta can hand out one cached element each.
     """
 
     __slots__ = ("genus", "coeffs")
@@ -267,25 +268,20 @@ class Multivector:
         return cls(g, coeffs)
 
 
+@lru_cache(maxsize=None)
 def omega(g):
     """The symplectic form as a 2-form: sum of the z_j."""
     return Multivector(g, {pair_mask(j): 1 for j in range(g)}, _clean=True)
 
 
+@lru_cache(maxsize=None)
 def eta(k, g):
     """Divided power omega^k/k!: the sum of all k-fold products of distinct z_j.
 
-    Defined over the integers; C(g, k) terms, every coefficient 1.
+    Defined over the integers; C(g, k) terms, every coefficient 1, on the
+    masks of the weight-zero block of grade 2k (blades.block_masks).
     """
-    if k < 0 or k > g:
-        return Multivector.zero(g)
-    coeffs = {}
-    for subset in combinations(range(g), k):
-        m = 0
-        for j in subset:
-            m |= pair_mask(j)
-        coeffs[m] = 1
-    return Multivector(g, coeffs, _clean=True)
+    return Multivector(g, dict.fromkeys(block_masks(g, 2 * k), 1), _clean=True)
 
 
 def wedge(a, b):
@@ -312,12 +308,9 @@ def blade_grade_max(mv):
     return max((blade_grade(m) for m in mv.coeffs), default=0)
 
 
-def all_blades(g, p=None):
-    """All blade masks of genus g (of grade p if given), ascending."""
-    n = 1 << (2 * g)
-    if p is None:
-        return list(range(n))
-    return [m for m in range(n) if _popcount(m) == p]
+def all_blades(g):
+    """All blade masks of genus g, ascending."""
+    return list(range(1 << (2 * g)))
 
 
 def random_multivector(g, grade, rng, density=0.5, span=9):

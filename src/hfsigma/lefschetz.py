@@ -19,8 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 
-from .blades import blades_of_grade, pair_mask
-from .cfk import block_masks
+from .blades import block_masks, blades_of_grade, pair_mask
 from .errors import DomainError
 from .linalg import SparseExactMatrix, kernel_basis
 from .rings import QQ
@@ -69,7 +68,7 @@ def lowering_matrix(g, j):
 def raising_matrix(g, j, block=False):
     """Matrix of wedging with omega: grade j -> grade j+2, in the ascending
     blade bases, or on the weight-zero block when block is true
-    (cfk.block_masks; omega adds complete pairs, so it keeps the weight
+    (blades.block_masks; omega adds complete pairs, so it keeps the weight
     vector)."""
     masks = block_masks if block else blades_of_grade
     return _pair_matrix(g, masks(g, j), masks(g, j + 2), False)

@@ -12,10 +12,11 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
 
-from .blades import blade_grade, blades_of_grade
+from .blades import blade_grade, block_masks, blades_of_grade
 from .blocks import FloerTable, _block_sum, _span_rank
-from .cfk import (B_PLUS, GradedElement, SliceMap, UnionBasis, block_masks,
-                  corner, slice_basis, _accumulate, _gamma_terms, _op_terms)
+from .cfk import (B_PLUS, GradedElement, SliceMap, UnionBasis, corner,
+                  slice_basis, _accumulate, _apply, _gamma_images, _Images,
+                  _op_terms)
 from .errors import DomainError, UnsupportedOperation, tick
 from .linalg import GroupPresentation, rank
 from .rings import QQ, ZZ
@@ -60,7 +61,7 @@ class XModel:
     def basis(self, block=False):
         """Plane keys (i=c, mask) of the embedded copy inside the i >= 0
         quotient; position (c, m - g + c).  With block, only the masks of
-        the weight-zero block (cfk.block_masks)."""
+        the weight-zero block (blades.block_masks)."""
         if self.d is None or self.d < 0:
             return []
         masks = block_masks if block else blades_of_grade
@@ -112,64 +113,23 @@ def chain_matrix(g, kk, degrees, block=False):
     src = UnionBasis([slice_basis(g, B_PLUS, d, block) for d in degrees])
     tgt = UnionBasis([slice_basis(g, corner(-kk), d, block)
                       for d in sorted(set(degrees) | {d - 2 * kk for d in degrees})])
-    return SliceMap(_accumulate(g, "F", -kk, src, tgt), src, tgt, "F", -kk)
-
-
-# Every map the nontorsion sector iterates is linear and acts term by term on
-# (i, mask), so each is stored as its images of single terms, built once per
-# term: the phi step pr_{i>=0} U^|k| pr_{j>=0} J, F = v + h into the corner
-# j >= -|k|, and the truncated action of one class.  _apply sums them over
-# plain {(i, mask): coeff} dicts.
-
-class _Images(dict):
-    """{(i, mask): image of that single term}, an image being a tuple of
-    ((i', mask'), coeff); each built by build(i, mask) on first use."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        img = self[key] = self.build(*key)
-        return img
-
-
-def _apply(image, terms):
-    """The linear map given by its term images on {(i, mask): coeff}, as a
-    new dict without zero coefficients."""
-    out = {}
-    get = out.get
-    for key, c in terms.items():
-        for key2, w in image[key]:
-            v = get(key2, 0) + c * w
-            if v:
-                out[key2] = v
-            else:
-                del out[key2]
-    return out
+    mat = _accumulate(partial(_op_terms, g, "F", -kk), src, tgt)
+    return SliceMap(mat, src, tgt, "F", -kk)
 
 
 @lru_cache(maxsize=None)
 def _nontorsion_images(g, kk):
-    """(phi step, F) term images for genus g and |k| = kk: the cfk._op_terms
-    of h and of F at s = -|k|, kept in the corner {i >= 0, j >= -|k|}.  For
-    the phi step that is pr_{i>=0} U^|k| pr_{j>=0} J, since U^|k| carries
-    j >= 0 onto j >= -|k|."""
+    """(phi step, F) term-image tables (cfk._Images) for genus g and
+    |k| = kk: the cfk._op_terms of h and of F at s = -|k|, kept in the
+    corner {i >= 0, j >= -|k|}.  For the phi step that is
+    pr_{i>=0} U^|k| pr_{j>=0} J, since U^|k| carries j >= 0 onto j >= -|k|.
+    The action of a class is the table cfk._gamma_images."""
     def images(op):
         def build(i, mask):
             return tuple(((i2, m2), w) for di, m2, w in _op_terms(g, op, -kk, mask)
                          if (i2 := i + di) >= 0 and i2 + blade_grade(m2) - g >= -kk)
         return _Images(build)
     return images("h"), images("F")
-
-
-@lru_cache(maxsize=None)
-def _gamma_images(gamma_star_index):
-    """Term images of the truncated action of one class; its bit rules
-    (cfk._gamma_terms) do not depend on the genus."""
-    return _Images(partial(_gamma_terms, gamma_star_index))
 
 
 def phi_series(xi, kk, max_iter=200):
@@ -288,7 +248,7 @@ def f_restriction_surjective(g, kk, d_lo=None, d_hi=None):
     src = UnionBasis([slice_basis(g, corner(-kk), d)
                       for d in range(d_lo, d_hi + 2 * kk + 1)])
     tgt = UnionBasis(src.slices[:d_hi - d_lo + 1])
-    return rank(_accumulate(g, "F", -kk, src, tgt), QQ) == tgt.size
+    return rank(_accumulate(partial(_op_terms, g, "F", -kk), src, tgt), QQ) == tgt.size
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +324,7 @@ def _act(g, kk, gamma_star_index, xi, n, ph):
     standard part is the interior product plus Poincare-dual wedge with the
     U-shift; the corrections are what the kernel embedding adds on the
     triangle."""
-    gamma = _gamma_images(gamma_star_index)
+    gamma = _gamma_images(gamma_star_index, True)
     y = _apply(gamma, ph)
     if _apply(_nontorsion_images(g, kk)[1], y):
         raise AssertionError("the action left the kernel")

@@ -12,18 +12,37 @@ from fractions import Fraction
 from .errors import DomainError
 
 
+# A strong probable prime to each of the 13 primes up to 41 is prime below
+# _PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2015), so Miller-Rabin to these bases is exact there.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Miller-Rabin to _PRIME_BASES; a DomainError for n >= _PRIME_BOUND,
+    whose primality it cannot certify."""
+    if n >= _PRIME_BOUND:
+        raise DomainError(f"moduli must lie below {_PRIME_BOUND}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -91,10 +110,9 @@ def parse_ring(text):
         return ZZ
     if t == "Q":
         return QQ
-    if t.startswith("Fp:"):
-        return GF(int(t[3:]))
-    if t.startswith("F") and t[1:].isdigit():
-        return GF(int(t[1:]))
+    digits = t[3:] if t.startswith("Fp:") else t[1:] if t.startswith("F") else ""
+    if digits.isascii() and digits.isdigit():
+        return GF(int(digits))
     raise DomainError(f"cannot parse ring {text!r} (expected Z, Q, F2, Fp:<p>)")
 
 

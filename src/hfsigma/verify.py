@@ -211,9 +211,10 @@ def suite_sl2(max_genus=5):
             pa, pb = rng.randint(0, 2 * g), rng.randint(0, 2 * g)
             a = random_multivector(g, pa, rng)
             b = random_multivector(g, pb, rng)
+            ab = a.wedge(b)
             for i in range(1, 2 * g + 1):
                 v = Multivector.basis_vector(g, i)
-                lhs = v.contract(a.wedge(b))
+                lhs = v.contract(ab)
                 rhs = v.contract(a).wedge(b) + a.wedge(v.contract(b)).scale((-1) ** pa)
                 trials += 1
                 if lhs != rhs:
@@ -242,11 +243,12 @@ def suite_star(max_genus=5):
         for _ in range(40):
             p = rng.randint(0, 2 * g)
             a = random_multivector(g, p, rng)
+            a_star = a.star()
             for i in range(1, 2 * g + 1):
                 v = Multivector.basis_vector(g, i)
                 trials += 1
-                if (v.wedge(a).star() != v.contract(a.star())
-                        or v.contract(a).star() != v.wedge(a.star()).scale(-1)):
+                if (v.wedge(a).star() != v.contract(a_star)
+                        or v.contract(a).star() != v.wedge(a_star).scale(-1)):
                     bad += 1
         rep.add("star-wedge-contract", {"g": g, "trials": trials}, 0, bad)
         if g <= 5:
@@ -271,11 +273,12 @@ def suite_swap(max_genus=5):
         for p in range(0, 2 * g + 1):
             for _ in range(10):
                 xi = random_multivector(g, p, rng)
+                contracted = [eta(l, g).contract(xi) for l in range(0, g + 1)]
                 for k in range(0, g + 1):
                     lhs = xi.contract(eta(k, g))
                     rhs = Multivector.zero(g)
-                    for l in range(0, g + 1):
-                        rhs = rhs + eta(l, g).contract(xi).wedge(eta(k - p + l, g))
+                    for l, c in enumerate(contracted):
+                        rhs = rhs + c.wedge(eta(k - p + l, g))
                     trials += 1
                     if lhs != rhs:
                         bad += 1
@@ -639,8 +642,8 @@ _SUITE_FUNCS = {
 
 # the lru memo tables of the engine layers, bound here at import so that a
 # wrapper bound later over one of their module names leaves them reachable
-_MEMO_CACHES = (cfk.slice_basis, cfk._flip_blade, primitive_basis,
-                nontorsion._nontorsion_images, nontorsion._gamma_images,
+_MEMO_CACHES = (cfk.slice_basis, cfk._flip_blade, cfk._gamma_images, omega, eta,
+                primitive_basis, nontorsion._nontorsion_images,
                 nontorsion._chain_cached)
 
 

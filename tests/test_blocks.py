@@ -18,10 +18,10 @@ from itertools import product
 import pytest
 
 from hfsigma import engine, nontorsion
+from hfsigma.blades import block_masks
 from hfsigma.blocks import block_multiplicity
-from hfsigma.cfk import (B_PLUS, OPS, GradedElement, _flip_blade, block_masks,
-                         corner, gamma_action, j_infinity, slice_map,
-                         u_chain_map)
+from hfsigma.cfk import (B_PLUS, OPS, GradedElement, _flip_blade, corner,
+                         gamma_action, j_infinity, slice_map, u_chain_map)
 from hfsigma.errors import DomainError
 from hfsigma.exterior import blade_grade, blades_of_grade
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,

@@ -421,6 +421,75 @@ def test_nontorsion_over_other_rings_exits_2(command):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("modulus, code", (
+    ("2305843009213693951", 0),        # 2^61 - 1, a prime
+    ("318665857834031151167461", 2),   # a strong pseudoprime to 2, 3, ..., 37
+    ("3317044064679887385961981", 2),  # the least one to 2, 3, ..., 41
+))
+def test_primality_of_a_large_modulus_is_decided_at_once(modulus, code):
+    # trial division to the square root runs for minutes on each of these
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hfsigma.cli", "hat", "-g", "2", "--ring",
+             f"Fp:{modulus}", "--time-budget", "1"],
+            capture_output=True, text=True, env=cli_env(), timeout=20)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"Fp:{modulus} was still undecided after 20 s")
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_miller_rabin_matches_trial_division():
+    from hfsigma.rings import _is_prime
+
+    def by_trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 20000) if _is_prime(n) != by_trial(n)] == []
+
+
+def test_a_nan_time_budget_exits_2():
+    # nothing compares greater than NaN, so it was a budget that never ran out;
+    # the serial runs are in the malformed-flag sweep below
+    proc = run_cli("verify", "--suite", "hat", "--max-genus", "2", "--jobs", "2",
+                   "--time-budget", "nan")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "nan" in proc.stderr
+    from hfsigma.errors import Deadline, DomainError
+    with pytest.raises(DomainError):
+        Deadline(float("nan"))
+
+
+SPINC = {"nontorsion": ("--spinc", "1"), "action": ("--spinc", "1")}
+MALFORMED_FLAGS = [
+    *[("hat", "--ring", ring) for ring in ("Fp:x", "Fp:", "F²", "Fp:-7", "F1", "W",
+                                           "Fp: 7", "F٣")],
+    *[(cmd, "--ring", "Fp:x") for cmd in ("plus", "infinity", "nontorsion",
+                                          "action", "eg", "slice")],
+    *[(cmd, "--time-budget", t) for cmd in ("hat", "verify", "slice")
+      for t in ("nan", "abc", "")],
+    *[(cmd, "--degrees=" + w) for cmd in ("hat", "plus")
+      for w in ("1/0..1", "x..1", "1..0", "..", "1", "1..2..3", "")],
+    ("plus", "--degrees", "-1..1"),
+    *[(cmd, "--spinc", k) for cmd in ("nontorsion", "action", "beta", "slice")
+      for k in ("x", "1.5", "")],
+]
+
+
+@pytest.mark.parametrize("flags", MALFORMED_FLAGS, ids=" ".join)
+def test_a_malformed_flag_exits_2_without_traceback(flags):
+    # ring moduli that int() or isdigit() misread, a NaN budget, a zero
+    # denominator in a degree window and values argparse rejects itself
+    command, rest = flags[0], flags[1:]
+    argv = {"verify": ("--suite", "beta", "--max-genus", "1"),
+            "slice": ("-g", "2", "--op", "F", "--degree", "0")}.get(command, ("-g", "2"))
+    if "--spinc" not in rest:
+        argv += SPINC.get(command, ())
+    proc = run_cli(command, *argv, *rest)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_action_builds_the_model_without_the_table(monkeypatch, capsys):
     from hfsigma import cli, nontorsion
 

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from hfsigma.cfk import block_masks
+from hfsigma.blades import block_masks
 from hfsigma.errors import DomainError
 from hfsigma.exterior import (Multivector, all_blades, blade_grade,
                               blades_of_grade, eta, omega, random_multivector)
