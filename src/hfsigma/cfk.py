@@ -444,10 +444,8 @@ def _accumulate(terms, src, tgt):
     whose image of a source blade at U-coordinate 0 is terms(mask), as
     (di, mask', coeff) with the term for input at i landing at i + di; terms
     off the target basis are dropped.  The entries are summed in one pass
-    over plain ints.  An entry whose sum reaches zero is dropped and, should
-    it become nonzero again, reinserted at the end: the field eliminators
-    pivot on a column's first row, so the order is part of the result.
-    Ticks once per source column."""
+    over plain ints; an entry whose sum reaches zero is dropped.  Ticks once
+    per source column."""
     get = tgt.index.get
     ent = {}
     for c, (i, mask) in enumerate(src.elements):

@@ -3,10 +3,12 @@
 Commands: hat | plus | infinity | nontorsion | action | eg | beta | slice |
 snf | verify, with shared flags --genus, --ring, --out {table,json,tsv},
 --extended and --time-budget; a command takes --spinc, --degrees, --jobs
-or --cache-dir (the HF_CACHE_DIR result cache) only if it reads it.  Exit
-codes: 0 success, 1 verification failure, an exhausted time budget or an
-output pipe closed by its reader (nothing more is written, and no
-traceback), 2 usage error.
+or --cache-dir (the HF_CACHE_DIR result cache) only if it reads it, and
+every command takes --ring, but nontorsion, action, beta, snf and verify
+compute over Z only and reject any other ring.  Text tables write a group
+over a field as a vector space (F2^9, Q^9).  Exit codes: 0 success, 1
+verification failure, an exhausted time budget or an output pipe closed
+by its reader (nothing more is written, and no traceback), 2 usage error.
 
 --time-budget SECONDS is one Deadline, entered once at the start of the
 command; the loops of every layer check it (errors.tick), so it holds in
@@ -85,18 +87,8 @@ def _check_scale(args, heavy_integer_run):
 # rendering
 # ---------------------------------------------------------------------------
 
-def _render_table_entries(entries_json):
-    lines = []
-    width = max((len(e["deg"]) for e in entries_json), default=3)
-    for e in entries_json:
-        grp = e["group"]
-        desc = group_notation(grp["free_rank"], grp["invariant_factors"])
-        lines.append(f"  {e['deg']:>{width}}  rank {grp['free_rank']:<6} {desc}")
-    return lines
-
-
 def _emit(args, payload, title):
-    """Render the result payload per --out; returns the output text."""
+    """Print the result payload per --out."""
     out = args.out
     envelope = {
         "command": args.command,
@@ -106,15 +98,16 @@ def _emit(args, payload, title):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     if out == "json":
-        return json.dumps(envelope, sort_keys=True, indent=2)
-    if out == "tsv":
-        return _to_tsv(payload, title)
-    if out == "table" or out is None:
-        return _to_text(payload, title)
-    # a path: write the JSON envelope there, print a note
-    with open(out, "w") as fh:
-        fh.write(json.dumps(envelope, sort_keys=True, indent=2))
-    return f"wrote {out}"
+        text = json.dumps(envelope, sort_keys=True, indent=2)
+    elif out == "tsv":
+        text = _to_tsv(payload, title)
+    elif out == "table" or out is None:
+        text = _to_text(payload, title, parse_ring(args.ring).tag)
+    else:  # a path: write the JSON envelope there, print a note
+        with open(out, "w") as fh:
+            fh.write(json.dumps(envelope, sort_keys=True, indent=2))
+        text = f"wrote {out}"
+    print(text)
 
 
 def _is_matrix(payload):
@@ -145,12 +138,16 @@ def _to_tsv(payload, title):
     return "\n".join(rows)
 
 
-def _to_text(payload, title):
+def _to_text(payload, title, tag):
     lines = [title]
     if _is_matrix(payload):
         lines += ["  " + line for line in _matrix_lines(payload, " ")]
     elif isinstance(payload, dict) and "entries" in payload:
-        lines.extend(_render_table_entries(payload["entries"]))
+        width = max((len(e["deg"]) for e in payload["entries"]), default=3)
+        for e in payload["entries"]:
+            grp = e["group"]
+            desc = group_notation(grp["free_rank"], grp["invariant_factors"], tag)
+            lines.append(f"  {e['deg']:>{width}}  rank {grp['free_rank']:<6} {desc}")
         if payload.get("towers"):
             lines.append("  towers:")
             for t in payload["towers"]:
@@ -264,8 +261,7 @@ def cmd_hat(args):
         return engine.hf_hat(args.genus, ring, window).to_json()
 
     payload = _cached(args, compute, "table")
-    text = _emit(args, payload, f"hat table, genus {args.genus}, ring {ring.tag}")
-    print(text)
+    _emit(args, payload, f"hat table, genus {args.genus}, ring {ring.tag}")
     return 0
 
 
@@ -282,11 +278,10 @@ def cmd_plus(args):
         return full
 
     payload = _cached(args, compute, "table")
-    text = _emit(args, payload,
-                 f"plus table (torsion spin-c), genus {args.genus}, ring {ring.tag}")
-    print(text)
+    _emit(args, payload,
+          f"plus table (torsion spin-c), genus {args.genus}, ring {ring.tag}")
     if args.reduced and args.out in (None, "table"):
-        print(_to_text(payload["reduced"], "reduced part"))
+        print(_to_text(payload["reduced"], "reduced part", ring.tag))
     return 0
 
 
@@ -299,10 +294,9 @@ def cmd_infinity(args):
         return engine.hf_infinity(args.genus, ring).to_json()
 
     payload = _cached(args, compute, "table")
-    text = _emit(args, payload,
-                 f"infinity table, genus {args.genus}, ring {ring.tag} "
-                 f"(periodic: one entry per parity)")
-    print(text)
+    _emit(args, payload,
+          f"infinity table, genus {args.genus}, ring {ring.tag} "
+          f"(periodic: one entry per parity)")
     return 0
 
 
@@ -321,9 +315,7 @@ def cmd_nontorsion(args):
         return data
 
     payload = _cached(args, compute, "table")
-    text = _emit(args, payload,
-                 f"plus table, genus {args.genus}, spin-c {args.spinc}")
-    print(text)
+    _emit(args, payload, f"plus table, genus {args.genus}, spin-c {args.spinc}")
     return 0
 
 
@@ -348,10 +340,9 @@ def cmd_action(args):
                 })
     payload = {"genus": g, "spinc": k, "standard": not found,
                "corrections_found": len(found), "corrections": found}
-    text = _emit(args, payload,
-                 f"homology action, genus {g}, spin-c {k}: "
-                 f"{'standard' if not found else f'{len(found)} corrections'}")
-    print(text)
+    _emit(args, payload,
+          f"homology action, genus {g}, spin-c {k}: "
+          f"{'standard' if not found else f'{len(found)} corrections'}")
     return 0
 
 
@@ -372,15 +363,15 @@ def cmd_eg(args):
         return {"entries": entries, "contraction_comparison": comparison}
 
     payload = _cached(args, compute, "eg")
-    text = _emit(args, payload,
-                 f"circle-bundle cohomology, genus {args.genus}, ring {ring.tag}")
-    print(text)
+    _emit(args, payload,
+          f"circle-bundle cohomology, genus {args.genus}, ring {ring.tag}")
     return 0
 
 
 def cmd_beta(args):
     from . import bundle
     _check_scale(args, heavy_integer_run=False)
+    _integers_only(args)
     g = args.genus
     dims = bundle.beta_quotient_dims(g)
     payload = {"genus": g,
@@ -388,8 +379,7 @@ def cmd_beta(args):
                "total": sum(dims.values())}
     if args.spinc is not None and args.spinc >= 0:
         payload["matrix"] = bundle.triple_cup_beta(g, args.spinc).to_json()
-    text = _emit(args, payload, f"triple-cup quotients, genus {g}")
-    print(text)
+    _emit(args, payload, f"triple-cup quotients, genus {g}")
     return 0
 
 
@@ -407,14 +397,13 @@ def cmd_slice(args):
     payload["op"] = args.op
     payload["degree"] = d
     payload["s"] = s
-    text = _emit(args, payload,
-                 f"slice map {args.op}, genus {args.genus}, degree {d}")
-    print(text)
+    _emit(args, payload, f"slice map {args.op}, genus {args.genus}, degree {d}")
     return 0
 
 
 def cmd_snf(args):
     from .linalg import SparseExactMatrix, cokernel_over, smith_normal_form
+    _integers_only(args)
     try:
         with open(args.input) as fh:
             m = SparseExactMatrix.from_json(json.load(fh))
@@ -427,21 +416,22 @@ def cmd_snf(args):
     payload = {"invariant_factors": factors,
                "cokernel": cokernel_over(m.rows, factors, ZZ).to_json(),
                "rank": len(factors)}
-    text = _emit(args, payload, f"Smith normal form of {args.input}")
-    print(text)
+    _emit(args, payload, f"Smith normal form of {args.input}")
     return 0
 
 
 def cmd_verify(args):
     from . import verify
+    _integers_only(args)
     max_genus = 4 if args.max_genus is None else args.max_genus
     if max_genus > 5 and not args.extended:
         raise ExtendedScaleRequired("verification beyond genus 5 needs --extended")
     suites = [args.suite] if args.suite != "all" else list(verify._SUITE_FUNCS)
-    if args.jobs and args.jobs > 1 and len(suites) > 1:
+    jobs = min(args.jobs, len(suites))  # a pool forks all its workers at once
+    if jobs > 1:
         import concurrent.futures as cf
         try:
-            with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+            with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
                 reports = list(ex.map(_suite_worker,
                                       [(s, max_genus, active()) for s in suites]))
         except BudgetExceeded:
@@ -459,8 +449,7 @@ def cmd_verify(args):
             for line in rep.lines():
                 print(line)
     if args.out not in (None, "table"):
-        text = _emit(args, payload, "verification report")
-        print(text)
+        _emit(args, payload, "verification report")
     return 0 if ok else 1
 
 

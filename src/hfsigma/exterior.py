@@ -97,9 +97,10 @@ def mask_from_indices(indices, g):
 class Multivector:
     """Sparse element of the exterior algebra over H^1 of a genus-g surface.
 
-    Coefficients are exact numbers: ints, or Fractions where a Q basis
-    enters (Fraction(2) == 2, and both hash alike).  No operation changes
-    its operands, so omega and eta can hand out one cached element each.
+    Coefficients are exact numbers: ints, or Fractions where
+    primitive_decomposition divides (Fraction(2) == 2, and both hash
+    alike).  No operation changes its operands, so omega and eta can hand
+    out one cached element each.
     """
 
     __slots__ = ("genus", "coeffs")

@@ -4,10 +4,11 @@ degree.
 
 Lambda wedges with omega, and L = -(omega |_ .): in the blade basis both are
 0/1 pair-inclusion matrices (the pair rules of the blades module).
-Primitive bases are exact Q-null spaces of the lowering matrix; there is no
-primitive splitting over Z, only over fields of characteristic 0.  The
-primitive decomposition is read off the sl_2 relation [Lambda, L] = H in
-closed form, with no basis and no solve.
+A primitive basis is the saturated integer kernel lattice of the lowering
+matrix, a Q basis with int entries; there is no primitive splitting over
+Z, only over fields of characteristic 0.  The primitive decomposition is
+read off the sl_2 relation [Lambda, L] = H in closed form, with no basis
+and no solve.
 
 The operators on Multivectors import the exterior layer when first called,
 so the plus table, which reads only primitive_dim and coprimitive_dim,

@@ -1,31 +1,25 @@
 """Sparse exact linear algebra on integer matrices, read over Z, Q and F_p.
 
 Every matrix holds Python ints; a ring is named only where it is read.
-Fields eliminate in Fractions (Q) or ints mod p (F_p).  The Smith normal
-form runs a sparse pre-elimination on +-1 pivots before falling back to
-general gcd pivoting on the residual block; the invariant factors of the
-diagonalized matrix are then normalized into a divisibility chain over a
-coprime base of the distinct moduli.
+Two eliminators serve every ring, and neither rescans the matrix for a
+pivot:
+
+* the Smith normal form gives invariant factors.  A sparse phase pivots on
+  +-1 entries, taken from a lazy min-heap of (row length, row) that pushes
+  again only the rows a pivot touched (an entry whose length no longer
+  matches its row is stale and skipped); general gcd pivoting finishes the
+  residual block, and the factors are normalized into a divisibility chain
+  over a coprime base of the distinct moduli;
+* one sparse column echelon gives every rank and kernel: over Z by Euclid
+  (ranks over Z and Q, the integer kernel lattice, Q kernels with int
+  entries) or over F_p with each entry reduced on load.  A row -> columns
+  index lists the columns a pivot row is cleared from.  No Fraction
+  arises.
 
 The Smith form of an integer matrix serves every coefficient ring by
 universal coefficients: its rank over Q is the number of invariant factors,
 its rank over F_p the number prime to p, and its cokernel over a field is
 free of rows minus that rank (factor_rank, cokernel_over).
-
-Pivoting is indexed, so no pivot search rescans the matrix:
-
-* field elimination keeps a lazy min-heap of (column length, column) and a
-  row -> columns index; the pivot row is cleared only from the columns the
-  index lists;
-* the SNF unit phase keeps a lazy min-heap of (row length, row) and pushes
-  again only the rows a pivot touched;
-* integer_kernel_lattice keeps a row -> columns index.
-
-A heap entry whose length no longer matches its line is stale and skipped.
-
-Field ranks, kernels and to_json read the integer matrix itself over the
-ring they are given: over F_p each entry is reduced on load (entries
-divisible by p are dropped), and Q elimination starts from the integers.
 """
 
 import heapq
@@ -34,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, UnsupportedOperation, tick
-from .rings import QQ, ZZ, group_notation, parse_ring
+from .rings import ZZ, group_notation, parse_ring
 
 
 class GroupPresentation:
@@ -243,99 +237,91 @@ class SparseExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination over fields
+# the column echelon: ranks and kernels over Z, Q and F_p
 # ---------------------------------------------------------------------------
 
-def _field_eliminate(m, ring, want_kernel=False):
-    """Sparse Gaussian elimination of an integer matrix over the field Q
-    or F_p.
+def _echelon(m, p=None, want_kernel=False):
+    """Column echelon of an integer matrix over Z (p None) or over F_p.
 
-    Returns (rank, kernel_columns).  The pivot column is the shortest live
-    column (lowest index among equal lengths) to limit fill; the pivot row is
-    the first row of that column.  A lazy heap of (length, column) finds it,
-    and a row -> columns index lists the columns the pivot row is cleared
-    from.  Ticks once per pivot.
+    Returns (rank, kernel columns).  Rows are taken by increasing fill, ties
+    by index; the live columns holding a row, its carriers, are reduced
+    against the one with the least |entry| there until one is left, the
+    pivot: over Z by Euclid (quotient b // a), over F_p, whose entries are
+    reduced on load, in one pass (quotient b * a^-1 mod p).  A row -> live
+    columns index lists the carriers.  With want_kernel the columns carry
+    the identity block below m; the column operations are unimodular, so
+    the blocks of the non-pivot columns are a basis of the kernel, saturated
+    over Z.  Ticks once per pivot row and per pass of its carrier loop.
     """
-    p = ring.p
-
-    def inv(x):
-        if p is None:
-            return Fraction(1) / x
-        return pow(x, -1, p)
-
-    cols = [dict() for _ in range(m.cols)]  # col -> {row: val}
+    ncols = m.cols
+    top = [dict() for _ in range(ncols)]    # column -> {row: val} in m
     for (r, c), v in m.entries.items():
         if p is not None:
             v %= p
             if not v:
                 continue
-        cols[c][r] = v
-    index = {}  # row -> set of live columns holding it
-    for c, col in enumerate(cols):
-        for r in col:
+        top[c][r] = v
+    bot = [{c: 1} for c in range(ncols)] if want_kernel else None
+    index = {}  # row -> live columns whose top block holds it
+    for c in range(ncols):
+        for r in top[c]:
             index.setdefault(r, set()).add(c)
-    heap = [(len(col), c) for c, col in enumerate(cols) if col]
-    heapq.heapify(heap)
-    # record of column operations for the kernel: start from identity
-    ops = [dict({c: ring.coerce(1)}) for c in range(m.cols)] if want_kernel else None
-
-    done = [False] * m.cols
-    rank = 0
-    while heap:
-        length, pc = heapq.heappop(heap)
-        if done[pc] or len(cols[pc]) != length:
-            continue  # stale entry
+    pivot = [False] * ncols
+    for prow in sorted(index, key=lambda r: (len(index[r]), r)):
+        carriers = sorted(index[prow])
+        if not carriers:
+            continue
         tick()
-        pcol = cols[pc]
-        pr = next(iter(pcol))
-        rank += 1
-        done[pc] = True
-        for r in pcol:
-            index[r].discard(pc)
-        ipv = inv(pcol[pr])
-        rest = [(r, w) for r, w in pcol.items() if r != pr]
-        # clear row pr from every other live column
-        for c in index.pop(pr):
-            col = cols[c]
-            factor = col.pop(pr) * ipv
-            if p is not None:
-                factor %= p
-            for r, w in rest:
-                nv = col.get(r, 0) - factor * w
-                if p is not None:
-                    nv %= p
-                if nv:
-                    if r not in col:
-                        index[r].add(c)
-                    col[r] = nv
-                elif r in col:
-                    del col[r]
-                    index[r].discard(c)
-            if col:
-                heapq.heappush(heap, (len(col), c))
-            if want_kernel:
-                for r, w in ops[pc].items():
-                    nv = ops[c].get(r, 0) - factor * w
-                    if p is not None:
-                        nv %= p
-                    if nv:
-                        ops[c][r] = nv
-                    else:
-                        ops[c].pop(r, None)
-    kernel = []
-    if want_kernel:
-        for c in range(m.cols):
-            if done[c]:
-                continue
-            if cols[c]:
-                raise AssertionError("non-pivot column not fully eliminated")
-            kernel.append(dict(ops[c]))
-    return rank, kernel
+        while len(carriers) > 1:
+            tick()
+            carriers.sort(key=lambda c: abs(top[c][prow]))
+            c0 = carriers[0]
+            a = top[c0][prow]
+            ia = None if p is None else pow(a, -1, p)
+            nxt = []
+            for c in carriers[1:]:
+                b = top[c][prow]
+                q = b // a if p is None else b * ia % p
+                if q:
+                    tc = top[c]
+                    for r, v in top[c0].items():
+                        nv = tc.get(r, 0) - q * v
+                        if p is not None:
+                            nv %= p
+                        if nv:
+                            if r not in tc:
+                                index[r].add(c)
+                            tc[r] = nv
+                        elif r in tc:
+                            del tc[r]
+                            index[r].discard(c)
+                    if want_kernel:
+                        bc = bot[c]
+                        for r, v in bot[c0].items():
+                            nv = bc.get(r, 0) - q * v
+                            if p is not None:
+                                nv %= p
+                            if nv:
+                                bc[r] = nv
+                            else:
+                                bc.pop(r, None)
+                if prow in top[c]:
+                    nxt.append(c)
+            carriers = [c0] + nxt
+        c0 = carriers[0]
+        pivot[c0] = True
+        for r in top[c0]:
+            index[r].discard(c0)
+    if any(top[c] for c in range(ncols) if not pivot[c]):
+        raise AssertionError("non-pivot column not fully eliminated")
+    kernel = [bot[c] for c in range(ncols) if not pivot[c]] if want_kernel else []
+    return sum(pivot), kernel
 
 
 def rank(m, ring):
-    """Exact rank of the integer matrix m over the ring (Z: over Q)."""
-    return _field_eliminate(m, QQ if ring == ZZ else ring)[0]
+    """Exact rank of the integer matrix m over the ring: the rank of its
+    integer echelon over Z and Q, of its echelon mod p over F_p."""
+    return _echelon(m, ring.p)[0]
 
 
 def kernel_rank(m, ring):
@@ -343,7 +329,9 @@ def kernel_rank(m, ring):
 
 
 def kernel_basis(m, ring):
-    """Kernel basis over a field, as a list of sparse columns.
+    """Kernel basis over a field, as a list of sparse int columns: over Q
+    the saturated integer lattice (integer_kernel_lattice), over F_p the
+    kernel of the echelon mod p.
 
     Over Z this is deliberately not provided here; the engine works with
     integer kernel lattices via integer_kernel_lattice.
@@ -351,7 +339,14 @@ def kernel_basis(m, ring):
     if not ring.is_field:
         raise UnsupportedOperation("kernel_basis is only provided over fields; "
                                    "Z matrices expose kernel_rank only")
-    return _field_eliminate(m, ring, want_kernel=True)[1]
+    return _echelon(m, ring.p, want_kernel=True)[1]
+
+
+def integer_kernel_lattice(m):
+    """Z-basis of the kernel lattice {x : m x = 0}, as sparse columns: the
+    non-pivot columns of the integer echelon of m stacked over the
+    identity."""
+    return _echelon(m, want_kernel=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -493,65 +488,6 @@ def cokernel_over(rows, factors, ring):
 def cokernel(m):
     """Presentation of Z^rows / column span of m."""
     return cokernel_over(m.rows, smith_normal_form(m), ZZ)
-
-
-def integer_kernel_lattice(m):
-    """Z-basis of the kernel lattice {x : m x = 0}, as sparse columns.
-
-    Column-echelon reduction of m stacked over the identity: columns whose
-    top block vanishes carry a basis of the (saturated) kernel in the bottom
-    block.  All column operations are unimodular.  Ticks once per pivot
-    row.
-    """
-    ncols = m.cols
-    top = [dict() for _ in range(ncols)]    # column -> {row: val} in m
-    bot = [{c: 1} for c in range(ncols)]    # identity below
-    for (r, c), v in m.entries.items():
-        top[c][r] = v
-    index = {}  # row -> live columns whose top block holds it
-    for c in range(ncols):
-        for r in top[c]:
-            index.setdefault(r, set()).add(c)
-    # process rows by increasing fill to limit growth
-    pivot = [False] * ncols
-    for prow in sorted(index, key=lambda r: (len(index[r]), r)):
-        carriers = sorted(index[prow])
-        if not carriers:
-            continue
-        tick()
-        while len(carriers) > 1:
-            carriers.sort(key=lambda c: abs(top[c][prow]))
-            c0 = carriers[0]
-            a = top[c0][prow]
-            nxt = []
-            for c in carriers[1:]:
-                b = top[c][prow]
-                q = b // a
-                if q:
-                    tc = top[c]
-                    for r, v in top[c0].items():
-                        nv = tc.get(r, 0) - q * v
-                        if nv:
-                            if r not in tc:
-                                index[r].add(c)
-                            tc[r] = nv
-                        elif r in tc:
-                            del tc[r]
-                            index[r].discard(c)
-                    for r, v in bot[c0].items():
-                        nv = bot[c].get(r, 0) - q * v
-                        if nv:
-                            bot[c][r] = nv
-                        else:
-                            bot[c].pop(r, None)
-                if prow in top[c]:
-                    nxt.append(c)
-            carriers = [c0] + nxt
-        c0 = carriers[0]
-        pivot[c0] = True
-        for r in top[c0]:
-            index[r].discard(c0)
-    return [bot[c] for c in range(ncols) if not pivot[c]]
 
 
 def lattice_quotient(lattice_rank, generators, rows, snf=smith_normal_form):

@@ -3,7 +3,8 @@
 Coefficients are plain Python objects (int for Z and F_p, Fraction for Q),
 so all arithmetic is arbitrary precision.  A Ring instance only carries the
 tag and knows how to coerce/normalize values.  group_notation writes a
-finitely generated abelian group in terms of Z, for the tables.
+finitely generated abelian group in terms of Z, or a vector space in terms
+of its field, for the tables.
 """
 
 from collections import Counter
@@ -116,11 +117,12 @@ def parse_ring(text):
     raise DomainError(f"cannot parse ring {text!r} (expected Z, Q, F2, Fp:<p>)")
 
 
-def group_notation(free_rank, invariant_factors):
-    """Z^r + Z/d + (Z/e)^n ..., equal factors collected, or "0"."""
+def group_notation(free_rank, invariant_factors, tag="Z"):
+    """Z^r + Z/d + (Z/e)^n ..., equal factors collected, or "0"; over the
+    ring with another tag, its free part: F2^r, Q^r."""
     parts = []
     if free_rank:
-        parts.append("Z" if free_rank == 1 else f"Z^{free_rank}")
+        parts.append(tag if free_rank == 1 else f"{tag}^{free_rank}")
     for d, count in sorted(Counter(invariant_factors).items()):
         parts.append(f"Z/{d}" if count == 1 else f"(Z/{d})^{count}")
     return " + ".join(parts) if parts else "0"

@@ -421,6 +421,73 @@ def test_nontorsion_over_other_rings_exits_2(command):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", (("beta", "-g", "2"),
+                                  ("verify", "--suite", "beta", "--max-genus", "1"),
+                                  ("snf", "--input")))
+@pytest.mark.parametrize("ring", ("F2", "Q"))
+def test_integer_only_commands_reject_other_rings(argv, ring, tmp_path, capsys):
+    # beta, snf and verify read no ring; "Z", the default, is recorded
+    from hfsigma.cli import main
+    if argv[0] == "snf":
+        argv += (str(_matrix_file(tmp_path)),)
+    assert main([*argv, "--ring", ring]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main([*argv, "--ring", "Z", "--out", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["ring"] == "Z"
+
+
+def _matrix_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 2, "ring": "Z",
+                                "entries": [[0, 0, "2"], [0, 1, "4"]]}))
+    return path
+
+
+@pytest.mark.parametrize("argv, tag", (
+    (("hat", "-g", "2", "--ring", "F2"), "F2"),
+    (("hat", "-g", "2", "--ring", "Q"), "Q"),
+    (("hat", "-g", "2"), "Z"),
+    (("infinity", "-g", "2", "--ring", "Fp:3"), "F3"),
+    (("plus", "-g", "3", "--ring", "F2", "--reduced"), "F2"),
+    (("eg", "-g", "2", "--ring", "Q"), "Q"),
+))
+def test_text_tables_write_groups_over_the_ring(argv, tag, capsys):
+    # a field run's vector spaces read F2^9 or Q^9, not Z^9
+    from hfsigma.cli import main
+    assert main(list(argv)) == 0
+    groups = {" ".join(line.split()[3:]) for line in capsys.readouterr().out.splitlines()
+              if " rank " in line and "start" not in line} - {"0"}
+    assert groups and all(g == tag or g.startswith(tag + "^") for g in groups), groups
+
+
+def test_verify_jobs_caps_the_pool_at_the_suite_count(monkeypatch, capsys):
+    # a process pool forks every worker up front, so --jobs 5000 must not
+    # ask for 5000 workers to run 11 suites; the pool here maps in process
+    import concurrent.futures as cf
+    from hfsigma import cli, verify
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", InProcessPool)
+    for suite, jobs in (("all", "5000"), ("all", "3"), ("beta", "8")):
+        assert cli.main(["verify", "--suite", suite, "--max-genus", "1",
+                         "--jobs", jobs, "--out", "json"]) == 0
+    assert asked == [len(verify._SUITE_FUNCS), 3]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("modulus, code", (
     ("2305843009213693951", 0),        # 2^61 - 1, a prime
     ("318665857834031151167461", 2),   # a strong pseudoprime to 2, 3, ..., 37
@@ -465,7 +532,8 @@ MALFORMED_FLAGS = [
     *[("hat", "--ring", ring) for ring in ("Fp:x", "Fp:", "F²", "Fp:-7", "F1", "W",
                                            "Fp: 7", "F٣")],
     *[(cmd, "--ring", "Fp:x") for cmd in ("plus", "infinity", "nontorsion",
-                                          "action", "eg", "slice")],
+                                          "action", "eg", "slice", "beta", "snf",
+                                          "verify")],
     *[(cmd, "--time-budget", t) for cmd in ("hat", "verify", "slice")
       for t in ("nan", "abc", "")],
     *[(cmd, "--degrees=" + w) for cmd in ("hat", "plus")
@@ -477,12 +545,13 @@ MALFORMED_FLAGS = [
 
 
 @pytest.mark.parametrize("flags", MALFORMED_FLAGS, ids=" ".join)
-def test_a_malformed_flag_exits_2_without_traceback(flags):
+def test_a_malformed_flag_exits_2_without_traceback(flags, tmp_path):
     # ring moduli that int() or isdigit() misread, a NaN budget, a zero
     # denominator in a degree window and values argparse rejects itself
     command, rest = flags[0], flags[1:]
     argv = {"verify": ("--suite", "beta", "--max-genus", "1"),
-            "slice": ("-g", "2", "--op", "F", "--degree", "0")}.get(command, ("-g", "2"))
+            "slice": ("-g", "2", "--op", "F", "--degree", "0"),
+            "snf": ("--input", str(_matrix_file(tmp_path)))}.get(command, ("-g", "2"))
     if "--spinc" not in rest:
         argv += SPINC.get(command, ())
     proc = run_cli(command, *argv, *rest)

@@ -51,8 +51,9 @@ def test_primitive_dims():
 
 
 def test_primitive_basis_pinned():
-    # Locks the pivot order of the field eliminator: the basis, its order
-    # and the term order within each vector are those of the first release.
+    # Locks the kernel basis: the basis, its order and the term order within
+    # each vector are those of the first release's field eliminator, which
+    # the integer echelon reproduces here.
     expected = [
         [(21, 1)], [(22, 1)], [(25, 1)], [(26, 1)], [(28, 1), (19, -1)],
         [(37, 1)], [(38, 1)], [(41, 1)], [(42, 1)], [(44, 1), (35, -1)],
@@ -63,8 +64,7 @@ def test_primitive_basis_pinned():
 
 
 def _same_matrix(got, want):
-    # equal entries inserted in the same order: the field eliminator pivots
-    # on the first row of a column, so the order fixes primitive_basis
+    # equal entries, inserted in the same order
     return ((got.rows, got.cols, list(got.entries.items()))
             == (want.rows, want.cols, list(want.entries.items())))
 
@@ -84,11 +84,12 @@ def test_pair_matrices_match_the_multivector_route():
 
 
 def test_primitive_basis_wedges_with_integer_eta():
-    # a Q basis vector holds Fractions, eta holds ints: they mix directly,
-    # and a Fraction equal to an int compares and hashes as that int
+    # a vector with Fraction coefficients (as primitive_decomposition
+    # makes) and eta's ints mix directly, and a Fraction equal to an int
+    # compares and hashes as that int
     g = 3
-    b = primitive_basis(g, 1)[0]
-    assert all(type(c) is Fraction for c in b.coeffs.values())
+    b = Multivector(g, {m: Fraction(c) for m, c in primitive_basis(g, 1)[0].coeffs.items()})
+    assert b.coeffs and all(type(c) is Fraction for c in b.coeffs.values())
     v = b.wedge(eta(1, g))
     assert v == op_lambda(b) and not v.is_zero()
     as_ints = Multivector(g, {m: int(c) for m, c in b.coeffs.items()})

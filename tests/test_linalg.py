@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import gcd, lcm
 
@@ -223,6 +224,44 @@ def test_snf_ticks_in_the_gcd_pivot_loops():
     with _CountingDeadline() as counter:
         assert smith_normal_form(m) == [1]
     assert counter.ticks == 3
+
+
+def test_echelon_ticks_per_pivot_row_and_carrier_pass():
+    # [2 4] over Z: one pivot row, whose two carriers one Euclid pass
+    # (4 - 2 * 2) leaves to one; over F3 ([2 1]) and F5 one pass as well
+    m = SparseExactMatrix(1, 2, {(0, 0): 2, (0, 1): 4})
+    calls = [partial(integer_kernel_lattice, m)]
+    calls += [partial(rank, m, ring) for ring in (ZZ, QQ, GF(3), GF(5))]
+    calls += [partial(kernel_basis, m, ring) for ring in (QQ, GF(3), GF(5))]
+    for call in calls:
+        with _CountingDeadline() as counter:
+            call()
+        assert counter.ticks == 2, call
+
+
+@PROPERTY
+@given(int_matrices(max_cols=7), st.integers(0, 2 ** 32))
+def test_results_do_not_depend_on_the_entry_order(m, seed):
+    items = list(m.entries.items())
+    random.Random(seed).shuffle(items)
+    shuffled = SparseExactMatrix.from_int_entries(m.rows, m.cols, dict(items))
+
+    def results(a):
+        kernels = [kernel_basis(a, ring) for ring in (QQ, GF(2), GF(3))]
+        return ([rank(a, ring) for ring in (ZZ, QQ, GF(2), GF(3))],
+                [[list(c.items()) for c in k] for k in kernels],
+                [list(c.items()) for c in integer_kernel_lattice(a)],
+                smith_normal_form(a))
+    assert results(shuffled) == results(m)
+
+
+@PROPERTY
+@given(int_matrices(max_cols=7))
+def test_q_kernel_bases_hold_ints(m):
+    # the saturated integer lattice is the Q basis: no Fraction arises
+    basis = kernel_basis(m, QQ)
+    assert all(type(v) is int for col in basis for v in col.values())
+    assert basis == integer_kernel_lattice(m)
 
 
 @PROPERTY
