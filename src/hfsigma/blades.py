@@ -1,7 +1,7 @@
 """Bit-level rules for the basis blades of the exterior algebra of a
 symplectic lattice: what the slice matrices, the weight blocks and the
-Lefschetz matrices are built from, and the two mask enumerations they
-list their bases with (blades_of_grade, block_masks).
+Lefschetz matrices are built from, and the mask enumerations they list
+their bases with (grade_masks and its list blades_of_grade, block_masks).
 
 Basis covectors e_1, ..., e_{2g} pair off symplectically:
 omega(e_{2i-1}, e_{2i}) = 1 = -omega(e_{2i}, e_{2i-1}), all other pairs 0.
@@ -51,13 +51,24 @@ def pair_mask(j):
     return 0b11 << (2 * j)
 
 
+def grade_masks(g, p):
+    """Masks of grade p in ascending order, one at a time: Gosper's step
+    (HAKMEM item 175) goes from m to the next larger mask of its popcount."""
+    if not 0 <= p <= 2 * g:
+        return
+    m, end = (1 << p) - 1, 1 << (2 * g)
+    while m < end:
+        yield m
+        if not m:  # grade 0 has the one mask 0
+            return
+        low = m & -m
+        r = m + low
+        m = r | (((r ^ m) >> 2) // low)
+
+
 def blades_of_grade(g, p):
-    """Masks of grade p in ascending order, without scanning all 4^g masks."""
-    if p < 0 or p > 2 * g:
-        return []
-    masks = [sum(1 << b for b in bits) for bits in combinations(range(2 * g), p)]
-    masks.sort()
-    return masks
+    """Masks of grade p in ascending order, as a list (grade_masks)."""
+    return list(grade_masks(g, p))
 
 
 def block_masks(g, p):

@@ -41,7 +41,7 @@ from itertools import combinations
 from math import comb
 
 from . import sha256
-from .blades import (blade_grade, block_masks, blades_of_grade, complete_pairs,
+from .blades import (blade_grade, block_masks, complete_pairs, grade_masks,
                      pair_mask, star_blade, swap_pairs)
 from .errors import DomainError, GenusMismatch, tick
 from .linalg import SparseExactMatrix
@@ -137,7 +137,7 @@ class SliceBasis:
         self.index = {}
         self.elements = []
         for i, p in self.cells:
-            for mask in (block_masks if block else blades_of_grade)(g, p):
+            for mask in (block_masks if block else grade_masks)(g, p):
                 self.index[(i, mask)] = len(self.elements)
                 self.elements.append((i, mask))
 
@@ -487,41 +487,18 @@ def slice_map(g, op, d, s=0, block=False):
     return SliceMap(mat, src, tgt, op, s)
 
 
-def _flip_sources(g, m2):
-    """Transpose of _flip_blade: the (di, mask, coeff) for which
-    _flip_blade(g, mask) holds (di, m2, coeff), so J of mask * U^-i has
-    coefficient coeff at m2 * U^-(i + di).
-
-    The sources are mask = swap_pairs(full ^ (m2 | P)) for P a union of
-    pairs that are empty in m2 (they are the pairs the eta_n term removed).
-    With q = |m2|, e = #empty pairs of m2 and n = #pairs of P, the weight
-    eps * (-1)^(p + #complete pairs of mask) * (-2)^n, where p = 2g - q - 2n
-    and mask has e - n complete pairs, is eps * (-1)^(q + e) * 2^n, and the
-    shift is p - g + n = g - q - n.
-    """
-    full = (1 << (2 * g)) - 1
-    empty = complete_pairs(full ^ m2)
-    base = swap_pairs(full ^ m2)
-    q = blade_grade(m2)
-    sign = epsilon(g) * (-1 if (q + blade_grade(empty)) & 1 else 1)
-    out = []
-    sub = empty
-    while True:
-        n = blade_grade(sub)
-        out.append((g - q - n, base ^ sub ^ sub << 1, sign << n))
-        if not sub:
-            return tuple(out)
-        sub = (sub - 1) & empty
-
-
 def _flip_template(g, m2):
-    """_flip_sources(g, m2) as (pair union x, coeff), the source blade being
-    swap_pairs(full ^ m2) - x, ordered n ascending, then x descending:
-    source columns ascending.  It depends on m2 only through its empty
-    pairs and the parity of its grade."""
+    """The sources of m2 under J, as (pair union x, coeff): J of the blade
+    swap_pairs(full ^ m2) - x has coefficient coeff at m2.  J's matrix is
+    its own transpose up to the sign of the shift: _flip_blade(g, mask)
+    holds (di, m2, w) exactly when _flip_blade(g, m2) holds
+    (-di, mask, w * (-1)^di).  So the template is the uncached
+    _flip_blade(g, m2), sorted (n, then mask ascending: source columns
+    ascending); it depends on m2 only through its empty pairs, of which x
+    is a union, and the parity of its grade."""
     base = swap_pairs(((1 << (2 * g)) - 1) ^ m2)
-    return tuple((base ^ mask, w) for _, mask, w in
-                 sorted(_flip_sources(g, m2), key=lambda t: (-t[0], t[1])))
+    return tuple((base ^ mask, -w if di & 1 else w)
+                 for di, mask, w in sorted(_flip_blade.__wrapped__(g, m2)))
 
 
 _DIGEST_CHUNK = 4096  # entries serialized per sha256 update
@@ -534,16 +511,17 @@ def slice_digest(g, op, d, s=0):
     entries in (r, c) order.
 
     Row-major and without a basis: the target cells are walked in order,
-    each through blades_of_grade, and each row's entries come from the
-    sources of its blade (_flip_sources, plus the identity term for every
-    op but h), already in column order, and are streamed in chunks to the
-    package's builtin sha256 (hfsigma.sha256, no OpenSSL).  Within a slice
-    each grade fills one cell, so one array of 4^g ints (typecode "i", 4 MB
-    at g = 10), built per call, maps a source mask to its column: its
-    cell's offset plus its rank among the masks of its grade, -1 outside
-    the source.  Besides it the walk keeps one flip
-    template per empty-pair pattern and grade parity (_flip_template) and
-    nothing that grows with the number of nonzeros; no cache is touched.
+    each by grade_masks, and each row's entries come from the sources of
+    its blade, the identity term for every op but h and the flip's, which
+    by the transpose rule of _flip_template are _flip_blade of the row's
+    own blade; they come already in column order and are streamed in
+    chunks to the package's builtin sha256 (hfsigma.sha256, no OpenSSL).
+    Within a slice each grade fills one cell, so one array of 4^g ints
+    (typecode "i", 4 MB at g = 10), built per call, maps a source mask to
+    its column: its cell's offset plus its rank among the masks of its
+    grade, -1 outside the source.  Besides it the walk keeps one flip
+    template per empty-pair pattern and grade parity and nothing that grows
+    with the number of nonzeros or with a grade; no cache is touched.
     Ticks once per target row.
     """
     src_region, targets = _layout(g, op, d, s)
@@ -552,7 +530,7 @@ def slice_digest(g, op, d, s=0):
     col = memoryview(bytearray(b"\xff") * (4 << (2 * g))).cast("i")
     cols = 0
     for _, p in _slice_cells(g, src_region, d):
-        for k, mask in enumerate(blades_of_grade(g, p), cols):
+        for k, mask in enumerate(grade_masks(g, p), cols):
             col[mask] = k
         cols += comb(2 * g, p)
     full = (1 << (2 * g)) - 1
@@ -565,7 +543,7 @@ def slice_digest(g, op, d, s=0):
         ident = op != "h" and dd == d
         flips = op != "v" and dd == d + 2 * shift
         for _, q in _slice_cells(g, region, dd):
-            for m2 in blades_of_grade(g, q):
+            for m2 in grade_masks(g, q):
                 tick()
                 c_id = col[m2] if ident else -1
                 if flips:

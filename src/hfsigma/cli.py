@@ -21,6 +21,8 @@ sorted keys, and the one timestamp field sits outside the hashed payload.
 
 The engine layers are imported inside the code that computes, so `--help`
 and a result-cache hit load only this module, errors, rings and schemas.
+A result that cannot be stored in the cache (a full disk, a cache
+directory that is a file) is still emitted, with exit 0 and a warning.
 """
 
 import argparse
@@ -234,7 +236,8 @@ def _cache_store(path, payload):
 def _cached(args, compute, schema):
     """compute(), or the result stored for this command, configuration and
     source in the cache directory, when one is set; a miss is recomputed,
-    validated against the payload schema and stored over the file."""
+    validated against the payload schema and stored over the file.  A store
+    that fails (OSError) costs only the cache entry: a warning on stderr."""
     cdir = _cache_dir(args)
     path = os.path.join(cdir, _cache_key(args) + ".json") if cdir else None
     hit = _cache_load(path, schema) if path else None
@@ -243,7 +246,10 @@ def _cached(args, compute, schema):
     payload = compute()
     _check(payload, schema)
     if path:
-        _cache_store(path, payload)
+        try:
+            _cache_store(path, payload)
+        except OSError as exc:
+            print(f"warning: result not cached: {exc}", file=sys.stderr)
     return payload
 
 
@@ -326,18 +332,10 @@ def cmd_action(args):
     if not args.spinc:
         raise DomainError("the action is provided for --spinc k != 0 only")
     g, k = args.genus, args.spinc
-    model = nontorsion.XModel(g, g - 1 - abs(k))
-    found = []
-    for key in model.basis():
-        n = model.degree_of(key)
-        for gi, corrs in nontorsion.h1_corrections(g, k, key):
-            for ct in corrs:
-                found.append({
-                    "gamma": gi, "xi_u_coord": key[0], "xi_blade_mask": key[1],
-                    "xi_degree": n, "ell": ct.ell,
-                    "exterior_power": ct.exterior_power,
-                    "u_exponent": ct.u_exponent, "degree": ct.degree,
-                })
+    found = [{"gamma": gi, "xi_u_coord": key[0], "xi_blade_mask": key[1],
+              "xi_degree": n, "ell": ct.ell, "exterior_power": ct.exterior_power,
+              "u_exponent": ct.u_exponent, "degree": ct.degree}
+             for key, n, gi, ct in nontorsion.action_corrections(g, k)]
     payload = {"genus": g, "spinc": k, "standard": not found,
                "corrections_found": len(found), "corrections": found}
     _emit(args, payload,
@@ -426,6 +424,8 @@ def cmd_verify(args):
     max_genus = 4 if args.max_genus is None else args.max_genus
     if max_genus > 5 and not args.extended:
         raise ExtendedScaleRequired("verification beyond genus 5 needs --extended")
+    if args.jobs < 1:
+        raise DomainError("--jobs must be at least 1")
     suites = [args.suite] if args.suite != "all" else list(verify._SUITE_FUNCS)
     jobs = min(args.jobs, len(suites))  # a pool forks all its workers at once
     if jobs > 1:

@@ -245,9 +245,10 @@ def _echelon(m, p=None, want_kernel=False):
 
     Returns (rank, kernel columns).  Rows are taken by increasing fill, ties
     by index; the live columns holding a row, its carriers, are reduced
-    against the one with the least |entry| there until one is left, the
-    pivot: over Z by Euclid (quotient b // a), over F_p, whose entries are
-    reduced on load, in one pass (quotient b * a^-1 mod p).  A row -> live
+    against one of them until one is left, the pivot: over Z by Euclid
+    (quotient b // a) against the least |entry| there, over F_p, whose
+    entries are reduced on load and all units, in one pass (quotient
+    b * a^-1 mod p) against the column of least fill.  A row -> live
     columns index lists the carriers.  With want_kernel the columns carry
     the identity block below m; the column operations are unimodular, so
     the blocks of the non-pivot columns are a basis of the kernel, saturated
@@ -274,7 +275,8 @@ def _echelon(m, p=None, want_kernel=False):
         tick()
         while len(carriers) > 1:
             tick()
-            carriers.sort(key=lambda c: abs(top[c][prow]))
+            carriers.sort(key=(lambda c: abs(top[c][prow])) if p is None
+                          else (lambda c: len(top[c])))
             c0 = carriers[0]
             a = top[c0][prow]
             ia = None if p is None else pow(a, -1, p)

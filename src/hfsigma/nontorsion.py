@@ -300,6 +300,18 @@ def h1_corrections(g, k, xi):
         yield gamma, _act(g, kk, gamma, xi, n, ph)[1]
 
 
+def action_corrections(g, k):
+    """Yield (key, degree, gamma, correction) for every correction of the
+    action on the basis of X(g, g - 1 - |k|): h1_corrections of each
+    basis key (c, mask), of the given degree, gamma = 1..2g."""
+    model = XModel(g, g - 1 - abs(k))
+    for key in model.basis():
+        n = model.degree_of(key)
+        for gamma, corrs in h1_corrections(g, k, key):
+            for ct in corrs:
+                yield key, n, gamma, ct
+
+
 def _model_element(g, k, xi):
     """(|k|, xi as a GradedElement, its degree), after checking that xi is
     a homogeneous element of the model triangle and k is nonzero."""

@@ -532,7 +532,7 @@ def suite_mod2(max_genus=5):
     return rep
 
 
-def suite_action(max_genus=5, genus_corrections=5):
+def suite_action(max_genus=5):
     """Nontorsion tables, the phi cross-check, and the corrected homology
     action with its location and vanishing constraints."""
     rep = VerificationReport("action")
@@ -557,22 +557,17 @@ def suite_action(max_genus=5, genus_corrections=5):
 
     for g in range(2, max_genus + 1):
         for k in range(1, g):
-            model = nontorsion.XModel(g, g - 1 - k)
             standard_expected = 3 * k > g - 2
-            nonzero = 0
-            violations = 0
-            pairs = 0
-            for key in model.basis():
-                n = model.degree_of(key)
-                for gi, corrs in nontorsion.h1_corrections(g, k, key):
-                    pairs += 1
-                    for ct in corrs:
-                        nonzero += 1
-                        power, uexp, deg = nontorsion.correction_location(g, k, n, ct.ell)
-                        if (ct.exterior_power != power or ct.u_exponent != uexp
-                                or ct.degree != deg or n < (2 * ct.ell - 1) * k
-                                or not 0 < ct.ell <= (n + k) // (2 * k)):
-                            violations += 1
+            # h1_corrections yields once per class for every basis key
+            pairs = 2 * g * nontorsion.XModel(g, g - 1 - k).total_rank()
+            nonzero = violations = 0
+            for _, n, _, ct in nontorsion.action_corrections(g, k):
+                nonzero += 1
+                power, uexp, deg = nontorsion.correction_location(g, k, n, ct.ell)
+                if (ct.exterior_power != power or ct.u_exponent != uexp
+                        or ct.degree != deg or n < (2 * ct.ell - 1) * k
+                        or not 0 < ct.ell <= (n + k) // (2 * k)):
+                    violations += 1
             rep.add("action-constraints", {"g": g, "k": k, "pairs": pairs},
                     0, violations)
             if standard_expected:

@@ -8,13 +8,13 @@ from math import comb
 import pytest
 
 from hfsigma.cfk import (B_PLUS, OPS, GradedElement, Region, _flip_blade,
-                         _flip_sources, corner, gamma_action, j_infinity,
+                         _flip_template, corner, gamma_action, j_infinity,
                          min_zero, row_i0, slice_basis, slice_digest,
                          slice_map, u_chain_map, u_slice_map)
 from hfsigma.errors import BudgetExceeded, Deadline, DomainError
 from hfsigma.exterior import (Multivector, blade_grade, eta,
                               random_multivector, star_blade, contract_blades,
-                              wedge_blades)
+                              swap_pairs, wedge_blades)
 from hfsigma.linalg import SparseExactMatrix, rank
 from hfsigma.rings import GF, QQ, ZZ
 
@@ -363,14 +363,19 @@ def test_slice_digest_pins_the_g8_infinity_hashes():
     assert slice_digest(8, "one_plus_J", 9) == "0cabe0c4bfce0870"
 
 
-def test_flip_sources_is_the_transpose_of_flip_blade():
-    for g in range(1, 6):
+def test_flip_template_is_the_transpose_of_flip_blade():
+    for g in range(1, 7):
         forward, backward = set(), set()
+        full = (1 << (2 * g)) - 1
         for mask in range(1 << (2 * g)):
-            forward.update((mask, di, m2, w) for di, m2, w in _flip_blade(g, mask))
-            sources = _flip_sources(g, mask)
-            backward.update((m, di, mask, w) for di, m, w in sources)
+            forward.update((mask, m2, w) for _, m2, w in _flip_blade(g, mask))
+            base = swap_pairs(full ^ mask)
+            sources = [(base - x, mask, w) for x, w in _flip_template(g, mask)]
+            backward.update(sources)
             assert len(set(sources)) == len(sources)
+            # source columns ascending: grade descending, then mask ascending
+            order = [(-blade_grade(src), src) for src, _, _ in sources]
+            assert order == sorted(order), (g, mask)
         assert forward == backward, g
 
 

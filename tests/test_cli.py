@@ -262,6 +262,17 @@ def test_a_failed_cache_write_leaves_no_file(error, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_failed_cache_write_still_emits_the_result(tmp_path):
+    # a cache directory that is a regular file: the store fails after compute
+    cold = _payload(run_cli("hat", "--genus", "2", "--out", "json"))
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    proc = run_cli("hat", "--genus", "2", "--out", "json", "--cache-dir", str(not_a_dir))
+    assert _payload(proc) == cold
+    assert proc.stderr.startswith("warning: result not cached:"), proc.stderr
+    assert not_a_dir.read_text() == ""
+
+
 def test_truncated_cache_file_is_a_miss(tmp_path):
     cold = _payload(run_cli("hat", "--genus", "3", "--out", "json"))
     cache = tmp_path / "cache"
@@ -539,6 +550,7 @@ MALFORMED_FLAGS = [
     *[(cmd, "--degrees=" + w) for cmd in ("hat", "plus")
       for w in ("1/0..1", "x..1", "1..0", "..", "1", "1..2..3", "")],
     ("plus", "--degrees", "-1..1"),
+    *[("verify", "--jobs", j) for j in ("0", "-3")],
     *[(cmd, "--spinc", k) for cmd in ("nontorsion", "action", "beta", "slice")
       for k in ("x", "1.5", "")],
 ]

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -148,12 +149,12 @@ def test_genus_mismatch_raises():
 
 
 def test_blades_of_grade_enumeration():
-    for g in (1, 2, 3):
-        for p in range(0, 2 * g + 1):
-            masks = blades_of_grade(g, p)
-            assert len(masks) == comb(2 * g, p)
-            assert masks == sorted(masks)
-            assert all(blade_grade(m) == p for m in masks)
+    # against the sorted combinations, past both ends of the grades
+    for g in range(8):
+        for p in range(-1, 2 * g + 2):
+            want = sorted(sum(1 << b for b in bits)
+                          for bits in combinations(range(2 * g), p)) if p >= 0 else []
+            assert blades_of_grade(g, p) == want, (g, p)
 
 
 def test_multivector_json_roundtrip():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -101,6 +102,23 @@ def test_import_loads_no_layer():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.split("\n")[:2] == ["['hfsigma']", "True"]
+
+
+def test_every_module_level_import_is_used():
+    # a name bound by a top-level import and never read is a stale import
+    dead = {}
+    for name in sorted(os.listdir(os.path.join(SRC, "hfsigma"))):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, "hfsigma", name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        bound = {(alias.asname or alias.name).partition(".")[0]
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if bound - read:
+            dead[name] = sorted(bound - read)
+    assert dead == {}
 
 
 SHA256_INPUTS = (b"", b"abc", bytes(range(256)) * 257)  # the last: many blocks
