@@ -25,6 +25,7 @@ from .errors import tick
 from .linalg import (GroupPresentation, SparseExactMatrix, cokernel_over,
                      factor_rank, integer_kernel_lattice, rank,
                      smith_normal_form)
+from .rings import QQ
 
 # ---------------------------------------------------------------------------
 # tables
@@ -214,8 +215,8 @@ def _cone_group(g, ker, cok, ring):
     return _block_sum(g, block_group)
 
 
-def _span_rank(cols, nrows, ring):
-    """Rank over the ring of the span of integer columns."""
+def _span_rank(cols, nrows):
+    """Rank over Q of the span of integer columns."""
     if not cols:
         return 0
-    return rank(SparseExactMatrix.from_columns(nrows, cols), ring)
+    return rank(SparseExactMatrix.from_columns(nrows, cols), QQ)

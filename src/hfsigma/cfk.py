@@ -309,10 +309,9 @@ def gamma_action(gamma_star_index, x, truncate=True):
                                          x.terms))
 
 
-@lru_cache(maxsize=None)
 def _gamma_images(gamma_star_index, truncate):
-    """Term images of the action of one class (_gamma_terms); its bit rules
-    do not depend on the genus."""
+    """Term images of the action of one class (_gamma_terms), a fresh table
+    per call: the images of one walk are built once and dropped with it."""
     return _Images(partial(_gamma_terms, gamma_star_index, truncate))
 
 

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Commands: hat | plus | infinity | nontorsion | action | eg | beta | slice |
-snf | verify, with shared flags --genus, --ring, --out {table,json,tsv},
---extended and --time-budget; a command takes --spinc, --degrees, --jobs
-or --cache-dir (the HF_CACHE_DIR result cache) only if it reads it, and
-every command takes --ring, but nontorsion, action, beta, snf and verify
-compute over Z only and reject any other ring.  Text tables write a group
+snf | verify, with shared flags --ring, --out {table,json,tsv},
+--extended and --time-budget; a command takes --genus (all but snf and
+verify), --spinc, --degrees, --jobs or --cache-dir (the HF_CACHE_DIR
+result cache) only if it reads it, and every command takes --ring, but
+nontorsion, action, beta, snf and verify compute over Z only and reject
+any other ring.  Text tables write a group
 over a field as a vector space (F2^9, Q^9).  Exit codes: 0 success, 1
 verification failure, an exhausted time budget or an output pipe closed
 by its reader (nothing more is written, and no traceback), 2 usage error.
@@ -75,8 +76,6 @@ def _integers_only(args):
 
 def _check_scale(args, heavy_integer_run):
     g = args.genus
-    if g is None:
-        raise DomainError("--genus is required")
     if g < 1 or g > HARD_GENUS_CAP:
         raise DomainError(f"genus must lie in 1..{HARD_GENUS_CAP}")
     if heavy_integer_run and g > DESK_GENUS_CAP and not args.extended:
@@ -477,9 +476,10 @@ def build_parser():
     def parent():
         return argparse.ArgumentParser(add_help=False)
 
-    def base(genus_required):
+    def base(with_genus):
         sp = parent()
-        sp.add_argument("--genus", "-g", type=int, required=genus_required)
+        if with_genus:
+            sp.add_argument("--genus", "-g", type=int, required=True)
         sp.add_argument("--ring", default="Z", help="Z, Q, F2 or Fp:<p>")
         sp.add_argument("--out", default=None,
                         help="table, json, tsv, or a path for JSON output")
@@ -488,7 +488,7 @@ def build_parser():
         sp.add_argument("--time-budget", type=float, default=3600.0)
         return sp
 
-    shared, genus_optional = base(True), base(False)
+    shared, no_genus = base(True), base(False)
     spinc, degrees, cache, jobs = parent(), parent(), parent(), parent()
     spinc.add_argument("--spinc", type=int, default=None,
                        help="spin-c label k (first Chern class dual to 2k circles)")
@@ -535,12 +535,12 @@ def build_parser():
     sp.add_argument("--degree", required=True)
     sp.set_defaults(func=cmd_slice)
 
-    sp = sub.add_parser("snf", parents=[genus_optional],
+    sp = sub.add_parser("snf", parents=[no_genus],
                         help="Smith normal form of a matrix JSON file")
     sp.add_argument("--input", required=True)
     sp.set_defaults(func=cmd_snf)
 
-    sp = sub.add_parser("verify", parents=[genus_optional, jobs],
+    sp = sub.add_parser("verify", parents=[no_genus, jobs],
                         help="run a verification suite")
     sp.add_argument("--suite", default="all",
                     help="a suite name or all; an unknown name lists the suites")

@@ -30,9 +30,8 @@ from .blocks import (FloerTable, _block_data, _block_sum, _cone_group,
 from .cfk import (B_PLUS, corner, slice_digest, slice_map, u_chain_map,
                   u_slice_map)
 from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
-                     cokernel_over, factor_rank, kernel_basis,
-                     lattice_quotient)
-from .rings import QQ, ZZ
+                     cokernel_over, factor_rank, lattice_quotient, rank)
+from .rings import ZZ
 
 _MOVED = {
     "nontorsion": ("CorrectionTerm", "XModel", "apply_F", "chain_matrix",
@@ -187,10 +186,11 @@ def _reduced_group(g, d, ring):
     over the weight-zero blocks at each genus n <= g (hi taken at genus g).
     Per block, the cokernel side is one Smith form of [F_{d+1} | U^N] read
     over the ring, and the rank of Ker F_d over the ring comes from the
-    block's Smith form.  Over Z and Q, S is spanned by the image of the
-    kernel lattice at hi and the quotient is read off one Smith form of its
-    generators (linalg.lattice_quotient).  Over F_p, S is the image of the
-    F_p kernel at hi, which can be larger than the kernel lattice mod p.
+    block's Smith form.  Over a field k the kernel side is a dimension:
+    U^N kills exactly the part of Ker F_hi that the stack [F_hi; U^N]
+    kills, so dim S = rank_k [F_hi; U^N] - rank_k F_hi.  Over Z, S is
+    spanned by the image of the kernel lattice at hi and the quotient is
+    read off one Smith form of its generators (linalg.lattice_quotient).
     """
     hi = _stable_hi(g, d)
     steps = (hi - d) // 2
@@ -203,17 +203,16 @@ def _reduced_group(g, d, ring):
         red_c = cokernel_over(stack.rows, smith_form(stack), ring)
         _, cols, factors = _block_data(n, "F", d)
         k_rank = cols - factor_rank(factors, ring)
-        if ring.p is not None:
+        if ring.is_field:
             f_hi = slice_map(n, "F", hi, block=True).matrix
-            img = [c for c in un.mul_columns(kernel_basis(f_hi, ring)) if c]
-            red_k = GroupPresentation(k_rank - _span_rank(img, un.rows, ring))
+            s_rank = (rank(SparseExactMatrix.vstack(f_hi, un), ring)
+                      - factor_rank(_block_data(n, "F", hi)[2], ring))
+            red_k = GroupPresentation(k_rank - s_rank)
         else:
             img = [v for v in un.mul_columns(_kernel_cols(n, hi)) if v]
             if any(slice_map(n, "F", d, block=True).matrix.mul_columns(img)):
                 raise AssertionError("U^N carried the kernel at hi outside Ker F_d")
             red_k = lattice_quotient(k_rank, img, un.rows, smith_form)
-            if ring == QQ:
-                red_k = GroupPresentation(red_k.free_rank)
         return red_k.direct_sum(red_c)
 
     return _block_sum(g, block_group)
@@ -245,10 +244,10 @@ def _quotient_map_dims(T, v1_cols, w1_cols, w2_cols):
     """For T: V1 -> V2 with subspaces W1, W2 (T W1 <= W2), all spanned by
     integer columns: dimensions over Q of V1/W1, of the kernel and of the
     image of the induced quotient map."""
-    rw1 = _span_rank(w1_cols, T.cols, QQ)
-    rw2 = _span_rank(w2_cols, T.rows, QQ)
-    dim_v1 = _span_rank(v1_cols, T.cols, QQ)
-    r_all = _span_rank(T.mul_columns(v1_cols) + w2_cols, T.rows, QQ)
+    rw1 = _span_rank(w1_cols, T.cols)
+    rw2 = _span_rank(w2_cols, T.rows)
+    dim_v1 = _span_rank(v1_cols, T.cols)
+    r_all = _span_rank(T.mul_columns(v1_cols) + w2_cols, T.rows)
     dim_red = dim_v1 - rw1
     ker = dim_v1 + rw2 - r_all - rw1
     img = r_all - rw2

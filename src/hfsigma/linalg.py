@@ -135,6 +135,11 @@ def normalize_divisibility_chain(factors):
     return [1] * (len(fs) - len(chain)) + chain[::-1]
 
 
+def _is_count(n):
+    """An int >= 0, and not a bool (nor a float that equals an int)."""
+    return type(n) is int and n >= 0
+
+
 class SparseExactMatrix:
     """Sparse integer matrix; rank, kernels and to_json take the ring."""
 
@@ -206,6 +211,14 @@ class SparseExactMatrix:
         entries.update(((r, a.cols + c), v) for (r, c), v in b.entries.items())
         return cls.from_int_entries(a.rows, a.cols + b.cols, entries)
 
+    @classmethod
+    def vstack(cls, a, b):
+        if a.cols != b.cols:
+            raise DomainError("vstack wants equal column counts")
+        entries = dict(a.entries)
+        entries.update(((a.rows + r, c), v) for (r, c), v in b.entries.items())
+        return cls.from_int_entries(a.rows + b.rows, a.cols, entries)
+
     def to_json(self, ring=ZZ):
         """The matrix read over the ring: the ring's tag, and the entries
         coerced into it, zeros dropped, in (row, col) order."""
@@ -220,10 +233,12 @@ class SparseExactMatrix:
         if parse_ring(data["ring"]) != ZZ:
             raise DomainError(f"wanted an integer matrix, got one over {data['ring']}")
         rows, cols = data["rows"], data["cols"]
-        if any(type(n) is not int or n < 0 for n in (rows, cols)):  # bools too
+        if not (_is_count(rows) and _is_count(cols)):
             raise DomainError(f"matrix shape {rows!r} x {cols!r}: not two counts")
         m = cls(rows, cols)
         for r, c, s in data["entries"]:
+            if not (_is_count(r) and _is_count(c)):
+                raise DomainError(f"entry position {r!r}, {c!r}: not two counts")
             val = Fraction(s) if "/" in s else int(s)
             m[r, c] = m[r, c] + val
         return m

@@ -123,7 +123,7 @@ def _nontorsion_images(g, kk):
     |k| = kk: the cfk._op_terms of h and of F at s = -|k|, kept in the
     corner {i >= 0, j >= -|k|}.  For the phi step that is
     pr_{i>=0} U^|k| pr_{j>=0} J, since U^|k| carries j >= 0 onto j >= -|k|.
-    The action of a class is the table cfk._gamma_images."""
+    The action of a class is cfk._gamma_images, a table built per call."""
     def images(op):
         def build(i, mask):
             return tuple(((i2, m2), w) for di, m2, w in _op_terms(g, op, -kk, mask)
@@ -231,7 +231,7 @@ def phi_image_rank(g, kk):
             if _apply(fmap, ph):
                 raise AssertionError("phi image escaped the kernel")
             cols.append({keys.setdefault(t, len(keys)): v for t, v in ph.items()})
-        return GroupPresentation(_span_rank(cols, len(keys), QQ))
+        return GroupPresentation(_span_rank(cols, len(keys)))
     return _block_sum(g, block_image).free_rank
 
 

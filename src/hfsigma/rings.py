@@ -106,7 +106,7 @@ def GF(p):
 
 def parse_ring(text):
     """Parse a CLI ring tag: Z, Q, F2, F7, or Fp:7."""
-    t = text.strip()
+    t = text.strip() if isinstance(text, str) else ""
     if t == "Z":
         return ZZ
     if t == "Q":

@@ -637,9 +637,8 @@ _SUITE_FUNCS = {
 
 # the lru memo tables of the engine layers, bound here at import so that a
 # wrapper bound later over one of their module names leaves them reachable
-_MEMO_CACHES = (cfk.slice_basis, cfk._flip_blade, cfk._gamma_images, omega, eta,
-                primitive_basis, nontorsion._nontorsion_images,
-                nontorsion._chain_cached)
+_MEMO_CACHES = (cfk.slice_basis, cfk._flip_blade, omega, eta, primitive_basis,
+                nontorsion._nontorsion_images, nontorsion._chain_cached)
 
 
 def _release_memo_tables():

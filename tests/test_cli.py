@@ -322,6 +322,21 @@ def test_snf_rejects_an_impossible_shape(tmp_path):
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_snf_rejects_a_malformed_ring_or_position(tmp_path):
+    # a ring that is not text used to die in parse_ring with a traceback; a
+    # float or bool position was read as the int it equals, exit 0
+    cases = [('5', '[[0, 0, "2"]]'), ('null', '[[0, 0, "2"]]'),
+             ('"Z"', '[[0.5, 0, "2"], [1, 1, "3"]]'),
+             ('"Z"', '[[true, 1, "3"]]'), ('"Z"', '[[0, 0, "2"], [0.0, 0, "3"]]')]
+    for k, (ring, entries) in enumerate(cases):
+        path = tmp_path / f"m{k}.json"
+        path.write_text('{"rows": 2, "cols": 2, "ring": %s, "entries": %s}'
+                        % (ring, entries))
+        proc = run_cli("snf", "--input", str(path), "--out", "json")
+        assert proc.returncode == 2 and proc.stdout == "", (ring, entries, proc.stdout)
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("suite, jobs", (("sl2", "1"), ("all", "2")))
 def test_verify_above_the_genus_cap_exits_2(suite, jobs):
     proc = run_cli("verify", "--suite", suite, "--max-genus", "11", "--extended",
@@ -551,6 +566,7 @@ MALFORMED_FLAGS = [
       for w in ("1/0..1", "x..1", "1..0", "..", "1", "1..2..3", "")],
     ("plus", "--degrees", "-1..1"),
     *[("verify", "--jobs", j) for j in ("0", "-3")],
+    *[(cmd, "-g", "2") for cmd in ("verify", "snf")],  # they read no genus
     *[(cmd, "--spinc", k) for cmd in ("nontorsion", "action", "beta", "slice")
       for k in ("x", "1.5", "")],
 ]

@@ -412,6 +412,22 @@ def test_matrix_json_rejects_a_shape_that_is_not_two_counts(rows, cols):
         SparseExactMatrix.from_json(data)
 
 
+@pytest.mark.parametrize("ring", (5, None, ["Z"], {"Z": 1}))
+def test_matrix_json_rejects_a_ring_that_is_not_text(ring):
+    data = {"rows": 1, "cols": 1, "ring": ring, "entries": []}
+    with pytest.raises(DomainError):
+        SparseExactMatrix.from_json(data)
+
+
+@pytest.mark.parametrize("entry", ([0.5, 0, "2"], [True, 1, "3"], [0.0, 0, "3"],
+                                   [0, "1", "2"], [1, None, "2"], [-1, 0, "2"]))
+def test_matrix_json_rejects_a_position_that_is_not_two_counts(entry):
+    # a float, a bool or a string is not read as the int it equals
+    data = {"rows": 2, "cols": 2, "ring": "Z", "entries": [[1, 1, "3"], entry]}
+    with pytest.raises(DomainError):
+        SparseExactMatrix.from_json(data)
+
+
 def test_matrix_json_roundtrip():
     rng = random.Random(12)
     m = random_mat(rng, 4, 5)

@@ -18,12 +18,13 @@ from fractions import Fraction
 
 import pytest
 
-from hfsigma import blocks, bundle, engine, lefschetz
+from hfsigma import blocks, bundle, engine, lefschetz, linalg
 from hfsigma.cfk import B_PLUS, corner, slice_map, u_chain_map, u_slice_map
 from hfsigma.exterior import Multivector, blades_of_grade, eta
 from hfsigma.lefschetz import raising_matrix
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
-                            integer_kernel_lattice, kernel_basis, rank)
+                            integer_kernel_lattice, kernel_basis,
+                            lattice_quotient, rank)
 from hfsigma.rings import GF, QQ, ZZ
 from oracles import solve_columns, type_r_block
 
@@ -174,6 +175,32 @@ def test_reduced_part_and_u_action_build_only_weight_blocks(monkeypatch):
         engine.hf_plus_reduced(4, ring)
     engine.u_action_red(4)
     assert whole == []
+
+
+def test_field_reduced_parts_take_no_kernel(monkeypatch):
+    # over a field the reduced part is read off ranks alone: no kernel basis,
+    # no kernel lattice and no lattice quotient; over Z both are taken
+    for table in ("_BLOCKS", "_FACTORS", "_KERNELS"):
+        monkeypatch.setattr(blocks, table, {})
+    echelon, kernels, quotients = linalg._echelon, [], []
+
+    def spied_echelon(m, p=None, want_kernel=False):
+        if want_kernel:
+            kernels.append((m.rows, m.cols, p))
+        return echelon(m, p, want_kernel)
+
+    def spied_quotient(*args):
+        quotients.append(args[:1])
+        return lattice_quotient(*args)
+
+    monkeypatch.setattr(linalg, "_echelon", spied_echelon)
+    monkeypatch.setattr(engine, "lattice_quotient", spied_quotient)
+    for g in (3, 4):
+        for ring in (GF(3), QQ):
+            engine.hf_plus_reduced(g, ring)
+    assert kernels == [] and quotients == []
+    engine.hf_plus_reduced(3, ZZ)
+    assert kernels and quotients
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.tag)

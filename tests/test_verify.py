@@ -48,7 +48,7 @@ def test_each_suite_releases_the_memo_tables(suite):
     verify.run_suite(suite, 3)
     sizes = memo_table_sizes()
     assert {"blocks._BLOCKS", "blocks._FACTORS", "blocks._KERNELS", "cfk.slice_basis",
-            "cfk._flip_blade", "cfk._gamma_images", "exterior.omega", "exterior.eta",
+            "cfk._flip_blade", "exterior.omega", "exterior.eta",
             "lefschetz.primitive_basis", "nontorsion._nontorsion_images",
             "nontorsion._chain_cached"} <= set(sizes)
     assert not {name: n for name, n in sizes.items() if n}
