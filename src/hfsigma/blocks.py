@@ -22,10 +22,8 @@ from math import comb
 from . import sha256
 from .cfk import slice_map
 from .errors import tick
-from .linalg import (GroupPresentation, SparseExactMatrix, cokernel_over,
-                     factor_rank, integer_kernel_lattice, rank,
-                     smith_normal_form)
-from .rings import QQ
+from .linalg import (GroupPresentation, cokernel_over, factor_rank,
+                     integer_kernel_lattice, smith_normal_form)
 
 # ---------------------------------------------------------------------------
 # tables
@@ -214,9 +212,3 @@ def _cone_group(g, ker, cok, ring):
                                  cok_n.invariant_factors)
     return _block_sum(g, block_group)
 
-
-def _span_rank(cols, nrows):
-    """Rank over Q of the span of integer columns."""
-    if not cols:
-        return 0
-    return rank(SparseExactMatrix.from_columns(nrows, cols), QQ)

@@ -134,6 +134,8 @@ def _to_tsv(payload, title):
             grp = e["group"]
             facs = ",".join(str(d) for d in grp["invariant_factors"])
             rows.append(f"{e['deg']}\t{grp['free_rank']}\t{facs}")
+        if "reduced" in payload:
+            rows.append(_to_tsv(payload["reduced"], "reduced part"))
     else:
         rows.append(json.dumps(payload, sort_keys=True))
     return "\n".join(rows)
@@ -154,6 +156,8 @@ def _to_text(payload, title, tag):
             for t in payload["towers"]:
                 lines.append(f"    start {t['start_degree']:>5}  rank {t['rank']}"
                              f"  ({t.get('kind', '')} j={t.get('j', '')})")
+        if "reduced" in payload:
+            lines.append(_to_text(payload["reduced"], "reduced part", tag))
     else:
         lines.append(json.dumps(payload, sort_keys=True, indent=2))
     return "\n".join(lines)
@@ -285,8 +289,6 @@ def cmd_plus(args):
     payload = _cached(args, compute, "table")
     _emit(args, payload,
           f"plus table (torsion spin-c), genus {args.genus}, ring {ring.tag}")
-    if args.reduced and args.out in (None, "table"):
-        print(_to_text(payload["reduced"], "reduced part", ring.tag))
     return 0
 
 

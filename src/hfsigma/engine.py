@@ -19,19 +19,17 @@ their home on first access (PEP 562).
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from importlib import import_module
 from math import comb
 
 from .blades import blades_of_grade, star_blade
 from .blocks import (FloerTable, _block_data, _block_sum, _cone_group,
-                     _deg_str, _kernel_cols, _span_rank, block_multiplicity,
-                     smith_form)
+                     _deg_str, _kernel_cols, smith_form)
 from .cfk import (B_PLUS, corner, slice_digest, slice_map, u_chain_map,
                   u_slice_map)
 from .linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                      cokernel_over, factor_rank, lattice_quotient, rank)
-from .rings import ZZ
+from .rings import QQ, ZZ
 
 _MOVED = {
     "nontorsion": ("CorrectionTerm", "XModel", "apply_F", "chain_matrix",
@@ -240,23 +238,18 @@ def unexpected_u_kernel_dim(g):
     return 2 ** (g - 1) - comb(2 * g, g) // 2 + comb(2 * g, g - 2)
 
 
-def _quotient_map_dims(T, v1_cols, w1_cols, w2_cols):
-    """For T: V1 -> V2 with subspaces W1, W2 (T W1 <= W2), all spanned by
-    integer columns: dimensions over Q of V1/W1, of the kernel and of the
-    image of the induced quotient map."""
-    rw1 = _span_rank(w1_cols, T.cols)
-    rw2 = _span_rank(w2_cols, T.rows)
-    dim_v1 = _span_rank(v1_cols, T.cols)
-    r_all = _span_rank(T.mul_columns(v1_cols) + w2_cols, T.rows)
-    dim_red = dim_v1 - rw1
-    ker = dim_v1 + rw2 - r_all - rw1
-    img = r_all - rw2
-    return dim_red, ker, img
-
-
 def u_action_red(g, window=None):
-    """The U endomorphism of the reduced plus flavor, degree by degree,
-    summed over the weight blocks like the reduced part itself.
+    """The U endomorphism of the reduced plus flavor over Q, degree by
+    degree, summed over the weight blocks like the reduced part itself.
+
+    U commutes with F, so U^(N-1) Ker F_hi lies in Ker F_d: the subgroup
+    U^N Ker F_hi divided out at d - 2 lies in U Ker F_d, and likewise
+    U^N C_hi in U C_(d+1).  So U: red_(d+1/2) -> red_(d-3/2) has the
+    cokernel of U on the cone, Ker F_(d-2) / U Ker F_d (+) C_(d-1) /
+    (U C_(d+1) + Im F_(d-1)), per weight-zero block of dimension
+    dim Ker F_(d-2) - rank [F_d; U] + rank F_d + rows C_(d-1)
+    - rank [U | F_(d-1)].  The image has dimension dim red_(d-2) - coker,
+    the kernel dim red_d - img, with dim red from the reduced part over Q.
 
     Reports, for each half-integer degree delta in the window: the reduced
     dimension, the kernel dimension of U: red_delta -> red_(delta-2), and
@@ -271,54 +264,41 @@ def u_action_red(g, window=None):
         return {"genus": g, "per_degree": {}, "checks": {}, "empty": True}
     if window is None:
         window = (-g, g - 1)
+    dims = {d: _reduced_group(g, d, QQ).free_rank
+            for d in range(window[0] - 2, window[1] + 1)}
 
-    @lru_cache(maxsize=None)
-    def kdata(d, n):
-        hi = _stable_hi(g, d)
-        steps = (hi - d) // 2
-        un = u_chain_map(n, B_PLUS, hi, steps, block=True).matrix
-        return _kernel_cols(n, d), un.mul_columns(_kernel_cols(n, hi))
-
-    @lru_cache(maxsize=None)
-    def cdata(d1, n):
-        hi1 = _stable_hi(g, d1)
-        steps = (hi1 - d1) // 2
-        f1 = slice_map(n, "F", d1, block=True).matrix
-        un1 = u_chain_map(n, corner(0), hi1, steps, block=True).matrix
-        v = [{i: 1} for i in range(f1.rows)]
-        return v, f1.col_dicts() + un1.col_dicts()
+    def u_cokernel(d):
+        def block_group(n):
+            f = slice_map(n, "F", d, block=True).matrix
+            f1 = slice_map(n, "F", d - 1, block=True).matrix
+            u = u_slice_map(n, B_PLUS, d, block=True).matrix
+            u_c = u_slice_map(n, corner(0), d + 1, block=True).matrix
+            _, cols, f_lo = _block_data(n, "F", d - 2)
+            return GroupPresentation(
+                cols - factor_rank(f_lo, QQ) - rank(SparseExactMatrix.vstack(f, u), QQ)
+                + factor_rank(_block_data(n, "F", d)[2], QQ)
+                + f1.rows - rank(SparseExactMatrix.hstack(u_c, f1), QQ))
+        return _block_sum(g, block_group).free_rank
 
     per_degree = {}
     for d in range(window[0], window[1] + 1):
-        row = {"dim": 0, "ker": 0, "img": 0}
-        for n in range(g, -1, -1):  # type r = g - n: the weight-zero block at n
-            klo, w1k = kdata(d, n)
-            _, w2k = kdata(d - 2, n)
-            u_b = u_slice_map(n, B_PLUS, d, block=True).matrix
-            vc, w1c = cdata(d + 1, n)
-            _, w2c = cdata(d - 1, n)
-            u_c = u_slice_map(n, corner(0), d + 1, block=True).matrix
-            for key, k, c in zip(row, _quotient_map_dims(u_b, klo, w1k, w2k),
-                                 _quotient_map_dims(u_c, vc, w1c, w2c)):
-                row[key] += block_multiplicity(g, g - n) * (k + c)
-        per_degree[half(d)] = row
-    checks = {}
-    for delta, row in per_degree.items():
-        target = per_degree.get(delta - 2)
-        row["surjective"] = target is None or row["img"] == target["dim"]
-        row["injective"] = row["ker"] == 0
-    support = [delta for delta, row in per_degree.items() if row["dim"]]
-    checks["surjective_at_and_below_middle"] = all(
-        per_degree[delta]["surjective"]
-        for delta in support if delta <= Fraction(-1, 2))
-    checks["injective_above"] = all(
-        per_degree[delta]["injective"]
-        for delta in per_degree if delta > Fraction(3, 2))
+        img = dims[d - 2] - u_cokernel(d)
+        ker = dims[d] - img
+        per_degree[half(d)] = {"dim": dims[d], "ker": ker, "img": img,
+                               "surjective": d - 2 < window[0] or img == dims[d - 2],
+                               "injective": ker == 0}
     formula = unexpected_u_kernel_dim(g)
     got = per_degree.get(Fraction(1, 2), {"ker": 0})["ker"]
-    checks["unexpected_kernel_formula"] = formula
-    checks["unexpected_kernel_computed"] = got
-    checks["unexpected_kernel_matches"] = (got == formula)
+    checks = {
+        "surjective_at_and_below_middle": all(
+            row["surjective"] for delta, row in per_degree.items()
+            if row["dim"] and delta <= Fraction(-1, 2)),
+        "injective_above": all(row["injective"] for delta, row in per_degree.items()
+                               if delta > Fraction(3, 2)),
+        "unexpected_kernel_formula": formula,
+        "unexpected_kernel_computed": got,
+        "unexpected_kernel_matches": got == formula,
+    }
     return {"genus": g,
             "per_degree": {_deg_str(k): v for k, v in sorted(per_degree.items())},
             "checks": checks}

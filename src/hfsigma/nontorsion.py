@@ -13,12 +13,12 @@ from functools import lru_cache, partial
 from math import comb
 
 from .blades import blade_grade, block_masks, blades_of_grade
-from .blocks import FloerTable, _block_sum, _span_rank
+from .blocks import FloerTable, _block_sum
 from .cfk import (B_PLUS, GradedElement, SliceMap, UnionBasis, corner,
                   slice_basis, _accumulate, _apply, _gamma_images, _Images,
                   _op_terms)
 from .errors import DomainError, UnsupportedOperation, tick
-from .linalg import GroupPresentation, rank
+from .linalg import GroupPresentation, SparseExactMatrix, rank
 from .rings import QQ, ZZ
 
 
@@ -231,7 +231,8 @@ def phi_image_rank(g, kk):
             if _apply(fmap, ph):
                 raise AssertionError("phi image escaped the kernel")
             cols.append({keys.setdefault(t, len(keys)): v for t, v in ph.items()})
-        return GroupPresentation(_span_rank(cols, len(keys)))
+        return GroupPresentation(
+            rank(SparseExactMatrix.from_columns(len(keys), cols), QQ))
     return _block_sum(g, block_image).free_rank
 
 

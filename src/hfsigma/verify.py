@@ -72,6 +72,7 @@ _CHECK_SOURCES = {
     "infty-2-torsion": "closed-form",
     "infty-no-2-torsion": "closed-form",
     "infty-3-torsion": "closed-form",
+    "infinity-torsion-matches-closed-form": "closed-form",
     "mod2-tower-prediction": "cross-computation",
     "nontorsion-model-ranks": "closed-form",
     "nontorsion-phi-cross-check": "cross-computation",
@@ -488,8 +489,18 @@ def suite_plus(max_genus=5):
     return rep
 
 
+def _wilson_torsion(n):
+    """Nonunit entries of Wilson's diagonal forms (European J. Combin. 11,
+    1990) of the inclusions of a- into (a+1)-subsets of an n-set, a < n:
+    with t = min(a, n-a-1), t+1-i appears C(n,i) - C(n,i-1) times."""
+    return [t + 1 - i for a in range(n) for t in (min(a, n - a - 1),)
+            for i in range(t) for _ in range(comb(n, i) - (comb(n, i - 1) if i else 0))]
+
+
 def suite_infinity(max_genus=5):
-    """Fully inverted flavor: rational and mod-2 ranks, integral torsion."""
+    """Fully inverted flavor: rational and mod-2 ranks, integral torsion and
+    its observed closed form, C(g,r)*2^r copies of _wilson_torsion(g - r)
+    summed over even r at degree g + 3/2 and over odd r at g + 1/2."""
     rep = VerificationReport("infinity")
     for g in range(1, max_genus + 1):
         ti = engine.hf_infinity(g, QQ)
@@ -509,6 +520,12 @@ def suite_infinity(max_genus=5):
         if g >= 5:
             rep.add("infty-3-torsion", params, True,
                     any(f % 3 == 0 for f in factors))
+        for d in (g, g + 1):
+            closed = [f for r in range((d - g - 1) % 2, g + 1, 2)
+                      for f in _wilson_torsion(g - r) * blocks.block_multiplicity(g, r)]
+            rep.add("infinity-torsion-matches-closed-form", {"g": g, "d": d},
+                    GroupPresentation(0, closed),
+                    GroupPresentation(0, tz.entries[engine.half(d)].invariant_factors))
     return rep
 
 

@@ -43,6 +43,19 @@ def test_hat_tsv_rank_29():
     assert rows["1/2"] == "29" and rows["-1/2"] == "29"
 
 
+def test_plus_reduced_tsv_has_a_reduced_section(capsys):
+    # the reduced part follows the table as a section of its own, as in
+    # the text table: at g = 3 it is Z in degree -1/2 alone
+    from hfsigma.cli import main
+    assert main(["plus", "-g", "3", "--reduced", "--out", "tsv"]) == 0
+    out = capsys.readouterr().out
+    table, sep, reduced = out.partition("# reduced part\n")
+    assert sep and "\t" in table
+    rows = [line.split("\t") for line in reduced.splitlines()]
+    assert rows[0] == ["degree", "free_rank", "invariant_factors"]
+    assert [row for row in rows[1:] if row[1] != "0"] == [["-1/2", "1", ""]]
+
+
 def test_infinity_f2_rank_36():
     proc = run_cli("infinity", "--genus", "3", "--ring", "F2", "--out", "json")
     assert proc.returncode == 0

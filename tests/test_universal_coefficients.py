@@ -59,6 +59,21 @@ def reference_reduced(g, d, ring):
     return GroupPresentation(red.free_rank) if ring == QQ else red
 
 
+def _span_rank(cols, nrows):
+    return rank(SparseExactMatrix.from_columns(nrows, cols), QQ)
+
+
+def quotient_map_dims(T, v1_cols, w1_cols, w2_cols):
+    """For T: V1 -> V2 with subspaces W1, W2 (T W1 <= W2), all spanned by
+    integer columns: dimensions over Q of V1/W1, of the kernel and of the
+    image of the induced quotient map."""
+    rw1 = _span_rank(w1_cols, T.cols)
+    rw2 = _span_rank(w2_cols, T.rows)
+    dim_v1 = _span_rank(v1_cols, T.cols)
+    r_all = _span_rank(T.mul_columns(v1_cols) + w2_cols, T.rows)
+    return dim_v1 - rw1, dim_v1 + rw2 - r_all - rw1, r_all - rw2
+
+
 def reference_u_action_red(g):
     window = (-g, g - 1)
 
@@ -83,8 +98,8 @@ def reference_u_action_red(g):
         _, w2c = cdata(d - 1)
         u_c = u_slice_map(g, corner(0), d + 1).matrix
         dims = [k + c for k, c in
-                zip(engine._quotient_map_dims(u_b, klo, w1k, w2k),
-                    engine._quotient_map_dims(u_c, vc, w1c, w2c))]
+                zip(quotient_map_dims(u_b, klo, w1k, w2k),
+                    quotient_map_dims(u_c, vc, w1c, w2c))]
         per_degree[engine.half(d)] = dict(zip(("dim", "ker", "img"), dims))
     for delta, row in per_degree.items():
         target = per_degree.get(delta - 2)
@@ -178,8 +193,9 @@ def test_reduced_part_and_u_action_build_only_weight_blocks(monkeypatch):
 
 
 def test_field_reduced_parts_take_no_kernel(monkeypatch):
-    # over a field the reduced part is read off ranks alone: no kernel basis,
-    # no kernel lattice and no lattice quotient; over Z both are taken
+    # over a field the reduced part and the U-action on it over Q are read
+    # off ranks alone: no kernel basis, no kernel lattice and no lattice
+    # quotient; over Z both are taken
     for table in ("_BLOCKS", "_FACTORS", "_KERNELS"):
         monkeypatch.setattr(blocks, table, {})
     echelon, kernels, quotients = linalg._echelon, [], []
@@ -198,6 +214,7 @@ def test_field_reduced_parts_take_no_kernel(monkeypatch):
     for g in (3, 4):
         for ring in (GF(3), QQ):
             engine.hf_plus_reduced(g, ring)
+        engine.u_action_red(g)
     assert kernels == [] and quotients == []
     engine.hf_plus_reduced(3, ZZ)
     assert kernels and quotients
@@ -274,7 +291,7 @@ def test_field_tables_reuse_the_integer_smith_forms(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(blocks, "smith_normal_form", counted(blocks.smith_normal_form))
-    monkeypatch.setattr(blocks, "rank", counted(blocks.rank))
+    monkeypatch.setattr(linalg, "_echelon", counted(linalg._echelon))
     for ring in (QQ, GF(2), GF(3)):
         for table in tables:
             table(4, ring)
