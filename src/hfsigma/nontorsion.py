@@ -6,13 +6,28 @@ X(g, d), d = g - 1 - |k|, which lifts their relative Z/2|k| grading.  They
 are computed twice and cross-checked: from the kernels of windowed chain
 matrices of F = v + h, and as the image of the kernel embedding phi, an
 alternating series in pr_{i>=0} U^|k| J.
+
+The H_1 action walks the orbits of (gamma, key) pairs, a class gamma and a
+basis key (i, mask) of the model, under the signed permutations of the
+symplectic pairs.  Such a permutation fixes i and maps the pair of
+e_gamma, with what the mask holds of it, onto any other pair and
+exchanges the other g - 1 pairs among themselves, so the orbit of
+(gamma, key) is named by i, whether the mask holds e_gamma, whether it
+holds gamma's partner, and how many of the other pairs are complete and
+how many hold one vector (_orbit).  The permutations commute with J, U
+and the regions, and carry the action of gamma to that of its image up to
+sign (cfk module docstring).  So the corrections of the two members of an
+orbit differ by the relabelling and a sign, and sit at the same cells:
+action_corrections runs _act once per orbit and hands every other member
+the representative's cells.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
 
-from .blades import blade_grade, block_masks, blades_of_grade
+from .blades import blade_grade, block_masks, blades_of_grade, complete_pairs
 from .blocks import FloerTable, _block_sum
 from .cfk import (B_PLUS, GradedElement, SliceMap, UnionBasis, corner,
                   slice_basis, _accumulate, _apply, _gamma_images, _Images,
@@ -301,16 +316,58 @@ def h1_corrections(g, k, xi):
         yield gamma, _act(g, kk, gamma, xi, n, ph)[1]
 
 
+CorrectionLocation = namedtuple(
+    "CorrectionLocation", "ell exterior_power u_exponent degree")
+CorrectionLocation.__doc__ = """Where a correction sits: a CorrectionTerm
+without its value."""
+
+
 def action_corrections(g, k):
-    """Yield (key, degree, gamma, correction) for every correction of the
-    action on the basis of X(g, g - 1 - |k|): h1_corrections of each
-    basis key (c, mask), of the given degree, gamma = 1..2g."""
-    model = XModel(g, g - 1 - abs(k))
+    """Yield (key, degree, gamma, location) for every correction of the
+    action on the basis of X(g, g - 1 - |k|), in the order of model.basis(),
+    gamma = 1..2g and descending correction degree; location is a
+    CorrectionLocation, the cell of the correction without its value.
+
+    Runs _act once per orbit of (gamma, key) under the signed permutations
+    of the pairs (module docstring): the orbit is named by i, the bits of
+    the mask at e_gamma and at its partner, and the numbers of complete and
+    of half-filled pairs among the other g - 1 pairs (_orbit).  A
+    permutation of the orbit carries phi(xi), the action of gamma and the
+    triangle onto those of the other member up to sign, so the members'
+    corrections have the same ell, exterior power, U exponent and degree,
+    in the same order.  The table of cells lives for one walk.  Ticks once
+    per basis key."""
+    kk = abs(k)
+    model = XModel(g, g - 1 - kk)
+    cells = {}
     for key in model.basis():
+        tick()
         n = model.degree_of(key)
-        for gamma, corrs in h1_corrections(g, k, key):
-            for ct in corrs:
-                yield key, n, gamma, ct
+        xi = ph = None
+        for gamma in range(1, 2 * g + 1):
+            orbit = _orbit(key, gamma)
+            locs = cells.get(orbit)
+            if locs is None:
+                if ph is None:
+                    _, xi, _ = _model_element(g, k, key)
+                    ph = phi_series(xi, kk).terms
+                locs = cells[orbit] = [
+                    CorrectionLocation(ct.ell, ct.exterior_power, ct.u_exponent,
+                                       ct.degree)
+                    for ct in _act(g, kk, gamma, xi, n, ph)[1]]
+            for loc in locs:
+                yield key, n, gamma, loc
+
+
+def _orbit(key, gamma):
+    """The orbit of (gamma, key) under the signed pair permutations:
+    (i, bit of e_gamma, bit of its partner, complete pairs and half-filled
+    pairs among the other pairs of the mask)."""
+    i, mask = key
+    b = gamma - 1
+    rest = mask & ~(0b11 << (b & ~1))
+    full = complete_pairs(rest).bit_count()
+    return i, mask >> b & 1, mask >> (b ^ 1) & 1, full, blade_grade(rest) - 2 * full
 
 
 def _model_element(g, k, xi):

@@ -11,6 +11,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 from . import blocks, bundle, cfk, engine, nontorsion
@@ -82,6 +83,7 @@ _CHECK_SOURCES = {
     "action-constraints": "closed-form",
     "action-standard": "closed-form",
     "action-has-corrections": "closed-form",
+    "action-orbits-match-walk": "cross-computation",
     "eg-rational-dims": "closed-form",
     "contraction-cokernels-agree": "cross-computation",
     "infinity-torsion-matches-eg": "cross-computation",
@@ -575,11 +577,11 @@ def suite_action(max_genus=5):
     for g in range(2, max_genus + 1):
         for k in range(1, g):
             standard_expected = 3 * k > g - 2
-            # h1_corrections yields once per class for every basis key
+            # the walk meets every (class, basis key) pair
             pairs = 2 * g * nontorsion.XModel(g, g - 1 - k).total_rank()
-            nonzero = violations = 0
-            for _, n, _, ct in nontorsion.action_corrections(g, k):
-                nonzero += 1
+            walk = list(nontorsion.action_corrections(g, k))
+            nonzero, violations = len(walk), 0
+            for _, n, _, ct in walk:
                 power, uexp, deg = nontorsion.correction_location(g, k, n, ct.ell)
                 if (ct.exterior_power != power or ct.u_exponent != uexp
                         or ct.degree != deg or n < (2 * ct.ell - 1) * k
@@ -587,12 +589,27 @@ def suite_action(max_genus=5):
                     violations += 1
             rep.add("action-constraints", {"g": g, "k": k, "pairs": pairs},
                     0, violations)
+            rep.add("action-orbits-match-walk", {"g": g, "k": k}, 0,
+                    sum(a != b for a, b in zip_longest(walk, _pair_walk(g, k))))
             if standard_expected:
                 rep.add("action-standard", {"g": g, "k": k}, 0, nonzero)
             else:
                 rep.add("action-has-corrections", {"g": g, "k": k}, True,
                         nonzero > 0)
     return rep
+
+
+def _pair_walk(g, k):
+    """The corrections of the action as action_corrections lists them, from
+    h1_corrections of every basis key and every class: the route that does
+    not share the orbits."""
+    model = nontorsion.XModel(g, g - 1 - k)
+    for key in model.basis():
+        n = model.degree_of(key)
+        for gamma, corrs in nontorsion.h1_corrections(g, k, key):
+            for ct in corrs:
+                yield key, n, gamma, (ct.ell, ct.exterior_power, ct.u_exponent,
+                                      ct.degree)
 
 
 def suite_eg(max_genus=5):

@@ -8,7 +8,10 @@ the sl_2 closed form.  pairwise_product is the Multivector product through
 the per-pair blade rule (wedge_blades, contract_blades), which the products
 replaced by one parity mask per outer blade.  h1_action is the action of a
 single class, one phi series per class, which nontorsion.h1_corrections
-serves for every class from one phi series.  type_r_block is the type-r
+serves for every class from one phi series.  action_walk is the action on
+the whole model basis from h1_corrections of every basis key, which
+nontorsion.action_corrections replaced by one _act per orbit of the
+(class, key) pairs.  type_r_block is the type-r
 weight block cut out of a whole matrix, which the builders replaced by the
 weight-zero block at genus g - r.
 """
@@ -161,6 +164,18 @@ def h1_action(g, k, gamma_star_index, xi):
     std, corrections = nontorsion._act(g, kk, gamma_star_index, xi, n,
                                        nontorsion.phi_series(xi, kk).terms)
     return GradedElement(g, std), corrections
+
+
+def action_walk(g, k):
+    """Yield (key, degree, gamma, correction) for every correction of the
+    action on the basis of X(g, g - 1 - |k|): h1_corrections of each basis
+    key (c, mask), of the given degree, gamma = 1..2g."""
+    model = nontorsion.XModel(g, g - 1 - abs(k))
+    for key in model.basis():
+        n = model.degree_of(key)
+        for gamma, corrs in nontorsion.h1_corrections(g, k, key):
+            for ct in corrs:
+                yield key, n, gamma, ct
 
 
 @lru_cache(maxsize=None)

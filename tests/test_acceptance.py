@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from hfsigma import engine, verify
+from hfsigma import bundle, engine, nontorsion, verify
 from hfsigma.lefschetz import primitive_dim, self_dual_rank
 from hfsigma.linalg import GroupPresentation
 from hfsigma.rings import GF, QQ, ZZ
@@ -114,7 +114,7 @@ def test_criterion_06_reduced_part():
         assert engine.hf_plus_reduced(g).support() == []
     for g in (3, 4, 5):
         red = engine.hf_plus_reduced(g)
-        dims = engine.x_model_dims(g, g - 3)
+        dims = nontorsion.x_model_dims(g, g - 3)
         for d, grp in red.entries.items():
             assert grp.free_rank == dims.get(d - Fraction(5, 2), 0), (g, d)
             assert grp.is_free(), (g, d, grp)
@@ -130,14 +130,14 @@ def test_criterion_07_nontorsion_tables():
     kernel rank agrees with the phi-series image rank."""
     for g in range(2, MAX_G + 1):
         for k in range(1, g):
-            table, model = engine.hf_plus_nontorsion(g, k)
+            table, model = nontorsion.hf_plus_nontorsion(g, k)
             dims = model.dims()
             assert {n: grp.free_rank for n, grp in table.entries.items()
                     if grp.free_rank} == {n: v for n, v in dims.items() if v}
             assert table.metadata["phi_rank_checked"]
-            tneg, _ = engine.hf_plus_nontorsion(g, -k)
+            tneg, _ = nontorsion.hf_plus_nontorsion(g, -k)
             assert tneg.entries == table.entries
-        tz, _ = engine.hf_plus_nontorsion(g, g)
+        tz, _ = nontorsion.hf_plus_nontorsion(g, g)
         assert not tz.entries
     _report("criterion-07 nontorsion tables",
             "(all 1<=|k|<=g-1, g<=5, phi cross-checked)")
@@ -150,7 +150,7 @@ def test_criterion_08_action_corrections():
     nonzero_seen = 0
     for g in range(2, MAX_G + 1):
         for k in range(1, g):
-            model = engine.XModel(g, g - 1 - k)
+            model = nontorsion.XModel(g, g - 1 - k)
             standard_expected = 3 * k > g - 2
             for key in model.basis():
                 n = model.degree_of(key)
@@ -159,7 +159,7 @@ def test_criterion_08_action_corrections():
                     if standard_expected:
                         assert corrs == [], (g, k, gi, key)
                     for ct in corrs:
-                        power, uexp, deg = engine.correction_location(g, k, n, ct.ell)
+                        power, uexp, deg = nontorsion.correction_location(g, k, n, ct.ell)
                         assert ct.exterior_power == power
                         assert ct.u_exponent == uexp
                         assert ct.degree == deg
@@ -215,13 +215,13 @@ def test_criterion_11_circle_bundle_and_triple_cup():
     contraction cokernels agree over Z for g <= 5; the triple-cup quotients
     compose to zero and total twice the per-degree inverted rank, g <= 4."""
     for g in range(1, MAX_G + 1):
-        egq = engine.eg_cohomology(g, QQ)
+        egq = bundle.eg_cohomology(g, QQ)
         for j, grp in egq.items():
-            assert grp.free_rank == engine.eg_rank_prediction(g, j), (g, j)
-        for parity, (lhs, rhs) in engine.contraction_cokernel_comparison(g).items():
+            assert grp.free_rank == bundle.eg_rank_prediction(g, j), (g, j)
+        for parity, (lhs, rhs) in bundle.contraction_cokernel_comparison(g).items():
             assert lhs == rhs, (g, parity, str(lhs), str(rhs))
     for g in range(1, 5):
-        dims = engine.beta_quotient_dims(g)  # raises unless compositions vanish
+        dims = bundle.beta_quotient_dims(g)  # raises unless compositions vanish
         assert sum(dims.values()) == 2 * comb(2 * g + 1, g)
         inf = engine.hf_infinity(g, QQ)
         for grp in inf.entries.values():

@@ -3,7 +3,7 @@ distinct matrix in a process, across degrees, ops and genera."""
 
 import pytest
 
-from hfsigma import blocks, engine
+from hfsigma import blocks, bundle, engine
 from hfsigma.cfk import OPS, slice_map
 from hfsigma.linalg import SparseExactMatrix
 from hfsigma.rings import ZZ
@@ -63,13 +63,13 @@ def test_a_new_genus_reduces_only_new_type_0_blocks(snf_calls, monkeypatch):
 
 
 def test_eg_at_a_new_genus_builds_only_its_own_blocks(snf_calls, monkeypatch):
-    engine.eg_cohomology(3)
-    engine.contraction_cokernel_comparison(3)
+    bundle.eg_cohomology(3)
+    bundle.contraction_cokernel_comparison(3)
     built = []
     build = blocks._build
     monkeypatch.setattr(blocks, "_build", lambda *key: built.append(key) or build(*key))
-    engine.eg_cohomology(4)
-    engine.contraction_cokernel_comparison(4)
+    bundle.eg_cohomology(4)
+    bundle.contraction_cokernel_comparison(4)
     assert built and {key[0] for key in built} == {4}
 
 

@@ -27,7 +27,7 @@ from hfsigma.exterior import blade_grade, blades_of_grade
 from hfsigma.linalg import (GroupPresentation, SparseExactMatrix, cokernel,
                             rank, smith_normal_form)
 from hfsigma.rings import GF, QQ, ZZ
-from oracles import h1_action, type_r_block, type_r_keys, weight
+from oracles import action_walk, h1_action, type_r_block, type_r_keys, weight
 
 BLOCK_OPS = ("F", "F_hat", "one_plus_J")
 RINGS = (ZZ, QQ, GF(2), GF(3))
@@ -166,13 +166,13 @@ def test_u_maps_are_the_type_r_blocks():
 def test_chain_matrix_prefixes_are_the_type_r_blocks():
     # every prefix that hf_plus_nontorsion takes
     for g, kk in nontorsion_cases(6):
-        top_degree = engine.XModel(g, g - 1 - kk).max_degree()
+        top_degree = nontorsion.XModel(g, g - 1 - kk).max_degree()
         for res in range(2 * kk):
             degs = [n for n in range(-g, top_degree + 1) if (n - res) % (2 * kk) == 0]
             for top in range(1, len(degs) + 1):
-                cm = engine.chain_matrix(g, kk, degs[:top])
+                cm = nontorsion.chain_matrix(g, kk, degs[:top])
                 for r in range(g + 1):
-                    bm = engine.chain_matrix(g - r, kk, degs[:top], block=True)
+                    bm = nontorsion.chain_matrix(g - r, kk, degs[:top], block=True)
                     assert bm.source.elements == type_r_keys(g, r, cm.source.elements)
                     assert bm.target.elements == type_r_keys(g, r, cm.target.elements)
                     want = type_r_block(g, r, cm.matrix,
@@ -185,13 +185,13 @@ def test_chain_matrix_prefixes_are_the_type_r_blocks():
 def full_nontorsion_ranks(g, kk):
     """Per-degree kernel ranks of the whole prefix chain matrices, one
     residue class mod 2|k| at a time."""
-    top_degree = engine.XModel(g, g - 1 - kk).max_degree()
+    top_degree = nontorsion.XModel(g, g - 1 - kk).max_degree()
     per_degree = {}
     for res in range(2 * kk):
         degs = [n for n in range(-g, top_degree + 1) if (n - res) % (2 * kk) == 0]
         prev = 0
         for top_idx, top in enumerate(degs):
-            m = engine.chain_matrix(g, kk, degs[:top_idx + 1]).matrix
+            m = nontorsion.chain_matrix(g, kk, degs[:top_idx + 1]).matrix
             kr = m.cols - rank(m, QQ)
             per_degree[top] = kr - prev
             prev = kr
@@ -202,8 +202,8 @@ def full_phi_image_rank(g, kk):
     """Rank over Q of the phi images of the whole model basis."""
     keys = {}
     cols = []
-    for key in engine.XModel(g, g - 1 - kk).basis():
-        ph = engine.phi_series(GradedElement(g, {key: 1}), kk)
+    for key in nontorsion.XModel(g, g - 1 - kk).basis():
+        ph = nontorsion.phi_series(GradedElement(g, {key: 1}), kk)
         cols.append({keys.setdefault(t, len(keys)): v for t, v in ph.terms.items()})
     return rank(SparseExactMatrix.from_columns(len(keys), cols), QQ)
 
@@ -216,10 +216,10 @@ def test_model_basis_blocks_partition_the_basis():
     # the type-r keys of X(g, g - 1 - k) are the weight-zero keys of
     # X(g - r, g - r - 1 - k)
     for g, k in nontorsion_cases(6):
-        whole = engine.XModel(g, g - 1 - k).basis()
+        whole = nontorsion.XModel(g, g - 1 - k).basis()
         for r in range(g + 1):
             n = g - r
-            assert engine.XModel(n, n - 1 - k).basis(block=True) == \
+            assert nontorsion.XModel(n, n - 1 - k).basis(block=True) == \
                 type_r_keys(g, r, whole), (g, k, r)
 
 
@@ -227,20 +227,52 @@ def test_nontorsion_tables_match_the_whole_chain_matrices():
     for g, k in nontorsion_cases():
         want = {n: GroupPresentation(v) for n, v in full_nontorsion_ranks(g, k).items()}
         for sign in (1, -1):
-            table, _ = engine.hf_plus_nontorsion(g, sign * k)
+            table, _ = nontorsion.hf_plus_nontorsion(g, sign * k)
             assert table.entries == want, (g, sign * k)
 
 
 def test_phi_image_rank_matches_the_whole_basis():
     for g, k in nontorsion_cases():
-        assert engine.phi_image_rank(g, k) == full_phi_image_rank(g, k), (g, k)
+        assert nontorsion.phi_image_rank(g, k) == full_phi_image_rank(g, k), (g, k)
 
 
 def test_h1_corrections_match_the_action_per_class():
     for g, k in nontorsion_cases():
-        for key in engine.XModel(g, g - 1 - k).basis():
+        for key in nontorsion.XModel(g, g - 1 - k).basis():
             want = [(gi, h1_action(g, k, gi, key)[1]) for gi in range(1, 2 * g + 1)]
-            assert list(engine.h1_corrections(g, k, key)) == want, (g, k, key)
+            assert list(nontorsion.h1_corrections(g, k, key)) == want, (g, k, key)
+
+
+def cells(walk):
+    """(key, degree, gamma, (ell, exterior power, U exponent, degree)) of
+    every correction of an action walk."""
+    return [(key, n, gamma, (ct.ell, ct.exterior_power, ct.u_exponent, ct.degree))
+            for key, n, gamma, ct in walk]
+
+
+def test_action_orbits_match_the_per_pair_walk():
+    cases = [(g, sign * k) for g, k in nontorsion_cases(6) for sign in (1, -1)]
+    found = 0
+    for g, k in cases + [(7, 1), (7, 2)]:
+        want = cells(action_walk(g, k))
+        assert cells(nontorsion.action_corrections(g, k)) == want, (g, k)
+        found += len(want)
+    assert found  # g = 5, 6 and 7 at k = 1 have corrections
+
+
+def test_action_walk_runs_act_once_per_orbit(monkeypatch):
+    calls = []
+    act = nontorsion._act
+
+    def spy(*args):
+        calls.append(args[:3])
+        return act(*args)
+
+    monkeypatch.setattr(nontorsion, "_act", spy)
+    for g, orbits in ((4, 14), (5, 30), (6, 55)):
+        calls.clear()
+        list(nontorsion.action_corrections(g, 1))
+        assert len(calls) == orbits, g
 
 
 def test_nontorsion_ranks_build_no_whole_chain_matrix(monkeypatch):
@@ -301,18 +333,18 @@ def composed_act(g, kk, gamma, xi):
         value = GradedElement(g, buckets[deg])
         (power,) = {blade_grade(m) for (_i, m) in value.terms}
         (uexp,) = {-i for (i, _m) in value.terms}
-        corrections.append(engine.CorrectionTerm(int(ell), value, power, uexp, deg))
+        corrections.append(nontorsion.CorrectionTerm(int(ell), value, power, uexp, deg))
     return std, corrections
 
 
 def test_phi_series_and_F_match_the_composed_maps():
     for g, k in nontorsion_cases():
-        for key in engine.XModel(g, g - 1 - k).basis():
+        for key in nontorsion.XModel(g, g - 1 - k).basis():
             xi = GradedElement(g, {key: 1})
-            ph = engine.phi_series(xi, k)
+            ph = nontorsion.phi_series(xi, k)
             assert ph == composed_phi_series(xi, k), (g, k, key)
-            assert engine.apply_F(xi, g, k) == composed_F(xi, g, k), (g, k, key)
-            assert engine.apply_F(ph, g, k).is_zero(), (g, k, key)
+            assert nontorsion.apply_F(xi, g, k) == composed_F(xi, g, k), (g, k, key)
+            assert nontorsion.apply_F(ph, g, k).is_zero(), (g, k, key)
 
 
 def hand_written_images(g, kk):
@@ -346,8 +378,8 @@ def test_term_images_match_the_hand_written_maps():
         images = nontorsion._nontorsion_images(g, k)
         refs = hand_written_images(g, k)
         terms = set()
-        for key in engine.XModel(g, g - 1 - k).basis():
-            terms |= {key, *engine.phi_series(GradedElement(g, {key: 1}), k).terms}
+        for key in nontorsion.XModel(g, g - 1 - k).basis():
+            terms |= {key, *nontorsion.phi_series(GradedElement(g, {key: 1}), k).terms}
         if g <= 4:
             terms |= set(product(range(-1, g + 2), range(4 ** g)))
         for t in terms:
@@ -361,18 +393,18 @@ def test_F_matches_the_composed_map_on_random_elements():
         for _ in range(20):
             y = GradedElement(g, {(rng.randrange(g + 2), rng.randrange(4 ** g)):
                                   rng.randint(-3, 3) for _ in range(rng.randint(1, 8))})
-            assert engine.apply_F(y, g, k) == composed_F(y, g, k), (g, k, y)
+            assert nontorsion.apply_F(y, g, k) == composed_F(y, g, k), (g, k, y)
 
 
 def test_action_matches_the_composed_maps():
     found = 0
     for g, k in nontorsion_cases():
-        for key in engine.XModel(g, g - 1 - k).basis():
+        for key in nontorsion.XModel(g, g - 1 - k).basis():
             xi = GradedElement(g, {key: 1})
             want = [composed_act(g, k, gi, xi) for gi in range(1, 2 * g + 1)]
             assert [h1_action(g, k, gi, key)
                     for gi in range(1, 2 * g + 1)] == want, (g, k, key)
-            assert list(engine.h1_corrections(g, k, key)) == [
+            assert list(nontorsion.h1_corrections(g, k, key)) == [
                 (gi, corrs) for gi, (_std, corrs) in enumerate(want, 1)], (g, k, key)
             found += sum(len(corrs) for _std, corrs in want)
     assert found  # g = 5, k = 1 has corrections (3|k| <= g - 2)

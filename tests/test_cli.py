@@ -384,6 +384,15 @@ def test_nontorsion_time_budget_exits_1():
     assert "time budget exhausted" in proc.stderr
 
 
+def test_action_time_budget_exits_1():
+    # most of the walk's pairs are looked up, not computed; the walk's own
+    # tick per basis key still stops it
+    proc = run_cli("action", "--genus", "8", "--spinc", "1", "--extended",
+                   "--time-budget", "0.1")
+    assert proc.returncode == 1
+    assert "time budget exhausted" in proc.stderr
+
+
 @pytest.mark.parametrize("jobs", ("1", "2"))
 def test_verify_time_budget_exits_1(jobs):
     proc = run_cli("verify", "--suite", "all", "--max-genus", "4", "--jobs", jobs,

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from hfsigma import blocks, engine, nontorsion
+from hfsigma import blocks, bundle, engine, nontorsion
 from hfsigma.errors import BudgetExceeded, Deadline, DomainError, UnsupportedOperation
 from hfsigma.linalg import GroupPresentation
 from hfsigma.rings import GF, QQ, ZZ
@@ -66,9 +66,9 @@ def test_budget_holds_against_cached_blocks():
 
 def test_budget_covers_nontorsion():
     with pytest.raises(BudgetExceeded), Deadline(-1):
-        engine.hf_plus_nontorsion(3, 1)
+        nontorsion.hf_plus_nontorsion(3, 1)
     with pytest.raises(BudgetExceeded), Deadline(-1):
-        engine.phi_image_rank(3, 1)
+        nontorsion.phi_image_rank(3, 1)
 
 
 class CountingDeadline(Deadline):
@@ -84,16 +84,43 @@ def test_phi_series_ticks():
     from hfsigma.cfk import GradedElement
     xi = GradedElement(3, {(0, 0): 1})
     with pytest.raises(BudgetExceeded), Deadline(-1):
-        engine.phi_series(xi, 1)
+        nontorsion.phi_series(xi, 1)
     with pytest.raises(BudgetExceeded), Deadline(-1):
-        list(engine.h1_corrections(3, 1, (0, 0)))
+        list(nontorsion.h1_corrections(3, 1, (0, 0)))
     with pytest.raises(BudgetExceeded), Deadline(-1):
         h1_action(3, 1, 1, (0, 0))
     # once per term, the zero term that ends the series included
     for g, key, terms in ((3, (0, 0), 1), (5, (3, 0), 2)):
         with CountingDeadline() as counter:
-            ph = engine.phi_series(GradedElement(g, {key: 1}), 1)
+            ph = nontorsion.phi_series(GradedElement(g, {key: 1}), 1)
         assert len(ph.degrees()) == terms and counter.ticks == terms + 1
+
+
+def test_action_walk_ticks_once_per_basis_key(monkeypatch):
+    # phi_series ticks only for the keys that carry an orbit's first pair,
+    # so the walk ticks for every key itself; phi's ticks are counted apart
+    ticks = {"walk": 0, "phi": 0}
+    inside = ["walk"]
+    phi_series = nontorsion.phi_series
+
+    def count():
+        ticks[inside[-1]] += 1
+
+    def phi(*args):
+        inside.append("phi")
+        try:
+            return phi_series(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(nontorsion, "tick", count)
+    monkeypatch.setattr(nontorsion, "phi_series", phi)
+    list(nontorsion.action_corrections(6, 1))
+    assert ticks["walk"] == len(nontorsion.XModel(6, 4).basis())
+    assert ticks["phi"]
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceeded), Deadline(-1):
+        list(nontorsion.action_corrections(3, 1))
 
 
 def test_budget_covers_u_action():
@@ -116,7 +143,7 @@ def test_chain_matrix_matches_per_entry_assembly():
     for g in (2, 3, 4):
         for kk in (1, 2):
             degs = list(range(-g, g, 2 * kk))
-            sm = engine.chain_matrix(g, kk, degs)
+            sm = nontorsion.chain_matrix(g, kk, degs)
             m = sm.matrix
             colkeys = [(sl.degree, i, mask) for sl in sm.source.slices
                        for (i, mask) in sl.elements]
@@ -138,9 +165,9 @@ def test_chain_matrix_matches_per_entry_assembly():
 
 def test_chain_matrix_ticks_once_per_column():
     with pytest.raises(BudgetExceeded), Deadline(-1):
-        engine.chain_matrix(3, 1, [-3, -1, 1])
+        nontorsion.chain_matrix(3, 1, [-3, -1, 1])
     with CountingDeadline() as counter:
-        m = engine.chain_matrix(3, 1, [-3, -1, 1]).matrix
+        m = nontorsion.chain_matrix(3, 1, [-3, -1, 1]).matrix
     assert m.cols and counter.ticks == m.cols
 
 
@@ -162,7 +189,7 @@ def test_plus_reduced_small_genus():
 
 def test_plus_reduced_matches_model_g4():
     red = engine.hf_plus_reduced(4)
-    dims = engine.x_model_dims(4, 1)
+    dims = nontorsion.x_model_dims(4, 1)
     for d, grp in red.entries.items():
         assert grp.free_rank == dims.get(d - Fraction(5, 2), 0)
         assert grp.is_free()
@@ -181,24 +208,24 @@ def test_plus_stabilizes_to_infinity():
 
 
 def test_x_model():
-    m = engine.XModel(3, 0)
+    m = nontorsion.XModel(3, 0)
     assert m.dims() == {-3: 1}
     assert m.total_rank() == 1
-    m = engine.XModel(4, 2)
+    m = nontorsion.XModel(4, 2)
     assert m.total_rank() == sum(comb(8, i) * (2 - i + 1) for i in range(3))
     assert m.max_degree() == 0 and m.min_degree() == -4
-    assert engine.XModel(3, -1).total_rank() == 0
+    assert nontorsion.XModel(3, -1).total_rank() == 0
 
 
 def test_nontorsion_tables():
-    tbl, model = engine.hf_plus_nontorsion(2, 1)
+    tbl, model = nontorsion.hf_plus_nontorsion(2, 1)
     assert dict(tbl.entries) == {-2: GroupPresentation(1)}
-    tbl, model = engine.hf_plus_nontorsion(3, 2)
+    tbl, model = nontorsion.hf_plus_nontorsion(3, 2)
     assert dict(tbl.entries) == {-3: GroupPresentation(1)}
-    tbl, _ = engine.hf_plus_nontorsion(3, 3)
+    tbl, _ = nontorsion.hf_plus_nontorsion(3, 3)
     assert not tbl.entries and tbl.metadata.get("vanishes")
     for k in (1, 2):
-        tbl, model = engine.hf_plus_nontorsion(3, k)
+        tbl, model = nontorsion.hf_plus_nontorsion(3, k)
         dims = model.dims()
         assert {n: grp.free_rank for n, grp in tbl.entries.items()} \
             == {n: v for n, v in dims.items() if v}
@@ -206,14 +233,14 @@ def test_nontorsion_tables():
 
 
 def test_nontorsion_conjugation():
-    a, _ = engine.hf_plus_nontorsion(3, 1)
-    b, _ = engine.hf_plus_nontorsion(3, -1)
+    a, _ = nontorsion.hf_plus_nontorsion(3, 1)
+    b, _ = nontorsion.hf_plus_nontorsion(3, -1)
     assert a.entries == b.entries
 
 
 def test_k_zero_rejected():
     with pytest.raises(DomainError):
-        engine.hf_plus_nontorsion(3, 0)
+        nontorsion.hf_plus_nontorsion(3, 0)
     with pytest.raises(UnsupportedOperation):
         h1_action(3, 0, 1, (0, 0))
 
@@ -221,7 +248,7 @@ def test_k_zero_rejected():
 def test_action_standard_small():
     # 3|k| > g-2 forces the bare action
     for (g, k) in ((3, 1), (3, 2), (4, 2)):
-        model = engine.XModel(g, g - 1 - abs(k))
+        model = nontorsion.XModel(g, g - 1 - abs(k))
         for key in model.basis():
             for gi in range(1, 2 * g + 1):
                 _, corrs = h1_action(g, k, gi, key)
@@ -254,42 +281,42 @@ def test_unexpected_kernel_formula_values():
 
 def test_eg_cohomology():
     for g in (1, 2, 3):
-        egq = engine.eg_cohomology(g, QQ)
+        egq = bundle.eg_cohomology(g, QQ)
         assert set(egq) == set(range(0, 2 * g + 2))
         for j, grp in egq.items():
-            assert grp.free_rank == engine.eg_rank_prediction(g, j)
+            assert grp.free_rank == bundle.eg_rank_prediction(g, j)
     # g=2, j=1 has rank C(4,1); total rank over a period is C(2g+1, g)
-    assert engine.eg_cohomology(2, QQ)[1].free_rank == comb(4, 1)
-    tot = sum(grp.free_rank for grp in engine.eg_cohomology(3, QQ).values())
+    assert bundle.eg_cohomology(2, QQ)[1].free_rank == comb(4, 1)
+    tot = sum(grp.free_rank for grp in bundle.eg_cohomology(3, QQ).values())
     assert tot == 2 * comb(7, 3)
-    egz = engine.eg_cohomology(3, ZZ)
+    egz = bundle.eg_cohomology(3, ZZ)
     assert any(f % 2 == 0 for grp in egz.values() for f in grp.invariant_factors)
 
 
 def test_contraction_cokernels_agree():
     for g in (1, 2, 3):
-        for parity, (lhs, rhs) in engine.contraction_cokernel_comparison(g).items():
+        for parity, (lhs, rhs) in bundle.contraction_cokernel_comparison(g).items():
             assert lhs == rhs
 
 
 def test_beta():
     # single-triple evaluation
     import itertools
-    m = engine.triple_cup_beta(2, 3)
+    m = bundle.triple_cup_beta(2, 3)
     src = sorted(sum(1 << b for b in bits) for bits in itertools.combinations(range(5), 3))
     col = m.col_dicts()[src.index((1 << 0) | (1 << 1) | (1 << 4))]
     assert col == {0: 1}
     for s in range(0, 3):
-        assert engine.triple_cup_beta(2, s).nnz() == 0
+        assert bundle.triple_cup_beta(2, s).nnz() == 0
     for g in (1, 2):
-        dims = engine.beta_quotient_dims(g)
+        dims = bundle.beta_quotient_dims(g)
         assert sum(dims.values()) == 2 * comb(2 * g + 1, g)
 
 
 def test_f_restriction_surjective():
-    assert engine.f_restriction_surjective(2, 1)
-    assert engine.f_restriction_surjective(3, 2)
-    assert engine.f_restriction_surjective(3, 1, 2, 1)  # empty window
+    assert nontorsion.f_restriction_surjective(2, 1)
+    assert nontorsion.f_restriction_surjective(3, 2)
+    assert nontorsion.f_restriction_surjective(3, 1, 2, 1)  # empty window
 
 
 def reference_f_restriction(g, kk, d_lo, d_hi):
@@ -333,7 +360,7 @@ def test_f_restriction_matches_the_column_reference(monkeypatch):
             for lo, hi in ((-g, g), (0, g - 1)):
                 nrows, cols = reference_f_restriction(g, kk, lo, hi)
                 ref = SparseExactMatrix.from_columns(nrows, cols)
-                got = engine.f_restriction_surjective(g, kk, lo, hi)
+                got = nontorsion.f_restriction_surjective(g, kk, lo, hi)
                 assert got == (rank(ref, QQ) == nrows), (g, kk, lo, hi)
                 m = seen.pop()
                 assert m.rows == nrows and [c for c in m.col_dicts() if c] == cols
@@ -342,8 +369,8 @@ def test_f_restriction_matches_the_column_reference(monkeypatch):
 def test_correction_location_g8_picture():
     # a degree-4 element of X(8,6) in the zeroth power: first correction in
     # the third power at U^-3, second in the fifth power at U^-1
-    assert engine.correction_location(8, 1, 4, 1) == (3, -3, 1)
-    assert engine.correction_location(8, 1, 4, 2) == (5, -1, -1)
+    assert nontorsion.correction_location(8, 1, 4, 1) == (3, -3, 1)
+    assert nontorsion.correction_location(8, 1, 4, 2) == (5, -1, -1)
     # at most two corrections are allowed there: floor((n+|k|)/2|k|) = 2
     assert (4 + 1) // 2 == 2
 

@@ -1,6 +1,6 @@
 import pytest
 
-from hfsigma import engine
+from hfsigma import engine, nontorsion
 from hfsigma.exterior import omega
 from hfsigma.linalg import GroupPresentation
 from hfsigma.rings import GF, QQ, ZZ
@@ -21,7 +21,7 @@ def test_table_schemas():
                   engine.hf_plus_torsion(2, QQ),
                   engine.hf_plus_reduced(3),
                   engine.hf_infinity(2, GF(2)),
-                  engine.hf_plus_nontorsion(3, 1)[0]):
+                  nontorsion.hf_plus_nontorsion(3, 1)[0]):
         assert validate(table.to_json(), "table")
 
 

@@ -223,12 +223,12 @@ def test_field_reduced_parts_take_no_kernel(monkeypatch):
 @pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.tag)
 def test_eg_cohomology_matches_the_per_ring_reference(ring):
     for g in range(1, 7 if ring == ZZ else 5):
-        assert engine.eg_cohomology(g, ring) == reference_eg(g, ring), g
+        assert bundle.eg_cohomology(g, ring) == reference_eg(g, ring), g
 
 
 def test_contraction_comparison_matches_the_whole_matrices():
     for g in range(1, 6):
-        for parity, (lhs, rhs) in engine.contraction_cokernel_comparison(g).items():
+        for parity, (lhs, rhs) in bundle.contraction_cokernel_comparison(g).items():
             assert lhs == cokernel(reference_contraction_matrix(g, parity)[0]), (g, parity)
             want = GroupPresentation()
             for j in range(parity, 2 * g + 1, 2):
@@ -269,8 +269,8 @@ def test_eg_builds_only_weight_blocks(monkeypatch):
 
     monkeypatch.setattr(Multivector, "__init__", counted)
     for ring in (ZZ, QQ, GF(3)):
-        engine.eg_cohomology(4, ring)
-    engine.contraction_cokernel_comparison(4)
+        bundle.eg_cohomology(4, ring)
+    bundle.contraction_cokernel_comparison(4)
     # one call per wedge block: grade - genus in -n - 2..n at each genus
     # n = 0..g, each a pair-inclusion matrix built without a Multivector
     assert len(calls) == sum(2 * n + 3 for n in range(5)) and all(calls)
@@ -279,7 +279,7 @@ def test_eg_builds_only_weight_blocks(monkeypatch):
 
 def test_field_tables_reuse_the_integer_smith_forms(monkeypatch):
     tables = (engine.hf_hat, engine.hf_plus_torsion, engine.hf_infinity,
-              engine.eg_cohomology)
+              bundle.eg_cohomology)
     for table in tables:
         table(4, ZZ)
     calls = []
